@@ -30,7 +30,6 @@ from .pathloss import (
     CalibrationDataset,
     FitResult,
     PathLossModel,
-    RssiSample,
     average_rssi,
     estimate_distance,
     fit_model,
@@ -45,9 +44,9 @@ from .parking import (
     UserProfile,
 )
 from .proximity import (
+    STREAM_DTYPE,
     BeaconLayout,
     PredictionTally,
-    predict_spot,
     raw_baseline,
     run_identification,
 )

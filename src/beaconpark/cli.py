@@ -12,16 +12,16 @@ Exit codes: 0 success, 1 runtime error, 2 input error.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import sys
 from dataclasses import replace
 
 import numpy
-import scipy
 
 from . import __version__
-from .parking import service_from_files
+from .parking import JournalError, service_from_files
 from .pathloss import (
     RankDeficientError,
     fit_model,
@@ -49,11 +49,16 @@ class InputError(Exception):
     """Bad user input (malformed file, invalid values): exit code 2."""
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def write_atomically(path: str, write, payload) -> None:
+    """Write `payload` with `write(tmp_path, payload)`, then rename it into place."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    write(tmp, payload)
     os.replace(tmp, path)
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | None) -> None:
@@ -66,10 +71,11 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
             "beaconpark": __version__,
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            # From the package metadata, so that a run does not import scipy.
+            "scipy": importlib.metadata.version("scipy"),
         },
     }
-    atomic_write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    write_atomically(os.path.join(out_dir, "manifest.json"), _write_json, manifest)
 
 
 def _load_scenario_file(path: str, seed_override: int | None):
@@ -108,7 +114,7 @@ def cmd_calibrate(args) -> int:
         fit = fit_model(dataset)
     except RankDeficientError as exc:
         raise InputError(f"rank-deficient: {exc}") from exc
-    atomic_write_text(args.out, json.dumps(fit_result_to_json_dict(fit), indent=2) + "\n")
+    write_atomically(args.out, _write_json, fit_result_to_json_dict(fit))
     print(
         f"n={fit.model.exponent:.6f} ci95=({fit.exponent_ci95[0]:.6f}, {fit.exponent_ci95[1]:.6f})"
     )
@@ -149,7 +155,7 @@ def cmd_distance(args) -> int:
         )
         rows.extend(result.rows)
     out_path = os.path.join(args.out_dir, "distance_results.csv")
-    _write_csv_atomically(out_path, write_distance_csv, rows)
+    write_atomically(out_path, write_distance_csv, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return 0
 
@@ -166,7 +172,7 @@ def cmd_proximity(args) -> int:
 
     results = run_proximity_experiment(scenario, pairs, config)
     out_path = os.path.join(args.out_dir, "proximity_results.csv")
-    _write_csv_atomically(out_path, write_proximity_csv, results)
+    write_atomically(out_path, write_proximity_csv, results)
     print(f"wrote {out_path} ({2 * len(results)} rows)")
     return 0
 
@@ -179,6 +185,8 @@ def cmd_serve(args) -> int:
         service = service_from_files(args.lot, journal_path)
     except FileNotFoundError as exc:
         raise InputError(f"lot config not found: {args.lot}") from exc
+    except JournalError as exc:
+        raise InputError(f"invalid journal: {exc}") from exc
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise InputError(f"invalid lot config: {exc}") from exc
     clock = SimulatedClock() if args.clock == "simulated" else SystemClock()
@@ -193,12 +201,6 @@ def cmd_serve(args) -> int:
     finally:
         server.server_close()
     return 0
-
-
-def _write_csv_atomically(path: str, writer_fn, payload) -> None:
-    tmp = f"{path}.tmp"
-    writer_fn(tmp, payload)
-    os.replace(tmp, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,15 +249,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"ERR {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"ERR {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 1

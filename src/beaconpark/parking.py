@@ -14,6 +14,7 @@ exact service state (the payment stub is deterministic by card token).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from .eddystone import (
 )
 
 MS_PER_MINUTE = 60_000
+
+logger = logging.getLogger(__name__)
 
 
 class ParkingError(Exception):
@@ -57,6 +60,10 @@ class NotIllegalError(ParkingError):
 
 class UnknownBeaconError(ParkingError):
     pass
+
+
+class JournalError(ValueError):
+    """A complete journal line is not a JSON entry."""
 
 
 class SpotState(Enum):
@@ -397,11 +404,29 @@ class FileJournal:
 def read_journal(path) -> list[dict]:
     entries = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    entries.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise JournalError(f"{path} line {lineno}: {exc}") from exc
     return entries
+
+
+def _truncate_torn_tail(path) -> None:
+    """Cut the bytes after the journal's last newline, left by a torn write.
+
+    Otherwise the next append would glue onto the fragment and turn it
+    into a corrupt line in the middle of the file.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        if keep < len(data):
+            logger.warning(
+                "journal %s: dropping a torn last line of %d bytes", path, len(data) - keep
+            )
+            fh.truncate(keep)
 
 
 def replay_journal(service: ParkingService, entries: Iterable[dict]) -> None:
@@ -417,6 +442,7 @@ def service_from_files(lot_config_path, journal_path=None) -> ParkingService:
     service = ParkingService.from_config(config)
     if journal_path is not None:
         if os.path.exists(journal_path):
+            _truncate_torn_tail(journal_path)
             replay_journal(service, read_journal(journal_path))
         service._journal_sink = FileJournal(journal_path)
     return service

@@ -115,14 +115,11 @@ class DistanceParticleFilter:
         self.weights = np.full(n, 1.0 / n)
         return True
 
-    def estimate(self, spread_about_mean_weight: bool = False) -> DistanceEstimate:
+    def estimate(self) -> DistanceEstimate:
         """Weighted mean and weighted standard deviation of the particles.
 
-        The deviation divides by (N'-1)/N' * sum(w), N' being the number
-        of non-zero weights. By default deviations are measured about the
-        weighted particle mean; spread_about_mean_weight instead measures
-        them about the average weight value (a legacy variant, kept
-        selectable for comparison).
+        The deviation is measured about the weighted mean and divides by
+        (N'-1)/N' * sum(w), N' being the number of non-zero weights.
         """
         total = float(self.weights.sum())
         mean = float(np.sum(self.weights * self.particles) / total)
@@ -130,8 +127,7 @@ class DistanceParticleFilter:
         if nonzero < 2:
             std = 0.0
         else:
-            mu = float(np.mean(self.weights)) if spread_about_mean_weight else mean
-            spread = float(np.sum(self.weights * (self.particles - mu) ** 2))
+            spread = float(np.sum(self.weights * (self.particles - mean) ** 2))
             std = math.sqrt(spread / ((nonzero - 1) / nonzero * total))
         return DistanceEstimate(
             mean_m=mean, std_m=std, effective_particles=self.effective_particles()

@@ -9,15 +9,11 @@ t-intervals for the 95% confidence bounds on both coefficients.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
-
-logger = logging.getLogger(__name__)
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -55,19 +51,6 @@ class PathLossModel:
 # Fitted constants for the two calibrated parking environments.
 INDOOR_MODEL = PathLossModel(exponent=2.424, ref_rssi_dbm=-65.24)
 OUTDOOR_MODEL = PathLossModel(exponent=2.049, ref_rssi_dbm=-88.78)
-
-
-@dataclass(frozen=True)
-class RssiSample:
-    """One received advertisement: when, from which beacon, how strong."""
-
-    timestamp_ms: int
-    beacon: object  # SpotId or any raw beacon identifier
-    rssi_dbm: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rssi_dbm):
-            raise ValueError("RSSI must be finite")
 
 
 @dataclass(frozen=True)
@@ -138,6 +121,8 @@ def fit_model(data: CalibrationDataset) -> FitResult:
     against log10 distance; the model line is y = ref_rssi - 10n * x.
     residual_std_db is the root-mean-square residual of those means.
     """
+    from scipy import stats  # imported here so that only calibration loads scipy
+
     x = np.array([math.log10(d / REFERENCE_DISTANCE_M) for d, _ in data.points])
     y = np.array([average_rssi(s) for _, s in data.points])
     m = len(x)
@@ -175,21 +160,6 @@ def fit_model(data: CalibrationDataset) -> FitResult:
         ref_rssi_ci95=(intercept - half_c, intercept + half_c),
         residual_std_db=residual_std,
     )
-
-
-def fallback_model_from_tx_power(tx_power_dbm: float, exponent: float = 2.0) -> PathLossModel:
-    """Build a model from a beacon's advertised reference power.
-
-    Only for use when no calibration exists: the factory constant can be
-    far from the truth in a real environment, so a warning is logged.
-    """
-    logger.warning(
-        "no calibration data: falling back to advertised tx power %s dBm "
-        "with free-space exponent %s; calibrate before relying on distances",
-        tx_power_dbm,
-        exponent,
-    )
-    return PathLossModel(exponent=exponent, ref_rssi_dbm=float(tx_power_dbm))
 
 
 # --- file formats ---
@@ -239,29 +209,9 @@ def fit_result_to_json_dict(fit: FitResult) -> dict:
     }
 
 
-def fit_result_from_json_dict(obj: dict) -> FitResult:
-    model = PathLossModel(
-        exponent=float(obj["n"]),
-        ref_rssi_dbm=float(obj["C"]),
-        ref_distance_m=float(obj.get("d0", REFERENCE_DISTANCE_M)),
-    )
-    n_lo, n_hi = obj["n_ci95"]
-    c_lo, c_hi = obj["C_ci95"]
-    return FitResult(
-        model=model,
-        exponent_ci95=(float(n_lo), float(n_hi)),
-        ref_rssi_ci95=(float(c_lo), float(c_hi)),
-        residual_std_db=float(obj["residual_std"]),
-    )
-
-
 def model_from_json_dict(obj: dict) -> PathLossModel:
     return PathLossModel(
         exponent=float(obj["n"]),
         ref_rssi_dbm=float(obj["C"]),
         ref_distance_m=float(obj.get("d0", REFERENCE_DISTANCE_M)),
     )
-
-
-def model_to_json_dict(model: PathLossModel) -> dict:
-    return {"n": model.exponent, "C": model.ref_rssi_dbm, "d0": model.ref_distance_m}

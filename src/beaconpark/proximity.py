@@ -1,24 +1,31 @@
 """Multi-beacon spot identification and accuracy scoring.
 
 A listener sits in front of a row of beacons; each beacon gets its own
-distance filter. Prediction rounds fire on a fixed cadence (default one
-second): every beacon that delivered samples in the round updates its
-filter, the spot with the smallest estimated distance is predicted, and
-the prediction is tallied against the geometric ground truth.
+distance filter. A beacon's stream is one numpy structured array of
+STREAM_DTYPE (`timestamp_ms` int64, `rssi_dbm` float64) in time order.
+Prediction rounds are fixed one-second windows: each stream is split at
+timestamp_ms // ROUND_MS, every beacon that delivered samples in a round
+updates its filter, the spot with the smallest estimated distance is
+predicted, and the prediction is tallied against the geometric ground
+truth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .eddystone import SpotId
-from .particle import DistanceEstimate, DistanceParticleFilter, FilterConfig
-from .pathloss import PathLossModel, RssiSample, average_rssi, estimate_distance
+from .particle import DistanceParticleFilter, FilterConfig
+from .pathloss import PathLossModel, average_rssi, estimate_distance
 from .seeding import TAG_FILTER, derive_seed, spot_key
 
-DEFAULT_CADENCE_MS = 1000
+ROUND_MS = 1000
+STREAM_DTYPE = np.dtype([("timestamp_ms", np.int64), ("rssi_dbm", np.float64)])
+_EMPTY_STREAM = np.empty(0, dtype=STREAM_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -86,104 +93,93 @@ class PredictionTally:
             raise ValueError("accuracy must be a fraction in [0, 1]")
 
 
-def predict_spot(estimates: Mapping[SpotId, DistanceEstimate]) -> SpotId:
-    """Spot with the smallest estimated distance; ties to smallest id."""
-    if not estimates:
-        raise ValueError("no estimates to predict from")
-    return min(estimates.items(), key=lambda kv: (kv[1].mean_m, kv[0]))[0]
-
-
-def _nearest_spot(means: Mapping[SpotId, float]) -> SpotId:
-    return min(means.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-
-def _group_rounds(
-    streams: Mapping[SpotId, Sequence[RssiSample]], cadence_ms: int
-) -> list[dict[SpotId, list[float]]]:
-    """Bucket every sample into its cadence round, per beacon."""
-    if cadence_ms <= 0:
-        raise ValueError("cadence must be positive")
-    last_ts = -1
-    for samples in streams.values():
-        for s in samples:
-            last_ts = max(last_ts, s.timestamp_ms)
-    if last_ts < 0:
-        raise ValueError("streams contain no samples")
-    n_rounds = last_ts // cadence_ms + 1
-    rounds: list[dict[SpotId, list[float]]] = [{} for _ in range(n_rounds)]
-    for spot, samples in streams.items():
-        for s in samples:
-            rounds[s.timestamp_ms // cadence_ms].setdefault(spot, []).append(s.rssi_dbm)
-    return rounds
-
-
-def _check_streams(streams, layout: BeaconLayout) -> None:
+def _check_streams(streams: Mapping[SpotId, np.ndarray], layout: BeaconLayout) -> int:
+    """Validate the streams and return the number of rounds up to the last sample."""
     known = set(layout.spots())
-    for spot in streams:
+    last_ms = -1
+    for spot, stream in streams.items():
         if spot not in known:
             raise ValueError(f"stream beacon {spot} is not in the layout")
+        if getattr(stream, "dtype", None) != STREAM_DTYPE:
+            raise ValueError(f"stream of {spot} is not an array of {STREAM_DTYPE}")
+        if not np.isfinite(stream["rssi_dbm"]).all():
+            raise ValueError(f"stream of {spot} holds a non-finite RSSI")
+        stamps = stream["timestamp_ms"]
+        if len(stamps) == 0:
+            continue
+        if stamps[0] < 0 or (np.diff(stamps) < 0).any():
+            raise ValueError(f"stream of {spot} is not in time order from 0 ms")
+        last_ms = max(last_ms, int(stamps[-1]))
+    if last_ms < 0:
+        raise ValueError("streams contain no samples")
+    return last_ms // ROUND_MS + 1
 
 
-def _tally(predictions: list[SpotId], layout: BeaconLayout) -> PredictionTally:
-    counts = {spot: 0 for spot in layout.spots()}
-    for p in predictions:
-        counts[p] += 1
-    truth = layout.ground_truth()
-    total = len(predictions)
+def _rounds(stream: np.ndarray, n_rounds: int) -> list[list[float]]:
+    """The stream's RSSI readings of each round, as Python floats."""
+    edges = np.arange(n_rounds + 1) * ROUND_MS
+    bounds = np.searchsorted(stream["timestamp_ms"], edges).tolist()
+    rssi = stream["rssi_dbm"].tolist()
+    return [rssi[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _tally(layout: BeaconLayout, spots: list[SpotId], distances: np.ndarray) -> PredictionTally:
+    """Predict the nearest spot of each round and count the predictions.
+
+    `distances` has one row per spot, in spot-id order, and one column per
+    round; argmin takes the first minimum, so ties go to the smallest id.
+    """
+    nearest = np.argmin(distances, axis=0)
+    counts = dict(zip(spots, np.bincount(nearest, minlength=len(spots)).tolist()))
+    total = len(nearest)
     return PredictionTally(
-        counts=counts, total=total, accuracy=counts[truth] / total if total else 0.0
+        counts=counts, total=total, accuracy=counts[layout.ground_truth()] / total
     )
 
 
 def run_identification(
     layout: BeaconLayout,
-    streams: Mapping[SpotId, Sequence[RssiSample]],
+    streams: Mapping[SpotId, np.ndarray],
     model: PathLossModel,
     config: FilterConfig,
-    cadence_ms: int = DEFAULT_CADENCE_MS,
 ) -> PredictionTally:
     """Filtered identification: one particle filter per beacon.
 
     Each beacon's filter gets its own child seed derived from the config
     seed. A beacon with no samples in a round keeps its previous state.
     """
-    _check_streams(streams, layout)
-    rounds = _group_rounds(streams, cadence_ms)
-    filters = {
-        spot: DistanceParticleFilter(
+    n_rounds = _check_streams(streams, layout)
+    spots = sorted(layout.spots())
+    means = np.empty((len(spots), n_rounds))
+    for row, spot in enumerate(spots):
+        flt = DistanceParticleFilter(
             replace(config, seed=derive_seed(config.seed, TAG_FILTER, spot_key(spot)))
         )
-        for spot in layout.spots()
-    }
-    predictions = []
-    for bucket in rounds:
-        for spot, rssis in bucket.items():
-            flt = filters[spot]
+        for r, rssis in enumerate(_rounds(streams.get(spot, _EMPTY_STREAM), n_rounds)):
             for rssi in rssis:
                 flt.update(estimate_distance(model, rssi))
-        estimates = {spot: flt.estimate() for spot, flt in filters.items()}
-        predictions.append(predict_spot(estimates))
-    return _tally(predictions, layout)
+            means[row, r] = flt.estimate().mean_m
+    return _tally(layout, spots, means)
 
 
 def raw_baseline(
-    streams: Mapping[SpotId, Sequence[RssiSample]],
+    streams: Mapping[SpotId, np.ndarray],
     model: PathLossModel,
     layout: BeaconLayout,
-    cadence_ms: int = DEFAULT_CADENCE_MS,
 ) -> PredictionTally:
     """Unfiltered baseline: per-round average-RSSI distance estimates.
 
-    The averaging window is the samples received since the previous
-    prediction round; a beacon that has never been heard is treated as
+    The averaging window is the samples received in the round; a beacon
+    silent in a round keeps its last estimate, and one never heard is
     infinitely far away until its first sample.
     """
-    _check_streams(streams, layout)
-    rounds = _group_rounds(streams, cadence_ms)
-    means = {spot: math.inf for spot in layout.spots()}
-    predictions = []
-    for bucket in rounds:
-        for spot, rssis in bucket.items():
-            means[spot] = estimate_distance(model, average_rssi(rssis))
-        predictions.append(_nearest_spot(means))
-    return _tally(predictions, layout)
+    n_rounds = _check_streams(streams, layout)
+    spots = sorted(layout.spots())
+    distances = np.empty((len(spots), n_rounds))
+    for row, spot in enumerate(spots):
+        current = math.inf
+        for r, rssis in enumerate(_rounds(streams.get(spot, _EMPTY_STREAM), n_rounds)):
+            if rssis:
+                current = estimate_distance(model, average_rssi(rssis))
+            distances[row, r] = current
+    return _tally(layout, spots, distances)

@@ -11,6 +11,9 @@ One command per line; every response line starts with `OK` or
     SETTLE <spot>                                 -> OK | ERR STATE
     TICK <seconds>                                -> OK (simulated clock only)
 
+Sessions past the time limit that REGISTER took are closed as they
+expire: after every TICK, and on every poll of the serve loop.
+
 Handlers may be concurrent; the service serializes the actual commands,
 so the registry observes one total command order.
 """
@@ -101,6 +104,7 @@ def handle_command(service: ParkingService, clock, line: str) -> str:
                 return "ERR CLOCK TICK needs --clock simulated"
             (seconds_text,) = args
             clock.advance_seconds(float(seconds_text))
+            service.expire_overstays(clock.now_ms())
             return "OK"
         return f"ERR BADCMD unknown command {cmd}"
     except SpotTakenError:
@@ -144,6 +148,10 @@ class ParkingTCPServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _LineHandler)
         self.service = service
         self.clock = clock or SystemClock()
+
+    def service_actions(self) -> None:
+        """Called by serve_forever on every poll: close overstayed sessions."""
+        self.service.expire_overstays(self.clock.now_ms())
 
 
 def parse_bind_address(text: str) -> tuple[str, int]:

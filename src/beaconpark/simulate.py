@@ -3,8 +3,11 @@
 Stands in for a physical beacon testbed: streams are drawn from the
 path-loss model plus Gaussian noise in dB (the standard log-normal
 shadowing realization), with optional Bernoulli advertisement loss.
-Every stream, cell, and repetition derives a child seed from the
-scenario seed, so a scenario reproduces byte-for-byte.
+A stream is one beacon's advertisements as a numpy structured array of
+proximity.STREAM_DTYPE (`timestamp_ms`, `rssi_dbm`) in time order; the
+drivers read its `rssi_dbm` column directly. Every stream, cell, and
+repetition derives a child seed from the scenario seed, so a scenario
+reproduces byte-for-byte.
 
 Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures; noise defaults per environment
@@ -27,15 +30,13 @@ from .particle import DistanceParticleFilter, FilterConfig
 from .pathloss import (
     CalibrationDataset,
     PathLossModel,
-    RssiSample,
     average_rssi,
     estimate_distance,
     model_from_json_dict,
-    model_to_json_dict,
     predict_rssi,
 )
 from .proximity import (
-    DEFAULT_CADENCE_MS,
+    STREAM_DTYPE,
     BeaconLayout,
     PredictionTally,
     raw_baseline,
@@ -61,7 +62,7 @@ RAW_ANCHOR_ACCURACY = 0.778
 ANCHOR_X_M = 1.0
 ANCHOR_Y_M = 0.5
 
-EXPERIMENT_KINDS = ("pathloss", "distance", "proximity")
+EXPERIMENT_KINDS = ("distance", "proximity")
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,12 @@ class ProximityCellResult:
     filtered: PredictionTally
 
 
-def generate_stream(
-    scenario: Scenario, beacon: SpotId, true_distance_m: float
-) -> list[RssiSample]:
+def generate_stream(scenario: Scenario, beacon: SpotId, true_distance_m: float) -> np.ndarray:
     """Synthesize one beacon's advertisement stream at a fixed distance.
 
     One sample per transmission interval on the interval grid, minus
     i.i.d. Bernoulli drops; RSSI is the model prediction plus N(0, sigma).
+    Returns an array of STREAM_DTYPE in time order.
     """
     if true_distance_m <= 0:
         raise ValueError("true distance must be positive")
@@ -149,16 +149,11 @@ def generate_stream(
     )
     mean_rssi = predict_rssi(scenario.model, true_distance_m)
     noise = rng.normal(0.0, scenario.noise_sigma_db, n_slots)
-    dropped = rng.random(n_slots) < scenario.drop_rate
-    return [
-        RssiSample(
-            timestamp_ms=i * scenario.tx_interval_ms,
-            beacon=beacon,
-            rssi_dbm=float(mean_rssi + noise[i]),
-        )
-        for i in range(n_slots)
-        if not dropped[i]
-    ]
+    kept = np.flatnonzero(rng.random(n_slots) >= scenario.drop_rate)
+    stream = np.empty(len(kept), dtype=STREAM_DTYPE)
+    stream["timestamp_ms"] = kept * scenario.tx_interval_ms
+    stream["rssi_dbm"] = mean_rssi + noise[kept]
+    return stream
 
 
 def three_beacon_layout(x_m: float, y_m: float) -> BeaconLayout:
@@ -182,8 +177,7 @@ def run_pathloss_experiment(
     beacon = SpotId("B", 1)
     points = []
     for d in distances_m:
-        samples = generate_stream(scenario, beacon, d)
-        points.append((float(d), tuple(s.rssi_dbm for s in samples)))
+        points.append((float(d), tuple(generate_stream(scenario, beacon, d)["rssi_dbm"].tolist())))
     return CalibrationDataset(tuple(points))
 
 
@@ -211,10 +205,9 @@ def run_distance_experiment(
         for rep in range(repetitions):
             cell_seed = derive_seed(scenario.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
             cell = replace(scenario, seed=cell_seed)
-            samples = generate_stream(cell, SpotId("B", 1), d)
-            if not samples:
+            rssis = generate_stream(cell, SpotId("B", 1), d)["rssi_dbm"].tolist()
+            if not rssis:
                 raise ValueError("scenario produced an empty stream")
-            rssis = [s.rssi_dbm for s in samples]
             raw_est = estimate_distance(scenario.model, average_rssi(rssis))
             raw_errors.append(abs(raw_est - d))
             flt = DistanceParticleFilter(
@@ -246,7 +239,6 @@ def run_proximity_experiment(
     scenario: Scenario,
     pairs: Sequence[tuple[float, float]],
     config: FilterConfig,
-    cadence_ms: int = DEFAULT_CADENCE_MS,
 ) -> list[ProximityCellResult]:
     """Score raw and filtered identification over an (X, Y) grid.
 
@@ -269,9 +261,8 @@ def run_proximity_experiment(
             streams,
             scenario.model,
             replace(config, seed=derive_seed(cell_seed, TAG_FILTER)),
-            cadence_ms=cadence_ms,
         )
-        raw = raw_baseline(streams, scenario.model, layout, cadence_ms=cadence_ms)
+        raw = raw_baseline(streams, scenario.model, layout)
         results.append(
             ProximityCellResult(x_m=float(x_m), y_m=float(y_m), raw=raw, filtered=filtered)
         )
@@ -360,48 +351,6 @@ def write_proximity_csv(path, results: Sequence[ProximityCellResult]) -> None:
                         f"{tally.accuracy * 100.0:.1f}",
                     ]
                 )
-
-
-def scenario_to_dict(
-    scenario: Scenario,
-    experiment: ExperimentSpec | None = None,
-    filter_config: FilterConfig | None = None,
-) -> dict:
-    obj: dict = {
-        "model": model_to_json_dict(scenario.model),
-        "noise_sigma_db": scenario.noise_sigma_db,
-        "tx_interval_ms": scenario.tx_interval_ms,
-        "duration_s": scenario.duration_s,
-        "drop_rate": scenario.drop_rate,
-        "seed": scenario.seed,
-    }
-    if scenario.layout is not None:
-        obj["layout"] = {
-            "beacons": [
-                {"spot": str(spot), "position_m": pos}
-                for spot, pos in scenario.layout.beacons
-            ],
-            "listener": {
-                "x_m": scenario.layout.listener_offset[0],
-                "y_m": scenario.layout.listener_offset[1],
-            },
-        }
-    if experiment is not None:
-        obj["experiment"] = {
-            "kind": experiment.kind,
-            "grid": [list(g) if isinstance(g, (tuple, list)) else g for g in experiment.grid],
-            "repetitions": experiment.repetitions,
-        }
-    if filter_config is not None:
-        obj["filter"] = {
-            "particle_count": filter_config.particle_count,
-            "beta": filter_config.beta,
-            "measurement_noise_m": filter_config.measurement_noise_m,
-            "state_min_m": filter_config.state_min_m,
-            "state_max_m": filter_config.state_max_m,
-            "seed": filter_config.seed,
-        }
-    return obj
 
 
 def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, FilterConfig]:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import socket
 import subprocess
@@ -19,6 +20,16 @@ def make_calibration_csv(path, model, duration_s=10.0, sigma=0.0, seed=0):
     distances = [round(0.2 * k, 10) for k in range(1, 21)]
     data = run_pathloss_experiment(scenario, distances)
     write_calibration_csv(path, data)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, beaconpark.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=300):
@@ -241,6 +252,17 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_corrupt_journal_is_journal_error(self, tmp_path, capsys):
+        journal = tmp_path / "lot.journal"
+        journal.write_text("not json\n")
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
+             "--journal", str(journal), "--bind", "127.0.0.1:0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "invalid journal" in err
+        assert f"{journal} line 1" in err
 
     def test_missing_lot_config_is_input_error(self, tmp_path):
         assert main(

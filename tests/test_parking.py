@@ -321,6 +321,45 @@ class TestFileJournal:
         assert restored.snapshot() == before
         restored._journal_sink.close()
 
+    def write_lot(self, tmp_path):
+        lot = {
+            "spots": [
+                {"id": "A1", "namespace": "00" * 10,
+                 "url": "https://park.example/A1", "rate_cents_per_hour": 200},
+            ]
+        }
+        lot_path = tmp_path / "lot.json"
+        lot_path.write_text(json.dumps(lot))
+        return lot_path
+
+    def test_torn_last_line_is_truncated_with_a_warning(self, tmp_path, caplog):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        service = pk.service_from_files(lot_path, journal_path)
+        service.register(SpotId.parse("A1"), USER, now_ms=0)
+        service._journal_sink.close()
+        whole = journal_path.read_bytes()
+        journal_path.write_bytes(whole + b'{"op": "regis')
+
+        with caplog.at_level("WARNING", logger="beaconpark.parking"):
+            restored = pk.service_from_files(lot_path, journal_path)
+        assert any("torn" in rec.message for rec in caplog.records)
+        assert journal_path.read_bytes() == whole
+        assert restored.get_spot(SpotId.parse("A1")).state is pk.SpotState.OCCUPIED
+        # the next append starts a line of its own, so a second restart reads it
+        restored.unregister(SpotId.parse("A1"), now_ms=MIN_MS)
+        restored._journal_sink.close()
+        again = pk.service_from_files(lot_path, journal_path)
+        assert again.get_spot(SpotId.parse("A1")).state is pk.SpotState.AVAILABLE
+        again._journal_sink.close()
+
+    def test_corrupt_complete_line_names_path_and_line(self, tmp_path):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        journal_path.write_text('{"op": "settle", "spot": "A1"}\n\n{"op": \n')
+        with pytest.raises(pk.JournalError, match=r"lot\.journal line 3"):
+            pk.service_from_files(lot_path, journal_path)
+
     def test_instance_defaults_to_spot_convention(self, tmp_path):
         lot = {
             "spots": [

@@ -206,19 +206,6 @@ class TestEstimate:
         expected = math.sqrt(spread / (3 / 4))
         assert flt.estimate().std_m == pytest.approx(expected, rel=1e-12)
 
-    def test_spread_about_mean_weight_variant(self):
-        flt = small_filter()
-        particles = np.array([1.0, 2.0, 3.0, 4.0])
-        weights = np.array([0.4, 0.3, 0.2, 0.1])
-        flt.particles = particles
-        flt.weights = weights
-        mu = float(np.mean(weights))
-        spread = float(np.sum(weights * (particles - mu) ** 2))
-        expected = math.sqrt(spread / (3 / 4))
-        assert flt.estimate(spread_about_mean_weight=True).std_m == pytest.approx(
-            expected, rel=1e-12
-        )
-
     def test_estimate_stays_inside_state_range(self):
         flt = DistanceParticleFilter(FilterConfig(seed=12))
         rng = np.random.default_rng(13)

@@ -183,16 +183,8 @@ class TestDatasetAndFiles:
         obj = pl.fit_result_to_json_dict(fit)
         assert set(obj) == {"n", "C", "d0", "n_ci95", "C_ci95", "residual_std"}
         assert obj["d0"] == 1.0
-        text = json.dumps(obj)
-        back = pl.fit_result_from_json_dict(json.loads(text))
-        assert back.model == fit.model
-        assert back.exponent_ci95 == pytest.approx(fit.exponent_ci95)
-
-
-class TestFallbackModel:
-    def test_logs_warning_and_builds_model(self, caplog):
-        with caplog.at_level("WARNING", logger="beaconpark.pathloss"):
-            model = pl.fallback_model_from_tx_power(-62)
-        assert model.ref_rssi_dbm == -62.0
-        assert model.exponent == 2.0
-        assert any("calibrat" in rec.message for rec in caplog.records)
+        back = json.loads(json.dumps(obj))
+        assert pl.model_from_json_dict(back) == fit.model
+        assert back["n_ci95"] == pytest.approx(fit.exponent_ci95)
+        assert back["C_ci95"] == pytest.approx(fit.ref_rssi_ci95)
+        assert back["residual_std"] == pytest.approx(fit.residual_std_db)

@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from beaconpark.eddystone import SpotId
-from beaconpark.particle import DistanceEstimate, FilterConfig
-from beaconpark.pathloss import INDOOR_MODEL, RssiSample, predict_rssi
+from beaconpark.particle import FilterConfig
+from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, predict_rssi
 from beaconpark.proximity import (
+    STREAM_DTYPE,
     BeaconLayout,
-    predict_spot,
     raw_baseline,
     run_identification,
 )
@@ -22,8 +23,22 @@ from beaconpark.simulate import (
 A1, B1, C1 = SpotId("A", 1), SpotId("B", 1), SpotId("C", 1)
 
 
-def est(mean):
-    return DistanceEstimate(mean_m=mean, std_m=0.0, effective_particles=1.0)
+def stream(*rssi, interval_ms=1000):
+    """A hand-made stream, one sample every interval_ms from 0 ms."""
+    return np.array(
+        [(i * interval_ms, r) for i, r in enumerate(rssi)], dtype=STREAM_DTYPE
+    )
+
+
+def raw_predictions(means_m):
+    """The raw baseline's predicted spot for one round of noiseless readings."""
+    layout = BeaconLayout(
+        beacons=tuple((spot, float(i)) for i, spot in enumerate(means_m)),
+        listener_offset=(0.0, 1.0),
+    )
+    streams = {spot: stream(predict_rssi(INDOOR_MODEL, d)) for spot, d in means_m.items()}
+    tally = raw_baseline(streams, INDOOR_MODEL, layout)
+    return [spot for spot, n in tally.counts.items() if n]
 
 
 class TestLayout:
@@ -62,24 +77,33 @@ class TestLayout:
 
 
 class TestPredictSpot:
+    """The nearest-spot rule applied to every round's distance estimates."""
+
     def test_unique_minimum(self):
-        assert predict_spot({A1: est(2.3), B1: est(0.9), C1: est(2.1)}) == B1
+        assert raw_predictions({A1: 2.3, B1: 0.9, C1: 2.1}) == [B1]
 
     def test_tie_breaks_to_smallest_spot_id(self):
-        assert predict_spot({B1: est(1.0), A1: est(1.0)}) == A1
+        assert raw_predictions({B1: 1.0, A1: 1.0}) == [A1]
+        assert raw_predictions({C1: 1.5, B1: 1.5, A1: 2.0}) == [B1]
 
     def test_empty_rejected(self):
+        layout = three_beacon_layout(1.0, 0.5)
         with pytest.raises(ValueError):
-            predict_spot({})
+            raw_baseline({}, INDOOR_MODEL, layout)
 
     def test_invariant_under_increasing_transforms(self):
+        # Each model maps RSSI to distance by a different decreasing map,
+        # so the predictions depend on the RSSI order alone.
         rng = random.Random(23)
-        for _ in range(100):
-            means = {spot: rng.uniform(0.2, 4.0) for spot in (A1, B1, C1)}
-            base = predict_spot({s: est(m) for s, m in means.items()})
-            for transform in (lambda v: 3.0 * v + 1.0, math.exp, lambda v: v**3):
-                mapped = {s: est(transform(m)) for s, m in means.items()}
-                assert predict_spot(mapped) == base
+        layout = three_beacon_layout(1.0, 0.5)
+        for _ in range(20):
+            streams = {
+                spot: stream(*[rng.uniform(-90.0, -50.0) for _ in range(30)])
+                for spot in (A1, B1, C1)
+            }
+            indoor = raw_baseline(streams, INDOOR_MODEL, layout)
+            outdoor = raw_baseline(streams, OUTDOOR_MODEL, layout)
+            assert indoor.counts == outdoor.counts
 
 
 def noiseless_streams(x=2.0, y=0.5, duration_s=30.0, seed=0, sigma=0.0, drop=0.0):
@@ -120,8 +144,8 @@ class TestRunIdentification:
     def test_missing_rounds_reuse_filter_state(self):
         layout, streams = noiseless_streams(drop=0.4, seed=11, duration_s=60.0)
         tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=4))
-        # one prediction per cadence round up to the last received sample
-        last_ts = max(s.timestamp_ms for stream in streams.values() for s in stream)
+        # one prediction per one-second round up to the last received sample
+        last_ts = max(int(stream["timestamp_ms"][-1]) for stream in streams.values())
         assert tally.total == last_ts // 1000 + 1
         assert tally.accuracy == 1.0
 
@@ -134,7 +158,30 @@ class TestRunIdentification:
     def test_empty_streams_rejected(self):
         layout, _ = noiseless_streams()
         with pytest.raises(ValueError):
-            run_identification(layout, {A1: []}, INDOOR_MODEL, FilterConfig(seed=6))
+            run_identification(layout, {A1: stream()}, INDOOR_MODEL, FilterConfig(seed=6))
+
+    def test_malformed_streams_rejected(self):
+        layout, streams = noiseless_streams()
+        bad = {
+            "a list of tuples": [(0, -70.0)],
+            "a non-finite RSSI": stream(-70.0, math.nan),
+            "out of time order": stream(-70.0, -71.0)[::-1],
+            "a negative timestamp": np.array([(-1, -70.0)], dtype=STREAM_DTYPE),
+        }
+        for bad_stream in bad.values():
+            with pytest.raises(ValueError):
+                run_identification(
+                    layout, {**streams, A1: bad_stream}, INDOOR_MODEL, FilterConfig(seed=6)
+                )
+            with pytest.raises(ValueError):
+                raw_baseline({**streams, A1: bad_stream}, INDOOR_MODEL, layout)
+
+    def test_missing_stream_filter_keeps_its_prior(self):
+        layout, streams = noiseless_streams()
+        del streams[C1]
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=7))
+        assert tally.total == 30
+        assert tally.counts[B1] == 30
 
     def test_b_chosen_every_round_at_x2_y05(self):
         # 116 prediction rounds, beacon separation 2 m, listener 0.5 m out
@@ -155,7 +202,7 @@ class TestRawBaseline:
 
     def test_never_heard_beacon_cannot_win(self):
         layout, streams = noiseless_streams()
-        streams = {A1: streams[A1], B1: streams[B1], C1: []}
+        streams = {A1: streams[A1], B1: streams[B1], C1: stream()}
         tally = raw_baseline(streams, INDOOR_MODEL, layout)
         assert tally.counts[C1] == 0
 
@@ -168,10 +215,35 @@ class TestRawBaseline:
 
     def test_rssi_sample_streams_are_time_ordered(self):
         _, streams = noiseless_streams()
-        for stream in streams.values():
-            stamps = [s.timestamp_ms for s in stream]
+        for samples in streams.values():
+            assert samples.dtype == STREAM_DTYPE
+            stamps = samples["timestamp_ms"].tolist()
             assert stamps == sorted(stamps)
-            assert all(isinstance(s, RssiSample) for s in stream)
+
+    def test_several_samples_per_round_are_averaged(self):
+        layout = three_beacon_layout(1.0, 0.5)
+        # A's two readings in round 0 average to -60 dBm, louder than B and C.
+        streams = {
+            A1: stream(-50.0, -70.0, interval_ms=400),
+            B1: stream(-65.0, -65.0, -65.0, -65.0, interval_ms=400),
+            C1: stream(-80.0),
+        }
+        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        # rounds 0 and 1 (A silent in round 1 keeps its -60 dBm estimate)
+        assert tally.total == 2
+        assert tally.counts == {A1: 2, B1: 0, C1: 0}
+
+    def test_silent_beacon_keeps_its_last_estimate(self):
+        layout = three_beacon_layout(1.0, 0.5)
+        streams = {
+            A1: np.array([(0, -60.0), (2500, -90.0)], dtype=STREAM_DTYPE),
+            B1: stream(-65.0, -65.0, -65.0),
+            C1: stream(-80.0),
+        }
+        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        # A leads in rounds 0 and 1 (carried forward), B in round 2
+        assert tally.total == 3
+        assert tally.counts == {A1: 2, B1: 1, C1: 0}
 
 
 class TestGeometryOracle:

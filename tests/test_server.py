@@ -81,8 +81,8 @@ class TestHandleCommand:
     def test_register_with_max_minutes(self):
         assert self.run("REGISTER A1 u1 PLATE tok 60") == "OK S1"
         self.run("TICK 3660")  # 61 minutes
-        self.service.expire_overstays(self.clock.now_ms())
         assert self.run("STATUS A1") == "OK Available 200"
+        assert self.run("UNREGISTER A1") == "ERR NOTREG"
 
     def test_tick_needs_simulated_clock(self):
         service = make_service()
@@ -97,6 +97,33 @@ class TestHandleCommand:
     def test_session_ids_increment(self):
         assert self.run("REGISTER A1 u1 P tok") == "OK S1"
         assert self.run("REGISTER A2 u2 P tok") == "OK S2"
+
+
+class StubClock:
+    def __init__(self, now_ms=0):
+        self.now = now_ms
+
+    def now_ms(self) -> int:
+        return self.now
+
+
+def test_service_actions_expire_overstays():
+    service = make_service()
+    clock = StubClock()
+    server = ParkingTCPServer(("127.0.0.1", 0), service, clock)
+    try:
+        a1 = SpotId.parse("A1")
+        session = service.register(a1, pk.UserProfile("u1", "P", "tok"), clock.now_ms(), 60)
+        clock.now = 60 * 60_000
+        server.service_actions()
+        assert service.get_spot(a1).state is pk.SpotState.OCCUPIED
+        clock.now = 90 * 60_000
+        server.service_actions()
+        assert service.get_spot(a1).state is pk.SpotState.AVAILABLE
+        assert session.end_ms == 60 * 60_000
+        assert session.cost_cents == 200
+    finally:
+        server.server_close()
 
 
 class LineClient:

@@ -6,6 +6,7 @@ import pytest
 from beaconpark.eddystone import SpotId
 from beaconpark.particle import FilterConfig
 from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, fit_model, predict_rssi
+from beaconpark.proximity import STREAM_DTYPE
 from beaconpark import simulate as sim
 
 B1 = SpotId("B", 1)
@@ -20,24 +21,25 @@ def scenario(**kw):
 class TestGenerateStream:
     def test_noiseless_minute_is_sixty_exact_samples(self):
         samples = sim.generate_stream(scenario(), B1, 1.0)
+        assert samples.dtype == STREAM_DTYPE
         assert len(samples) == 60
-        assert all(s.rssi_dbm == -65.24 for s in samples)
-        assert [s.timestamp_ms for s in samples] == [i * 1000 for i in range(60)]
+        assert (samples["rssi_dbm"] == -65.24).all()
+        assert samples["timestamp_ms"].tolist() == [i * 1000 for i in range(60)]
 
     def test_same_seed_identical_streams(self):
         a = sim.generate_stream(scenario(noise_sigma_db=3.0), B1, 2.0)
         b = sim.generate_stream(scenario(noise_sigma_db=3.0), B1, 2.0)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_different_beacons_get_independent_noise(self):
         a = sim.generate_stream(scenario(noise_sigma_db=3.0), SpotId("A", 1), 2.0)
         b = sim.generate_stream(scenario(noise_sigma_db=3.0), B1, 2.0)
-        assert [s.rssi_dbm for s in a] != [s.rssi_dbm for s in b]
+        assert a["rssi_dbm"].tolist() != b["rssi_dbm"].tolist()
 
     def test_noise_statistics_match_request(self):
         s = scenario(noise_sigma_db=2.0, duration_s=10_000.0, seed=99)
         samples = sim.generate_stream(s, B1, 2.0)
-        values = np.array([x.rssi_dbm for x in samples])
+        values = samples["rssi_dbm"]
         assert len(values) == 10_000
         assert abs(values.mean() - predict_rssi(INDOOR_MODEL, 2.0)) < 0.1
         assert abs(values.std(ddof=1) - 2.0) / 2.0 < 0.05
@@ -46,7 +48,8 @@ class TestGenerateStream:
         s = scenario(noise_sigma_db=0.0, duration_s=2_000.0, drop_rate=0.25, seed=7)
         samples = sim.generate_stream(s, B1, 1.0)
         assert 2000 * 0.65 < len(samples) < 2000 * 0.85
-        assert all(t.timestamp_ms % 1000 == 0 for t in samples)
+        assert (samples["timestamp_ms"] % 1000 == 0).all()
+        assert (np.diff(samples["timestamp_ms"]) > 0).all()
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(ValueError):
@@ -199,25 +202,39 @@ class TestNoiseCalibration:
 
 
 class TestScenarioFiles:
-    def test_dict_roundtrip(self):
-        layout = sim.three_beacon_layout(2.0, 1.0)
-        s = sim.Scenario(
+    def test_parses_layout_experiment_and_filter(self):
+        obj = {
+            "model": {"n": 2.424, "C": -65.24, "d0": 1.0},
+            "noise_sigma_db": 5.45,
+            "tx_interval_ms": 500,
+            "duration_s": 120.0,
+            "drop_rate": 0.1,
+            "seed": 42,
+            "layout": {
+                "beacons": [
+                    {"spot": "A1", "position_m": -2.0},
+                    {"spot": "B1", "position_m": 0.0},
+                    {"spot": "C1", "position_m": 2.0},
+                ],
+                "listener": {"x_m": 0.0, "y_m": 1.0},
+            },
+            "experiment": {"kind": "proximity", "grid": [[1.0, 0.5], [2.0, 1.0]],
+                           "repetitions": 2},
+            "filter": {"particle_count": 400, "seed": 42},
+        }
+        s, exp, cfg = sim.scenario_from_dict(json.loads(json.dumps(obj)))
+        assert s == sim.Scenario(
             model=INDOOR_MODEL,
             noise_sigma_db=5.45,
-            layout=layout,
+            layout=sim.three_beacon_layout(2.0, 1.0),
             tx_interval_ms=500,
             duration_s=120.0,
             drop_rate=0.1,
             seed=42,
         )
-        exp = sim.ExperimentSpec(kind="proximity", grid=((1.0, 0.5), (2.0, 1.0)),
-                                 repetitions=2)
-        cfg = FilterConfig(particle_count=400, seed=42)
-        obj = sim.scenario_to_dict(s, exp, cfg)
-        s2, exp2, cfg2 = sim.scenario_from_dict(json.loads(json.dumps(obj)))
-        assert s2 == s
-        assert exp2 == exp
-        assert cfg2 == cfg
+        assert exp == sim.ExperimentSpec(kind="proximity", grid=((1.0, 0.5), (2.0, 1.0)),
+                                         repetitions=2)
+        assert cfg == FilterConfig(particle_count=400, seed=42)
 
     def test_filter_seed_defaults_to_scenario_seed(self):
         obj = {
@@ -231,6 +248,8 @@ class TestScenarioFiles:
     def test_experiment_kind_validated(self):
         with pytest.raises(ValueError):
             sim.ExperimentSpec(kind="teleport", grid=(1.0,))
+        with pytest.raises(ValueError):
+            sim.ExperimentSpec(kind="pathloss", grid=(1.0,))
 
     def test_load_scenario(self, tmp_path):
         path = tmp_path / "s.json"
