@@ -23,6 +23,7 @@ from .particle import (
     DistanceEstimate,
     DistanceParticleFilter,
     FilterConfig,
+    ParticleBank,
 )
 from .pathloss import (
     INDOOR_MODEL,

@@ -13,6 +13,7 @@ exact service state (the payment stub is deterministic by card token).
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -63,7 +64,7 @@ class UnknownBeaconError(ParkingError):
 
 
 class JournalError(ValueError):
-    """A complete journal line is not a JSON entry."""
+    """A complete journal line is not JSON, or not an entry that replays."""
 
 
 class SpotState(Enum):
@@ -101,7 +102,11 @@ class UserProfile:
 
 @dataclass
 class Session:
-    """One timed, billed use of a spot."""
+    """One timed, billed use of a spot.
+
+    `charged` is None while the session is open; closing it records
+    whether the payment went through.
+    """
 
     session_id: str
     user: UserProfile
@@ -110,6 +115,7 @@ class Session:
     end_ms: int | None = None
     max_minutes: int | None = None
     cost_cents: int | None = None
+    charged: bool | None = None
 
 
 @dataclass
@@ -242,7 +248,11 @@ class ParkingService:
 
     def unregister(self, spot_id: SpotId, now_ms: int) -> Session:
         """Close the session and charge it; a failed charge marks the
-        spot illegally parked with the frozen cost still owed."""
+        spot illegally parked with the frozen cost still owed.
+
+        The returned session's `charged` says which, as decided under the
+        lock: the spot's state may change again as soon as it is released.
+        """
         with self._lock:
             return self._close_session(spot_id, now_ms, journal_op="unregister")
 
@@ -291,7 +301,8 @@ class ParkingService:
         session.end_ms = now_ms
         minutes = billable_minutes(session.start_ms, now_ms)
         session.cost_cents = parking_cost_cents(spot.rate_cents_per_hour, minutes)
-        if self.payment.charge(session.user.card_token, session.cost_cents):
+        session.charged = self.payment.charge(session.user.card_token, session.cost_cents)
+        if session.charged:
             spot.state = SpotState.AVAILABLE
             spot.session = None
         else:
@@ -401,15 +412,21 @@ class FileJournal:
         self._fh.close()
 
 
-def read_journal(path) -> list[dict]:
-    entries = []
+def _journal_lines(path):
+    """(line number, text) of every non-blank line of a journal file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise JournalError(f"{path} line {lineno}: {exc}") from exc
+                yield lineno, line
+
+
+def read_journal(path) -> list[dict]:
+    entries = []
+    for lineno, line in _journal_lines(path):
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise JournalError(f"{path} line {lineno}: {exc}") from exc
     return entries
 
 
@@ -429,10 +446,23 @@ def _truncate_torn_tail(path) -> None:
             fh.truncate(keep)
 
 
-def replay_journal(service: ParkingService, entries: Iterable[dict]) -> None:
-    """Re-run journaled commands against a freshly built service."""
-    for entry in entries:
-        service.apply_journal_entry(entry)
+def replay_journal(service: ParkingService, entries: Iterable[dict], path=None) -> None:
+    """Re-run journaled commands against a freshly built service.
+
+    An entry that cannot be applied raises JournalError; with the `path`
+    that read_journal read the entries from, the error names its line.
+    """
+    for index, entry in enumerate(entries):
+        try:
+            service.apply_journal_entry(entry)
+        except (ParkingError, KeyError, TypeError, ValueError) as exc:
+            if path is None:
+                where = f"journal entry {index + 1}"
+            else:
+                lineno, _ = next(itertools.islice(_journal_lines(path), index, None))
+                where = f"{path} line {lineno}"
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise JournalError(f"{where}: {reason}") from exc
 
 
 def service_from_files(lot_config_path, journal_path=None) -> ParkingService:
@@ -443,6 +473,6 @@ def service_from_files(lot_config_path, journal_path=None) -> ParkingService:
     if journal_path is not None:
         if os.path.exists(journal_path):
             _truncate_torn_tail(journal_path)
-            replay_journal(service, read_journal(journal_path))
+            replay_journal(service, read_journal(journal_path), journal_path)
         service._journal_sink = FileJournal(journal_path)
     return service

@@ -1,6 +1,6 @@
-"""One-dimensional bootstrap particle filter over beacon distance.
+"""One-dimensional bootstrap particle filters over beacon distance.
 
-The filter tracks a static distance in meters. There is no motion model:
+A filter tracks a static distance in meters. There is no motion model:
 particles are drawn once, uniformly over the state range, and only their
 weights evolve. Each measurement multiplies every weight by a Gaussian
 gain exp(-0.5 * (particle - z)^2 / noise^2); weights are renormalized and
@@ -12,6 +12,12 @@ pathloss.estimate_distance first); values outside the state range are
 clamped to it before weighting, which keeps a stray spike from zeroing
 every weight. If the weights still collapse to zero, the filter
 reinitializes uniformly and reports it.
+
+ParticleBank is the one implementation: B filters as (B, N) arrays, one
+numpy Generator per row, each seeded with that filter's own child seed.
+The experiments step all the filters of a proximity cell, or of a
+distance sweep at one particle count, as one bank. DistanceParticleFilter
+is a one-row bank; a bank row evolves bit for bit as that lone filter.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,50 +77,144 @@ class TraceRow:
     resampled: bool
 
 
+class ParticleBank:
+    """B filters of one config, held as (B, N) `particles` and `weights`.
+
+    Row b draws from its own Generator, seeded with seeds[b] (config.seed
+    is not used). `update` reweights, normalizes and measures N_eff of the
+    rows it reaches as whole-array operations; a row that resamples or
+    reinitializes then does so alone, with its own Generator. Row-wise
+    sums add each row exactly as a 1-D sum does, so every row evolves bit
+    for bit as a lone filter given the same seed and measurements.
+    """
+
+    def __init__(self, config: FilterConfig, seeds: Sequence[int]):
+        if len(seeds) == 0:
+            raise ValueError("a particle bank needs at least one seed")
+        self.config = config
+        self._rngs = [np.random.default_rng(seed) for seed in seeds]
+        self._threshold = config.beta * config.particle_count
+        self._rows = np.arange(len(seeds))
+        self.particles = np.empty((len(seeds), config.particle_count))
+        self.weights = np.empty((len(seeds), config.particle_count))
+        for row in range(len(seeds)):
+            self._reinitialize(row)
+
+    def update(self, measurements_m, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Reweight each of `rows` by its measurement, then resample if degenerate.
+
+        `rows` are increasing row indices, one per measurement; None means
+        every row. Returns two boolean arrays aligned with the measurements:
+        which rows resampled, and which collapsed and were reinitialized.
+        """
+        cfg = self.config
+        z = np.asarray(measurements_m, dtype=float)
+        whole = rows is None or len(rows) == len(self._rows)
+        rows = self._rows if rows is None else np.asarray(rows)
+        if z.shape != rows.shape:
+            raise ValueError(f"{z.size} measurements for {rows.size} filter rows")
+        finite = np.isfinite(z)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"filter row {rows[bad]}: measurement must be finite, got {z[bad]}")
+        z = np.minimum(np.maximum(z, cfg.state_min_m), cfg.state_max_m)
+        selected = slice(None) if whole else rows
+        weights = self.particles[selected] - z[:, None]
+        np.square(weights, out=weights)
+        weights *= -0.5
+        weights /= cfg.measurement_noise_m**2
+        np.exp(weights, out=weights)
+        weights *= self.weights[selected]
+        total = weights.sum(axis=1)
+        collapsed = ~(np.isfinite(total) & (total > 0.0))
+        # A collapsed row divides by zero here; it is reinitialized below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights /= total[:, None]
+            resampled = ~collapsed & (self._effective(weights) < self._threshold)
+        if whole:
+            self.weights = weights
+        else:
+            self.weights[rows] = weights
+        for row in rows[collapsed].tolist():
+            self._reinitialize(row)
+        for row in rows[resampled].tolist():
+            self._resample(row)
+        return resampled, collapsed
+
+    def effective_particles(self) -> np.ndarray:
+        """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
+        return self._effective(self.weights)
+
+    def maybe_resample(self, row: int) -> bool:
+        """Multinomially resample one row when its N_eff falls below beta * N."""
+        if self._effective(self.weights[row : row + 1])[0] >= self._threshold:
+            return False
+        self._resample(row)
+        return True
+
+    def means(self) -> np.ndarray:
+        """Weighted mean particle of every row."""
+        return (self.weights * self.particles).sum(axis=1) / self.weights.sum(axis=1)
+
+    @staticmethod
+    def _effective(weights: np.ndarray) -> np.ndarray:
+        return 1.0 / np.square(weights).sum(axis=1)
+
+    def _resample(self, row: int) -> None:
+        n = self.config.particle_count
+        u = np.sort(self._rngs[row].random(n))
+        cumulative = np.cumsum(self.weights[row])
+        cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
+        self.particles[row] = self.particles[row][np.searchsorted(cumulative, u)]
+        self.weights[row] = 1.0 / n
+
+    def _reinitialize(self, row: int) -> None:
+        cfg = self.config
+        self.particles[row] = self._rngs[row].uniform(
+            cfg.state_min_m, cfg.state_max_m, cfg.particle_count
+        )
+        self.weights[row] = 1.0 / cfg.particle_count
+
+
 class DistanceParticleFilter:
-    """Weighted particle set estimating one beacon's distance."""
+    """Weighted particle set estimating one beacon's distance: a one-row bank.
+
+    `particles` and `weights` are row 0 of the bank; assigning to them
+    writes into that row.
+    """
 
     def __init__(self, config: FilterConfig):
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
-        self.particles = self._rng.uniform(
-            config.state_min_m, config.state_max_m, config.particle_count
-        )
-        self.weights = np.full(config.particle_count, 1.0 / config.particle_count)
+        self.bank = ParticleBank(config, [config.seed])
+
+    @property
+    def particles(self) -> np.ndarray:
+        return self.bank.particles[0]
+
+    @particles.setter
+    def particles(self, values) -> None:
+        self.bank.particles[0] = values
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.bank.weights[0]
+
+    @weights.setter
+    def weights(self, values) -> None:
+        self.bank.weights[0] = values
 
     def update(self, measurement_m: float) -> UpdateOutcome:
         """Reweight by one measurement, then resample if degenerate."""
-        if not math.isfinite(measurement_m):
-            raise ValueError(f"measurement must be finite, got {measurement_m}")
-        cfg = self.config
-        z = min(max(measurement_m, cfg.state_min_m), cfg.state_max_m)
-        gain = np.exp(
-            -0.5 * (self.particles - z) ** 2 / cfg.measurement_noise_m**2
-        )
-        weights = self.weights * gain
-        total = float(weights.sum())
-        if total <= 0.0 or not math.isfinite(total):
-            self._reinitialize()
-            return UpdateOutcome(resampled=False, reinitialized=True)
-        self.weights = weights / total
-        return UpdateOutcome(resampled=self.maybe_resample(), reinitialized=False)
+        resampled, reinitialized = self.bank.update([measurement_m])
+        return UpdateOutcome(resampled=bool(resampled[0]), reinitialized=bool(reinitialized[0]))
 
     def effective_particles(self) -> float:
         """1 / sum(w^2): N for uniform weights, 1 for a point mass."""
-        return float(1.0 / np.sum(self.weights**2))
+        return float(self.bank.effective_particles()[0])
 
     def maybe_resample(self) -> bool:
         """Multinomial resample when N_eff falls below beta * N."""
-        n = self.config.particle_count
-        if self.effective_particles() >= self.config.beta * n:
-            return False
-        u = np.sort(self._rng.random(n))
-        cumulative = np.cumsum(self.weights)
-        cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
-        indices = np.searchsorted(cumulative, u)
-        self.particles = self.particles[indices]
-        self.weights = np.full(n, 1.0 / n)
-        return True
+        return self.bank.maybe_resample(0)
 
     def estimate(self) -> DistanceEstimate:
         """Weighted mean and weighted standard deviation of the particles.
@@ -121,24 +222,17 @@ class DistanceParticleFilter:
         The deviation is measured about the weighted mean and divides by
         (N'-1)/N' * sum(w), N' being the number of non-zero weights.
         """
-        total = float(self.weights.sum())
-        mean = float(np.sum(self.weights * self.particles) / total)
-        nonzero = int(np.count_nonzero(self.weights))
+        weights, particles = self.weights, self.particles
+        mean = float(self.bank.means()[0])
+        nonzero = int(np.count_nonzero(weights))
         if nonzero < 2:
             std = 0.0
         else:
-            spread = float(np.sum(self.weights * (self.particles - mean) ** 2))
-            std = math.sqrt(spread / ((nonzero - 1) / nonzero * total))
+            spread = float(np.sum(weights * (particles - mean) ** 2))
+            std = math.sqrt(spread / ((nonzero - 1) / nonzero * float(weights.sum())))
         return DistanceEstimate(
             mean_m=mean, std_m=std, effective_particles=self.effective_particles()
         )
-
-    def _reinitialize(self) -> None:
-        cfg = self.config
-        self.particles = self._rng.uniform(
-            cfg.state_min_m, cfg.state_max_m, cfg.particle_count
-        )
-        self.weights = np.full(cfg.particle_count, 1.0 / cfg.particle_count)
 
 
 def trace_updates(

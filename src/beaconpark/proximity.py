@@ -1,11 +1,13 @@
 """Multi-beacon spot identification and accuracy scoring.
 
 A listener sits in front of a row of beacons; each beacon gets its own
-distance filter. A beacon's stream is one numpy structured array of
-STREAM_DTYPE (`timestamp_ms` int64, `rssi_dbm` float64) in time order.
+distance filter, a row of one particle.ParticleBank per layout, seeded
+with its own child seed. A beacon's stream is one numpy structured array
+of STREAM_DTYPE (`timestamp_ms` int64, `rssi_dbm` float64) in time order.
 Prediction rounds are fixed one-second windows: each stream is split at
 timestamp_ms // ROUND_MS, every beacon that delivered samples in a round
-updates its filter, the spot with the smallest estimated distance is
+updates its filter (the bank steps all of them at once, one sample per
+beacon at a time), the spot with the smallest estimated distance is
 predicted, and the prediction is tallied against the geometric ground
 truth.
 """
@@ -13,13 +15,13 @@ truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .eddystone import SpotId
-from .particle import DistanceParticleFilter, FilterConfig
+from .particle import FilterConfig, ParticleBank
 from .pathloss import PathLossModel, average_rssi, estimate_distance
 from .seeding import TAG_FILTER, derive_seed, spot_key
 
@@ -115,12 +117,9 @@ def _check_streams(streams: Mapping[SpotId, np.ndarray], layout: BeaconLayout) -
     return last_ms // ROUND_MS + 1
 
 
-def _rounds(stream: np.ndarray, n_rounds: int) -> list[list[float]]:
-    """The stream's RSSI readings of each round, as Python floats."""
-    edges = np.arange(n_rounds + 1) * ROUND_MS
-    bounds = np.searchsorted(stream["timestamp_ms"], edges).tolist()
-    rssi = stream["rssi_dbm"].tolist()
-    return [rssi[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _round_bounds(stream: np.ndarray, n_rounds: int) -> np.ndarray:
+    """Index of the stream's first sample in each round, then its length."""
+    return np.searchsorted(stream["timestamp_ms"], np.arange(n_rounds + 1) * ROUND_MS)
 
 
 def _tally(layout: BeaconLayout, spots: list[SpotId], distances: np.ndarray) -> PredictionTally:
@@ -145,20 +144,33 @@ def run_identification(
 ) -> PredictionTally:
     """Filtered identification: one particle filter per beacon.
 
-    Each beacon's filter gets its own child seed derived from the config
-    seed. A beacon with no samples in a round keeps its previous state.
+    The filters are the rows of one ParticleBank, each with its own child
+    seed derived from the config seed. Sub-step k of a round updates, in
+    one step, the rows whose beacon delivered a k-th sample in that round;
+    a beacon with no samples in a round keeps its previous state.
     """
     n_rounds = _check_streams(streams, layout)
     spots = sorted(layout.spots())
+    bank = ParticleBank(
+        config, [derive_seed(config.seed, TAG_FILTER, spot_key(spot)) for spot in spots]
+    )
+    # distances holds every beacon's readings in row order; starts[row, r]
+    # is the index of that row's first reading in round r.
+    distances, starts = [], []
+    for spot in spots:
+        stream = streams.get(spot, _EMPTY_STREAM)
+        starts.append(_round_bounds(stream, n_rounds) + len(distances))
+        distances.extend(estimate_distance(model, rssi) for rssi in stream["rssi_dbm"].tolist())
+    distances = np.array(distances)
+    starts = np.array(starts)
+    counts = np.diff(starts, axis=1)
+    most = counts.max(axis=0).tolist()
     means = np.empty((len(spots), n_rounds))
-    for row, spot in enumerate(spots):
-        flt = DistanceParticleFilter(
-            replace(config, seed=derive_seed(config.seed, TAG_FILTER, spot_key(spot)))
-        )
-        for r, rssis in enumerate(_rounds(streams.get(spot, _EMPTY_STREAM), n_rounds)):
-            for rssi in rssis:
-                flt.update(estimate_distance(model, rssi))
-            means[row, r] = flt.estimate().mean_m
+    for r in range(n_rounds):
+        for k in range(most[r]):
+            rows = np.flatnonzero(counts[:, r] > k)
+            bank.update(distances[starts[rows, r] + k], rows)
+        means[:, r] = bank.means()
     return _tally(layout, spots, means)
 
 
@@ -177,9 +189,12 @@ def raw_baseline(
     spots = sorted(layout.spots())
     distances = np.empty((len(spots), n_rounds))
     for row, spot in enumerate(spots):
+        stream = streams.get(spot, _EMPTY_STREAM)
+        bounds = _round_bounds(stream, n_rounds).tolist()
+        rssi = stream["rssi_dbm"].tolist()
         current = math.inf
-        for r, rssis in enumerate(_rounds(streams.get(spot, _EMPTY_STREAM), n_rounds)):
-            if rssis:
-                current = estimate_distance(model, average_rssi(rssis))
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                current = estimate_distance(model, average_rssi(rssi[lo:hi]))
             distances[row, r] = current
     return _tally(layout, spots, distances)

@@ -29,7 +29,6 @@ from .parking import (
     NotIllegalError,
     NotRegisteredError,
     ParkingService,
-    SpotState,
     SpotTakenError,
     UnknownBeaconError,
     UnknownSpotError,
@@ -85,9 +84,8 @@ def handle_command(service: ParkingService, clock, line: str) -> str:
             return f"OK {session.session_id}"
         if cmd == "UNREGISTER":
             (spot_text,) = args
-            spot_id = SpotId.parse(spot_text)
-            session = service.unregister(spot_id, clock.now_ms())
-            if service.get_spot(spot_id).state is SpotState.ILLEGAL:
+            session = service.unregister(SpotId.parse(spot_text), clock.now_ms())
+            if not session.charged:
                 return "ERR CHARGE"
             return f"OK {session.cost_cents}"
         if cmd == "RESOLVE":

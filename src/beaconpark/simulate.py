@@ -5,9 +5,11 @@ path-loss model plus Gaussian noise in dB (the standard log-normal
 shadowing realization), with optional Bernoulli advertisement loss.
 A stream is one beacon's advertisements as a numpy structured array of
 proximity.STREAM_DTYPE (`timestamp_ms`, `rssi_dbm`) in time order; the
-drivers read its `rssi_dbm` column directly. Every stream, cell, and
-repetition derives a child seed from the scenario seed, so a scenario
-reproduces byte-for-byte.
+drivers read its `rssi_dbm` column directly. Every stream, cell,
+repetition and filter derives a child seed from the scenario seed, so a
+scenario reproduces byte-for-byte. The filters of one proximity cell, and
+those of every (distance, repetition) of a distance run, are stepped as
+the rows of one particle.ParticleBank, each row keeping its own seed.
 
 Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures; noise defaults per environment
@@ -26,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .eddystone import SpotId
-from .particle import DistanceParticleFilter, FilterConfig
+from .particle import FilterConfig, ParticleBank
 from .pathloss import (
     CalibrationDataset,
     PathLossModel,
@@ -192,16 +194,15 @@ def run_distance_experiment(
 
     Per distance: raw error is |distance from the averaged RSSI - truth|,
     filtered error is |final filter mean - truth|; MSE and the deviation
-    of the final filter means are taken over the repetitions.
+    of the final filter means are taken over the repetitions. The filters
+    of every (distance, repetition) are the rows of one ParticleBank, each
+    with its own child seed; step k updates the rows whose stream has a
+    k-th reading.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    rows = []
-    result = DistanceExperimentResult(rows=rows)
+    truths, seeds, readings, raw_errors = [], [], [], []
     for d in distances_m:
-        raw_errors = []
-        filt_errors = []
-        finals = []
         for rep in range(repetitions):
             cell_seed = derive_seed(scenario.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
             cell = replace(scenario, seed=cell_seed)
@@ -210,26 +211,42 @@ def run_distance_experiment(
                 raise ValueError("scenario produced an empty stream")
             raw_est = estimate_distance(scenario.model, average_rssi(rssis))
             raw_errors.append(abs(raw_est - d))
-            flt = DistanceParticleFilter(
-                replace(config, seed=derive_seed(cell_seed, TAG_FILTER))
+            truths.append(d)
+            seeds.append(derive_seed(cell_seed, TAG_FILTER))
+            readings.append([estimate_distance(scenario.model, rssi) for rssi in rssis])
+    result = DistanceExperimentResult(rows=[])
+    if not readings:
+        return result
+    bank = ParticleBank(config, seeds)
+    lengths = np.array([len(values) for values in readings])
+    padded = np.zeros((len(readings), lengths.max()))
+    for row, values in enumerate(readings):
+        padded[row, : len(values)] = values
+    step_means = np.empty_like(padded) if keep_step_errors else None
+    for k in range(padded.shape[1]):
+        rows = np.flatnonzero(lengths > k)
+        bank.update(padded[rows, k], rows)
+        if keep_step_errors:
+            step_means[rows, k] = bank.means()[rows]
+    finals = bank.means().tolist()
+
+    if keep_step_errors:
+        for row, (d, values) in enumerate(zip(truths, readings)):
+            result.step_raw_errors_m.extend(abs(z - d) for z in values)
+            result.step_filtered_errors_m.extend(
+                abs(mean - d) for mean in step_means[row, : len(values)].tolist()
             )
-            for rssi in rssis:
-                z = estimate_distance(scenario.model, rssi)
-                flt.update(z)
-                if keep_step_errors:
-                    result.step_raw_errors_m.append(abs(z - d))
-                    result.step_filtered_errors_m.append(abs(flt.estimate().mean_m - d))
-            final = flt.estimate().mean_m
-            finals.append(final)
-            filt_errors.append(abs(final - d))
-        rows.append(
+    for i, d in enumerate(distances_m):
+        cells = slice(i * repetitions, (i + 1) * repetitions)
+        filt_errors = [abs(final - d) for final in finals[cells]]
+        result.rows.append(
             DistanceRow(
                 particle_count=config.particle_count,
                 distance_m=float(d),
-                raw_error_m=float(np.mean(raw_errors)),
+                raw_error_m=float(np.mean(raw_errors[cells])),
                 filtered_error_m=float(np.mean(filt_errors)),
                 mse=float(np.mean(np.square(filt_errors))),
-                std_m=float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0,
+                std_m=float(np.std(finals[cells], ddof=1)) if repetitions > 1 else 0.0,
             )
         )
     return result

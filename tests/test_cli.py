@@ -264,6 +264,23 @@ class TestServeCommand:
         assert "invalid journal" in err
         assert f"{journal} line 1" in err
 
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"op": "teleport"}, "unknown journal op: teleport"),
+            ({"op": "register", "spot": "A1"}, "missing field 'user_id'"),
+        ],
+    )
+    def test_invalid_journal_entry_is_journal_error(self, tmp_path, capsys, entry, reason):
+        journal = tmp_path / "lot.journal"
+        journal.write_text("\n" + json.dumps(entry) + "\n")  # the entry is on line 2
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
+             "--journal", str(journal), "--bind", "127.0.0.1:0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"invalid journal: {journal} line 2: {reason}" in err
+
     def test_missing_lot_config_is_input_error(self, tmp_path):
         assert main(
             ["--out-dir", str(tmp_path), "serve", "--lot", str(tmp_path / "nope.json"),

@@ -140,6 +140,14 @@ class TestUnregister:
         alerts = [e for e in service.events if e["type"] == "charge_failed"]
         assert alerts and alerts[0]["spot"] == "A1"
 
+    def test_session_records_the_charge_outcome(self):
+        service = make_service(2)
+        paid = service.register(SpotId.parse("A1"), USER, now_ms=0)
+        owed = service.register(SpotId.parse("A2"), CHARGE_FAIL, now_ms=0)
+        assert paid.charged is None and owed.charged is None
+        assert service.unregister(SpotId.parse("A1"), now_ms=MIN_MS).charged is True
+        assert service.unregister(SpotId.parse("A2"), now_ms=MIN_MS).charged is False
+
     def test_illegal_spot_cannot_be_registered_or_unregistered(self):
         service = make_service(2)
         service.register(SpotId.parse("A1"), CHARGE_FAIL, now_ms=0)
@@ -359,6 +367,22 @@ class TestFileJournal:
         journal_path.write_text('{"op": "settle", "spot": "A1"}\n\n{"op": \n')
         with pytest.raises(pk.JournalError, match=r"lot\.journal line 3"):
             pk.service_from_files(lot_path, journal_path)
+
+    def test_unreplayable_entry_names_path_and_line(self, tmp_path):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        entries = [
+            {"op": "register", "spot": "A1", "user_id": "u", "plate": "P",
+             "card": "tok", "max_minutes": None, "now_ms": 0},
+            {"op": "unregister", "spot": "A1", "now_ms": 1},
+            {"op": "settle", "spot": "A1"},  # A1 was charged, so it is not illegal
+        ]
+        lines = [json.dumps(entries[0]), "", *map(json.dumps, entries[1:])]
+        journal_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pk.JournalError, match=r"lot\.journal line 4: spot A1 is not illegally"):
+            pk.service_from_files(lot_path, journal_path)
+        with pytest.raises(pk.JournalError, match=r"^journal entry 3: spot A1"):
+            pk.replay_journal(pk.ParkingService([make_spot("A1")]), entries)
 
     def test_instance_defaults_to_spot_convention(self, tmp_path):
         lot = {

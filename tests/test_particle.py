@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from beaconpark.particle import (
     DistanceParticleFilter,
     FilterConfig,
+    ParticleBank,
     TraceRow,
     trace_updates,
     write_filter_trace,
@@ -270,3 +273,108 @@ class TestTrace:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,measurement_m,mean_m,std_m,neff,resampled"
         assert len(lines) == 5
+
+
+class TestParticleBank:
+    SEEDS = (31, 32, 33, 34)
+
+    def bank_and_filters(self, **kw):
+        cfg = FilterConfig(particle_count=64, **kw)
+        bank = ParticleBank(cfg, self.SEEDS)
+        filters = [DistanceParticleFilter(replace(cfg, seed=s)) for s in self.SEEDS]
+        return bank, filters
+
+    def assert_same_state(self, bank, filters):
+        assert np.array_equal(bank.particles, np.stack([f.particles for f in filters]))
+        assert np.array_equal(bank.weights, np.stack([f.weights for f in filters]))
+        assert bank.means().tolist() == [f.estimate().mean_m for f in filters]
+
+    def test_rows_are_bit_identical_to_lone_filters(self):
+        # noise 0.05 m: a particle 4 m from the reading has gain exp(-3200) == 0
+        bank, filters = self.bank_and_filters(measurement_noise_m=0.05)
+        self.assert_same_state(bank, filters)
+        # row 1 is a point mass and reads its own particle, so its first update
+        # resamples; row 2 sits at 4 m and reads 0 m, so its first update
+        # collapses and reinitializes
+        point_mass = np.zeros(64)
+        point_mass[5] = 1.0
+        bank.weights[1] = point_mass
+        filters[1].weights = point_mass
+        bank.particles[2] = 4.0
+        filters[2].particles = np.full(64, 4.0)
+        rng = np.random.default_rng(35)
+        # readings per row and round: zero, one or several, ragged across rows;
+        # the second round gives every row a reading, so the whole bank steps
+        rounds = [[[], [float(bank.particles[1, 5])], [0.0], [1.0, 2.0, 3.0]]]
+        rounds += [[rng.uniform(-0.5, 4.5, c).tolist() for c in (1, 1, 2, 1)]]
+        rounds += [
+            [rng.uniform(-0.5, 4.5, c).tolist() for c in rng.integers(0, 4, 4)]
+            for _ in range(30)
+        ]
+        first = {}
+        for readings in rounds:
+            for k in range(max(map(len, readings))):
+                rows = [row for row, values in enumerate(readings) if len(values) > k]
+                z = [readings[row][k] for row in rows]
+                resampled, reinitialized = bank.update(z, rows)
+                for i, row in enumerate(rows):
+                    expected = filters[row].update(z[i])
+                    assert (resampled[i], reinitialized[i]) == (
+                        expected.resampled,
+                        expected.reinitialized,
+                    )
+                    first.setdefault(row, expected)
+            self.assert_same_state(bank, filters)
+        assert first[1].resampled and first[2].reinitialized
+
+    def test_means_equal_estimate_means_bit_for_bit(self):
+        bank, filters = self.bank_and_filters()
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            z = rng.uniform(0.0, 4.0, len(self.SEEDS))
+            bank.update(z)
+            for row, f in enumerate(filters):
+                f.update(float(z[row]))
+        means = bank.means()
+        for row, f in enumerate(filters):
+            assert means[row] == f.estimate().mean_m
+
+    def test_nonfinite_measurement_names_row_and_value(self):
+        bank, _ = self.bank_and_filters()
+        before = bank.weights.copy()
+        with pytest.raises(ValueError, match=r"filter row 3: .* got nan"):
+            bank.update([1.0, float("nan")], [0, 3])
+        with pytest.raises(ValueError, match=r"filter row 1: .* got inf"):
+            bank.update([1.0, float("inf"), 2.0, 3.0])
+        assert np.array_equal(bank.weights, before)
+
+    def test_measurements_must_match_rows(self):
+        bank, _ = self.bank_and_filters()
+        with pytest.raises(ValueError, match="2 measurements for 3 filter rows"):
+            bank.update([1.0, 2.0], [0, 1, 2])
+
+    def test_collapsed_row_reinitializes_without_warning(self):
+        bank = ParticleBank(FilterConfig(particle_count=8, measurement_noise_m=1e-3), [1, 2])
+        bank.particles[0] = 4.0
+        bank.particles[1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resampled, reinitialized = bank.update([0.0, 0.0])
+        assert reinitialized.tolist() == [True, False]
+        assert not resampled[0]
+        assert np.all(bank.weights[0] == 1.0 / 8)
+        assert np.all((bank.particles[0] >= 0.0) & (bank.particles[0] <= 4.0))
+
+    def test_maybe_resample_touches_only_its_row(self):
+        bank, _ = self.bank_and_filters()
+        bank.weights[2] = 0.0
+        bank.weights[2, 7] = 1.0
+        before = bank.particles.copy()
+        assert bank.maybe_resample(1) is False
+        assert bank.maybe_resample(2) is True
+        assert np.all(bank.particles[2] == before[2, 7])
+        assert np.array_equal(np.delete(bank.particles, 2, axis=0), np.delete(before, 2, axis=0))
+
+    def test_needs_a_seed(self):
+        with pytest.raises(ValueError):
+            ParticleBank(FilterConfig(), [])

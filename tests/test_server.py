@@ -15,7 +15,7 @@ from beaconpark.server import (
 )
 
 
-def make_service(n=2, journal=None):
+def make_service(n=2, journal=None, cls=pk.ParkingService):
     spots = [
         pk.Spot(
             id=SpotId.parse(f"A{i}"),
@@ -26,7 +26,7 @@ def make_service(n=2, journal=None):
         )
         for i in range(1, n + 1)
     ]
-    return pk.ParkingService(spots, journal_sink=journal)
+    return cls(spots, journal_sink=journal)
 
 
 class TestHandleCommand:
@@ -49,6 +49,20 @@ class TestHandleCommand:
         assert self.run("REGISTER A1 u1 PLATE tok") == "OK S1"
         self.run("TICK 5400")  # 90 minutes
         assert self.run("UNREGISTER A1") == "OK 300"
+        assert self.run("STATUS A1") == "OK Available 200"
+
+    def test_unregister_reply_is_the_charge_outcome(self):
+        class SettledAtOnce(pk.ParkingService):
+            """Another connection's SETTLE lands before the UNREGISTER reply is built."""
+
+            def unregister(self, spot_id, now_ms):
+                session = super().unregister(spot_id, now_ms)
+                self.settle(spot_id)
+                return session
+
+        self.service = make_service(cls=SettledAtOnce)
+        self.run("REGISTER A1 u1 PLATE CHARGEFAIL")
+        assert self.run("UNREGISTER A1") == "ERR CHARGE"
         assert self.run("STATUS A1") == "OK Available 200"
 
     def test_register_errors(self):

@@ -1,12 +1,20 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beaconpark.eddystone import SpotId
-from beaconpark.particle import FilterConfig
-from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, fit_model, predict_rssi
+from beaconpark.particle import DistanceParticleFilter, FilterConfig
+from beaconpark.pathloss import (
+    INDOOR_MODEL,
+    OUTDOOR_MODEL,
+    estimate_distance,
+    fit_model,
+    predict_rssi,
+)
 from beaconpark.proximity import STREAM_DTYPE
+from beaconpark.seeding import TAG_DISTANCE_CELL, TAG_FILTER, derive_seed, scaled_key
 from beaconpark import simulate as sim
 
 B1 = SpotId("B", 1)
@@ -114,6 +122,38 @@ class TestDistanceExperiment:
         )
         assert len(result.step_raw_errors_m) == 60
         assert len(result.step_filtered_errors_m) == 60
+
+    def test_ragged_streams_match_lone_filters(self):
+        # with drops the (distance, repetition) streams differ in length, so
+        # the bank's later steps update only some of its rows
+        scen = scenario(noise_sigma_db=4.0, duration_s=20.0, drop_rate=0.4, seed=12)
+        config = FilterConfig(particle_count=100, seed=12)
+        distances = [0.5, 2.0, 3.5]
+        result = sim.run_distance_experiment(
+            scen, distances, config, repetitions=2, keep_step_errors=True
+        )
+        lengths, step_raw, step_filtered, finals = set(), [], [], []
+        for d in distances:
+            for rep in range(2):
+                cell_seed = derive_seed(scen.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
+                stream = sim.generate_stream(replace(scen, seed=cell_seed), B1, d)
+                lengths.add(len(stream))
+                flt = DistanceParticleFilter(
+                    FilterConfig(particle_count=100, seed=derive_seed(cell_seed, TAG_FILTER))
+                )
+                for rssi in stream["rssi_dbm"].tolist():
+                    z = estimate_distance(scen.model, rssi)
+                    flt.update(z)
+                    step_raw.append(abs(z - d))
+                    step_filtered.append(abs(flt.estimate().mean_m - d))
+                finals.append(flt.estimate().mean_m)
+        assert len(lengths) > 1
+        assert result.step_raw_errors_m == step_raw
+        assert result.step_filtered_errors_m == step_filtered
+        for i, row in enumerate(result.rows):
+            mine = finals[2 * i : 2 * i + 2]
+            assert row.filtered_error_m == float(np.mean([abs(m - distances[i]) for m in mine]))
+            assert row.std_m == float(np.std(mine, ddof=1))
 
     def test_csv_shape(self, tmp_path):
         result = sim.run_distance_experiment(
