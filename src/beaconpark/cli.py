@@ -62,18 +62,23 @@ def _write_json(path: str, obj) -> None:
 
 
 def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | None) -> None:
+    versions = {
+        "beaconpark": __version__,
+        "python": sys.version.split()[0],
+        "numpy": numpy.__version__,
+    }
+    # From the package metadata, so that a run does not import scipy; only
+    # calibrate needs scipy, so a run without it records no version.
+    try:
+        versions["scipy"] = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        pass
     manifest = {
         "command": command,
         "scenario_path": scenario_path,
         "seed": seed,
         "output_dir": os.path.abspath(out_dir),
-        "versions": {
-            "beaconpark": __version__,
-            "python": sys.version.split()[0],
-            "numpy": numpy.__version__,
-            # From the package metadata, so that a run does not import scipy.
-            "scipy": importlib.metadata.version("scipy"),
-        },
+        "versions": versions,
     }
     write_atomically(os.path.join(out_dir, "manifest.json"), _write_json, manifest)
 

@@ -217,6 +217,13 @@ class ParkingService:
         now_ms: int,
         max_minutes: int | None = None,
     ) -> Session:
+        """Open a session; `max_minutes`, if given, is a non-negative int.
+
+        A session that could not be billed at its limit is refused here,
+        before it is journaled, with a ValueError naming the value.
+        """
+        if max_minutes is not None and (type(max_minutes) is not int or max_minutes < 0):
+            raise ValueError(f"max_minutes must be a non-negative integer, got {max_minutes!r}")
         with self._lock:
             spot = self.get_spot(spot_id)
             if spot.state is not SpotState.AVAILABLE:
@@ -349,21 +356,32 @@ class ParkingService:
         return cls(spots, **kwargs)
 
     def apply_journal_entry(self, entry: dict) -> None:
-        """Re-execute one journaled command (used during replay)."""
+        """Re-execute one journaled command (used during replay).
+
+        Each field must have its journaled type: ids are strings, `now_ms`
+        an int and `max_minutes` an int or null; a missing field raises
+        KeyError, a wrongly typed one TypeError.
+        """
         op = entry["op"]
         if op == "register":
             self.register(
-                SpotId.parse(entry["spot"]),
-                UserProfile(entry["user_id"], entry["plate"], entry["card"]),
-                entry["now_ms"],
+                SpotId.parse(_journal_field(entry, "spot")),
+                UserProfile(
+                    _journal_field(entry, "user_id"),
+                    _journal_field(entry, "plate"),
+                    _journal_field(entry, "card"),
+                ),
+                _journal_field(entry, "now_ms"),
                 entry.get("max_minutes"),
             )
         elif op == "unregister":
-            self.unregister(SpotId.parse(entry["spot"]), entry["now_ms"])
+            self.unregister(
+                SpotId.parse(_journal_field(entry, "spot")), _journal_field(entry, "now_ms")
+            )
         elif op == "expire":
-            self.expire_overstays(entry["now_ms"])
+            self.expire_overstays(_journal_field(entry, "now_ms"))
         elif op == "settle":
-            self.settle(SpotId.parse(entry["spot"]))
+            self.settle(SpotId.parse(_journal_field(entry, "spot")))
         else:
             raise ValueError(f"unknown journal op: {op}")
 
@@ -390,6 +408,18 @@ class ParkingService:
                 )
             )
         return tuple(rows)
+
+
+_JOURNAL_FIELD_TYPES = {"spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int}
+
+
+def _journal_field(entry: dict, name: str):
+    """entry[name], which must have the exact type the field is journaled with."""
+    value = entry[name]
+    kind = _JOURNAL_FIELD_TYPES[name]
+    if type(value) is not kind:
+        raise TypeError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_lot_config(path) -> dict:

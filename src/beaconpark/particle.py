@@ -15,8 +15,10 @@ reinitializes uniformly and reports it.
 
 ParticleBank is the one implementation: B filters as (B, N) arrays, one
 numpy Generator per row, each seeded with that filter's own child seed.
-The experiments step all the filters of a proximity cell, or of a
-distance sweep at one particle count, as one bank. DistanceParticleFilter
+The experiments step every filter of a proximity grid (all beacons of all
+cells), or of a distance sweep at one particle count, as one bank. A bank
+steps in place: besides `particles` and `weights` it owns one (B, N) work
+buffer, so a step allocates no (B, N) temporaries. DistanceParticleFilter
 is a one-row bank; a bank row evolves bit for bit as that lone filter.
 """
 
@@ -86,6 +88,12 @@ class ParticleBank:
     reinitializes then does so alone, with its own Generator. Row-wise
     sums add each row exactly as a 1-D sum does, so every row evolves bit
     for bit as a lone filter given the same seed and measurements.
+
+    The bank owns a third (B, N) array, `_work`, free between operations.
+    A step of every row writes the new weights into it and swaps it with
+    `weights`; a step of some rows uses its first len(rows) rows. The
+    N_eff squares and `means` use it too. `weights` is therefore a
+    different array after a whole-bank step: read it again, do not keep it.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -95,8 +103,10 @@ class ParticleBank:
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._threshold = config.beta * config.particle_count
         self._rows = np.arange(len(seeds))
-        self.particles = np.empty((len(seeds), config.particle_count))
-        self.weights = np.empty((len(seeds), config.particle_count))
+        shape = (len(seeds), config.particle_count)
+        self.particles = np.empty(shape)
+        self.weights = np.empty(shape)
+        self._work = np.empty(shape)
         for row in range(len(seeds)):
             self._reinitialize(row)
 
@@ -118,23 +128,30 @@ class ParticleBank:
             bad = int(np.argmin(finite))
             raise ValueError(f"filter row {rows[bad]}: measurement must be finite, got {z[bad]}")
         z = np.minimum(np.maximum(z, cfg.state_min_m), cfg.state_max_m)
-        selected = slice(None) if whole else rows
-        weights = self.particles[selected] - z[:, None]
+        if whole:
+            weights = np.subtract(self.particles, z[:, None], out=self._work)
+        else:
+            weights = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
+            weights -= z[:, None]
         np.square(weights, out=weights)
         weights *= -0.5
         weights /= cfg.measurement_noise_m**2
         np.exp(weights, out=weights)
-        weights *= self.weights[selected]
+        weights *= self.weights if whole else self.weights[rows]
         total = weights.sum(axis=1)
         collapsed = ~(np.isfinite(total) & (total > 0.0))
-        # A collapsed row divides by zero here; it is reinitialized below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights /= total[:, None]
-            resampled = ~collapsed & (self._effective(weights) < self._threshold)
+        if collapsed.any():
+            # Reinitialized below; uniform until then, so no row divides by zero.
+            weights[collapsed] = 1.0
+            total[collapsed] = cfg.particle_count
+        weights /= total[:, None]
         if whole:
-            self.weights = weights
+            self.weights, self._work = weights, self.weights
+            neff = self._effective(weights, self._work)
         else:
             self.weights[rows] = weights
+            neff = self._effective(weights, weights)
+        resampled = ~collapsed & (neff < self._threshold)
         for row in rows[collapsed].tolist():
             self._reinitialize(row)
         for row in rows[resampled].tolist():
@@ -143,22 +160,24 @@ class ParticleBank:
 
     def effective_particles(self) -> np.ndarray:
         """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
-        return self._effective(self.weights)
+        return self._effective(self.weights, self._work)
 
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
-        if self._effective(self.weights[row : row + 1])[0] >= self._threshold:
+        if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
             return False
         self._resample(row)
         return True
 
     def means(self) -> np.ndarray:
         """Weighted mean particle of every row."""
-        return (self.weights * self.particles).sum(axis=1) / self.weights.sum(axis=1)
+        weighted = np.multiply(self.weights, self.particles, out=self._work)
+        return weighted.sum(axis=1) / self.weights.sum(axis=1)
 
     @staticmethod
-    def _effective(weights: np.ndarray) -> np.ndarray:
-        return 1.0 / np.square(weights).sum(axis=1)
+    def _effective(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """1 / sum(w^2) per row, squaring into `out`, a free buffer or `weights` itself."""
+        return 1.0 / np.square(weights, out=out).sum(axis=1)
 
     def _resample(self, row: int) -> None:
         n = self.config.particle_count
@@ -180,7 +199,8 @@ class DistanceParticleFilter:
     """Weighted particle set estimating one beacon's distance: a one-row bank.
 
     `particles` and `weights` are row 0 of the bank; assigning to them
-    writes into that row.
+    writes into that row. Read them again after an update: a step swaps
+    the bank's weights array with its work buffer.
     """
 
     def __init__(self, config: FilterConfig):

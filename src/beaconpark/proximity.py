@@ -1,22 +1,25 @@
 """Multi-beacon spot identification and accuracy scoring.
 
 A listener sits in front of a row of beacons; each beacon gets its own
-distance filter, a row of one particle.ParticleBank per layout, seeded
-with its own child seed. A beacon's stream is one numpy structured array
-of STREAM_DTYPE (`timestamp_ms` int64, `rssi_dbm` float64) in time order.
-Prediction rounds are fixed one-second windows: each stream is split at
-timestamp_ms // ROUND_MS, every beacon that delivered samples in a round
-updates its filter (the bank steps all of them at once, one sample per
-beacon at a time), the spot with the smallest estimated distance is
-predicted, and the prediction is tallied against the geometric ground
-truth.
+distance filter, seeded with its own child seed. A beacon's stream is one
+numpy structured array of STREAM_DTYPE (`timestamp_ms` int64, `rssi_dbm`
+float64) in time order. Prediction rounds are fixed one-second windows:
+each stream is split at timestamp_ms // ROUND_MS, every beacon that
+delivered samples in a round updates its filter, the spot with the
+smallest estimated distance is predicted, and the prediction is tallied
+against the geometric ground truth.
+
+`identify_cells` scores many layouts at once: the filters of every beacon
+of every cell are the rows of one particle.ParticleBank, stepped one
+sample per beacon at a time, round by round up to the longest cell's
+last round. `run_identification` is its one-cell case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -142,36 +145,64 @@ def run_identification(
     model: PathLossModel,
     config: FilterConfig,
 ) -> PredictionTally:
-    """Filtered identification: one particle filter per beacon.
+    """Filtered identification of one cell: one particle filter per beacon.
 
-    The filters are the rows of one ParticleBank, each with its own child
-    seed derived from the config seed. Sub-step k of a round updates, in
-    one step, the rows whose beacon delivered a k-th sample in that round;
-    a beacon with no samples in a round keeps its previous state.
+    Each filter's child seed is derived from the config seed; see
+    identify_cells.
     """
-    n_rounds = _check_streams(streams, layout)
-    spots = sorted(layout.spots())
-    bank = ParticleBank(
-        config, [derive_seed(config.seed, TAG_FILTER, spot_key(spot)) for spot in spots]
-    )
-    # distances holds every beacon's readings in row order; starts[row, r]
-    # is the index of that row's first reading in round r.
-    distances, starts = [], []
-    for spot in spots:
-        stream = streams.get(spot, _EMPTY_STREAM)
-        starts.append(_round_bounds(stream, n_rounds) + len(distances))
-        distances.extend(estimate_distance(model, rssi) for rssi in stream["rssi_dbm"].tolist())
+    return identify_cells([(layout, streams, config.seed)], model, config)[0]
+
+
+def identify_cells(
+    cells: Sequence[tuple[BeaconLayout, Mapping[SpotId, np.ndarray], int]],
+    model: PathLossModel,
+    config: FilterConfig,
+) -> list[PredictionTally]:
+    """Filtered identification of many cells, each a (layout, streams, seed).
+
+    Every beacon of every cell gets a filter row of one ParticleBank,
+    seeded with derive_seed(seed, TAG_FILTER, spot) from its cell's seed
+    (config.seed is not used). Sub-step k of a round updates, in one
+    step, the rows whose beacon delivered a k-th sample in that round; a
+    beacon with no samples in a round, or whose cell has no more rounds,
+    keeps its previous state. Each cell is tallied over its own rounds,
+    so every row evolves, and every tally comes out, as when the cell is
+    identified alone.
+    """
+    if not cells:
+        return []
+    n_rounds = [_check_streams(streams, layout) for layout, streams, _ in cells]
+    spots = [sorted(layout.spots()) for layout, _, _ in cells]
+    last_round = max(n_rounds)
+    # One row per beacon, cell by cell. distances holds every row's readings
+    # in row order; starts[row, r] is the index of that row's first reading
+    # in round r.
+    seeds, distances, starts = [], [], []
+    for (_, streams, seed), cell_spots in zip(cells, spots):
+        for spot in cell_spots:
+            seeds.append(derive_seed(seed, TAG_FILTER, spot_key(spot)))
+            stream = streams.get(spot, _EMPTY_STREAM)
+            starts.append(_round_bounds(stream, last_round) + len(distances))
+            distances.extend(
+                estimate_distance(model, rssi) for rssi in stream["rssi_dbm"].tolist()
+            )
+    bank = ParticleBank(config, seeds)
     distances = np.array(distances)
     starts = np.array(starts)
     counts = np.diff(starts, axis=1)
     most = counts.max(axis=0).tolist()
-    means = np.empty((len(spots), n_rounds))
-    for r in range(n_rounds):
+    means = np.empty((len(starts), last_round))
+    for r in range(last_round):
         for k in range(most[r]):
             rows = np.flatnonzero(counts[:, r] > k)
             bank.update(distances[starts[rows, r] + k], rows)
         means[:, r] = bank.means()
-    return _tally(layout, spots, means)
+    tallies, first = [], 0
+    for (layout, _, _), cell_spots, rounds in zip(cells, spots, n_rounds):
+        cell_means = means[first : first + len(cell_spots), :rounds]
+        tallies.append(_tally(layout, cell_spots, cell_means))
+        first += len(cell_spots)
+    return tallies
 
 
 def raw_baseline(

@@ -20,6 +20,7 @@ so the registry observes one total command order.
 
 from __future__ import annotations
 
+import math
 import socketserver
 import time
 
@@ -51,6 +52,8 @@ class SimulatedClock:
         return self._now_ms
 
     def advance_seconds(self, seconds: float) -> None:
+        if not math.isfinite(seconds):
+            raise ValueError(f"clock advance must be finite, got {seconds}")
         if seconds < 0:
             raise ValueError("clock cannot run backwards")
         self._now_ms += int(seconds * 1000)

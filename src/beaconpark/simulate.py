@@ -7,9 +7,10 @@ A stream is one beacon's advertisements as a numpy structured array of
 proximity.STREAM_DTYPE (`timestamp_ms`, `rssi_dbm`) in time order; the
 drivers read its `rssi_dbm` column directly. Every stream, cell,
 repetition and filter derives a child seed from the scenario seed, so a
-scenario reproduces byte-for-byte. The filters of one proximity cell, and
-those of every (distance, repetition) of a distance run, are stepped as
-the rows of one particle.ParticleBank, each row keeping its own seed.
+scenario reproduces byte-for-byte. The filters of every beacon of every
+cell of a proximity grid, and those of every (distance, repetition) of a
+distance run, are stepped as the rows of one particle.ParticleBank, each
+row keeping its own seed; the bank steps in place, in one work buffer.
 
 Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures; noise defaults per environment
@@ -41,8 +42,8 @@ from .proximity import (
     STREAM_DTYPE,
     BeaconLayout,
     PredictionTally,
+    identify_cells,
     raw_baseline,
-    run_identification,
 )
 from .seeding import (
     TAG_CALIBRATION,
@@ -259,10 +260,13 @@ def run_proximity_experiment(
 ) -> list[ProximityCellResult]:
     """Score raw and filtered identification over an (X, Y) grid.
 
-    Each cell builds the three-beacon layout, simulates the per-beacon
-    streams at the geometric true distances, and tallies both modes.
+    Each cell builds the three-beacon layout and simulates the per-beacon
+    streams at the geometric true distances. The raw baseline is tallied
+    per cell; the filtered mode identifies every cell in one grid-wide
+    particle bank (proximity.identify_cells), each cell's filters seeded
+    from the cell's own seed.
     """
-    results = []
+    cells = []
     for x_m, y_m in pairs:
         layout = three_beacon_layout(x_m, y_m)
         cell_seed = derive_seed(
@@ -273,17 +277,17 @@ def run_proximity_experiment(
         streams = {
             spot: generate_stream(cell, spot, truth[spot]) for spot in layout.spots()
         }
-        filtered = run_identification(
-            layout,
-            streams,
-            scenario.model,
-            replace(config, seed=derive_seed(cell_seed, TAG_FILTER)),
+        cells.append((layout, streams, derive_seed(cell_seed, TAG_FILTER)))
+    filtered = identify_cells(cells, scenario.model, config)
+    return [
+        ProximityCellResult(
+            x_m=float(x_m),
+            y_m=float(y_m),
+            raw=raw_baseline(streams, scenario.model, layout),
+            filtered=tally,
         )
-        raw = raw_baseline(streams, scenario.model, layout)
-        results.append(
-            ProximityCellResult(x_m=float(x_m), y_m=float(y_m), raw=raw, filtered=filtered)
-        )
-    return results
+        for (x_m, y_m), (layout, streams, _), tally in zip(pairs, cells, filtered)
+    ]
 
 
 def calibrate_noise_sigma(

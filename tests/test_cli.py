@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from beaconpark import cli
 from beaconpark.cli import main
 from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, write_calibration_csv
 from beaconpark.simulate import Scenario, run_pathloss_experiment
@@ -30,6 +31,22 @@ def test_cli_import_leaves_scipy_unloaded():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("installed", [True, False])
+def test_manifest_records_scipy_only_when_installed(tmp_path, monkeypatch, installed):
+    real_version = cli.importlib.metadata.version
+
+    def version(name):
+        if name == "scipy" and not installed:
+            raise cli.importlib.metadata.PackageNotFoundError(name)
+        return real_version(name)
+
+    monkeypatch.setattr(cli.importlib.metadata, "version", version)
+    cli.write_manifest(str(tmp_path), "proximity", 3, None)
+    versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+    assert ("scipy" in versions) == installed
+    assert set(versions) - {"scipy"} == {"beaconpark", "python", "numpy"}
 
 
 def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=300):
@@ -252,6 +269,30 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_negative_time_limit_does_not_stop_the_server(self, tmp_path):
+        # A REGISTER whose limit ends before it starts could never be billed:
+        # admitted, it made the next poll of the serve loop raise and exit.
+        args = [
+            sys.executable, "-m", "beaconpark", "--out-dir", str(tmp_path),
+            "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"), "--bind", "127.0.0.1:0",
+            "--clock", "simulated",
+        ]
+        proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            port = read_served_port(proc)
+            (reply,) = send_lines(port, ["REGISTER A1 u p card -5"])
+            assert reply.startswith("ERR BADCMD")
+            # serve_forever polls every 0.5 s; two polls pass before the next line
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=1.2)
+            assert send_lines(port, ["STATUS A1", "TICK 60", "STATUS A1"]) == [
+                "OK Available 200", "OK", "OK Available 200",
+            ]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+        assert (tmp_path / "parking.journal").read_text() == ""
 
     def test_corrupt_journal_is_journal_error(self, tmp_path, capsys):
         journal = tmp_path / "lot.journal"

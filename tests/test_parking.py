@@ -96,6 +96,16 @@ class TestRegistry:
         with pytest.raises(pk.UnknownSpotError):
             service.register(SpotId.parse("Z9"), USER, now_ms=0)
 
+    @pytest.mark.parametrize("max_minutes", [-5, 1.5, "60", True])
+    def test_time_limit_must_be_a_non_negative_int(self, max_minutes):
+        journal = []
+        service = make_service(2, journal=journal.append)
+        with pytest.raises(ValueError, match="max_minutes must be a non-negative integer"):
+            service.register(SpotId.parse("A1"), USER, now_ms=0, max_minutes=max_minutes)
+        assert service.get_spot(SpotId.parse("A1")).state is pk.SpotState.AVAILABLE
+        assert journal == []
+        service.register(SpotId.parse("A1"), USER, now_ms=0, max_minutes=0)
+
     def test_ten_spot_lot_snapshot_shape(self):
         service = make_service(10)
         service.register(SpotId.parse("A2"), USER, now_ms=0)
@@ -383,6 +393,28 @@ class TestFileJournal:
             pk.service_from_files(lot_path, journal_path)
         with pytest.raises(pk.JournalError, match=r"^journal entry 3: spot A1"):
             pk.replay_journal(pk.ParkingService([make_spot("A1")]), entries)
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"op": "expire", "now_ms": "soon"}, "field 'now_ms' must be int, got 'soon'"),
+            ({"op": "unregister", "spot": "A1", "now_ms": 1.5}, "field 'now_ms' must be int"),
+            ({"op": "settle", "spot": 1}, "field 'spot' must be str, got 1"),
+            ({"op": "register", "spot": "A1", "user_id": "u", "plate": ["P"], "card": "tok",
+              "max_minutes": None, "now_ms": 0}, "field 'plate' must be str"),
+            ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
+              "max_minutes": -5, "now_ms": 0}, "max_minutes must be a non-negative integer"),
+            ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
+              "max_minutes": "60", "now_ms": 0}, "max_minutes must be a non-negative integer"),
+        ],
+    )
+    def test_wrongly_typed_entry_names_path_and_line(self, tmp_path, entry, reason):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        journal_path.write_text("\n" + json.dumps(entry) + "\n")
+        with pytest.raises(pk.JournalError) as info:
+            pk.service_from_files(lot_path, journal_path)
+        assert str(info.value).startswith(f"{journal_path} line 2: {reason}")
 
     def test_instance_defaults_to_spot_convention(self, tmp_path):
         lot = {

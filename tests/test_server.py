@@ -98,6 +98,19 @@ class TestHandleCommand:
         assert self.run("STATUS A1") == "OK Available 200"
         assert self.run("UNREGISTER A1") == "ERR NOTREG"
 
+    def test_negative_time_limit_is_refused(self):
+        assert self.run("REGISTER A1 u1 PLATE tok -5").startswith("ERR BADCMD")
+        assert self.run("STATUS A1") == "OK Available 200"
+        assert self.run("TICK 60") == "OK"
+        assert self.run("REGISTER A1 u1 PLATE tok 0") == "OK S1"
+
+    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan"])
+    def test_tick_must_be_finite(self, seconds):
+        assert self.run(f"TICK {seconds}").startswith("ERR BADCMD")
+        assert self.clock.now_ms() == 0
+        assert self.run("TICK 1") == "OK"
+        assert self.clock.now_ms() == 1000
+
     def test_tick_needs_simulated_clock(self):
         service = make_service()
         assert handle_command(service, SystemClock(), "TICK 5").startswith("ERR CLOCK")

@@ -13,8 +13,14 @@ from beaconpark.pathloss import (
     fit_model,
     predict_rssi,
 )
-from beaconpark.proximity import STREAM_DTYPE
-from beaconpark.seeding import TAG_DISTANCE_CELL, TAG_FILTER, derive_seed, scaled_key
+from beaconpark.proximity import STREAM_DTYPE, raw_baseline, run_identification
+from beaconpark.seeding import (
+    TAG_DISTANCE_CELL,
+    TAG_FILTER,
+    TAG_PROXIMITY_CELL,
+    derive_seed,
+    scaled_key,
+)
 from beaconpark import simulate as sim
 
 B1 = SpotId("B", 1)
@@ -209,6 +215,28 @@ class TestProximityExperiment:
         near_acc = np.mean([c.raw.accuracy for c in near])
         far_acc = np.mean([c.raw.accuracy for c in far])
         assert far_acc < near_acc
+
+    def test_ragged_grid_cells_match_lone_identification(self):
+        # most advertisements dropped from 8 s streams: the cells end on
+        # different round counts and one beacon is never heard, so the grid
+        # bank's last rounds step only some cells' rows
+        scen = scenario(
+            noise_sigma_db=sim.INDOOR_NOISE_SIGMA_DB, tx_interval_ms=350, duration_s=8.0,
+            drop_rate=0.85, seed=16,
+        )
+        config = FilterConfig(particle_count=200, seed=16)
+        pairs = [(1.0, 0.5), (1.5, 1.5), (2.5, 2.5), (2.0, 1.0), (3.0, 2.0)]
+        results = sim.run_proximity_experiment(scen, pairs, config)
+        assert len({cell.filtered.total for cell in results}) > 1
+        for (x_m, y_m), cell in zip(pairs, results):
+            layout = sim.three_beacon_layout(x_m, y_m)
+            cell_seed = derive_seed(scen.seed, TAG_PROXIMITY_CELL, scaled_key(x_m), scaled_key(y_m))
+            lone = replace(scen, layout=layout, seed=cell_seed)
+            truth = layout.true_distances()
+            streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
+            cell_config = replace(config, seed=derive_seed(cell_seed, TAG_FILTER))
+            assert cell.filtered == run_identification(layout, streams, scen.model, cell_config)
+            assert cell.raw == raw_baseline(streams, scen.model, layout)
 
     def test_csv_shape_and_percent_format(self, tmp_path):
         results = sim.run_proximity_experiment(
