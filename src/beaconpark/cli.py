@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 runtime error, 2 input error.
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import json
 import os
 import sys
@@ -31,7 +30,7 @@ from .pathloss import (
 from .server import ParkingTCPServer, SimulatedClock, SystemClock, parse_bind_address
 from .simulate import (
     ExperimentSpec,
-    scenario_from_dict,
+    load_scenario,
     run_distance_experiment,
     run_proximity_experiment,
     write_distance_csv,
@@ -67,12 +66,6 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
     }
-    # From the package metadata, so that a run does not import scipy; only
-    # calibrate needs scipy, so a run without it records no version.
-    try:
-        versions["scipy"] = importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        pass
     manifest = {
         "command": command,
         "scenario_path": scenario_path,
@@ -84,20 +77,19 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
 
 
 def _load_scenario_file(path: str, seed_override: int | None):
+    """Parse a scenario file; --seed replaces both the scenario and the filter seed."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        scenario, experiment, config = load_scenario(path)
+        if seed_override is not None:
+            scenario = replace(scenario, seed=seed_override)
+            config = replace(config, seed=seed_override)
     except FileNotFoundError as exc:
         raise InputError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-    if seed_override is not None:
-        obj["seed"] = seed_override
-        obj.setdefault("filter", {}).pop("seed", None)
-    try:
-        return scenario_from_dict(obj)
     except (KeyError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
+    return scenario, experiment, config
 
 
 def cmd_calibrate(args) -> int:

@@ -165,8 +165,8 @@ class ParkingService:
         payment: PaymentStub | None = None,
         journal_sink: Callable[[dict], None] | None = None,
     ):
-        self._spots: dict[SpotId, Spot] = {}
-        for spot in spots:
+        self._spots: dict[SpotId, Spot] = {}  # in spot-id order, which every listing keeps
+        for spot in sorted(spots, key=lambda s: s.id):
             if spot.id in self._spots:
                 raise ValueError(f"duplicate spot {spot.id}")
             self._spots[spot.id] = spot
@@ -184,7 +184,7 @@ class ParkingService:
         """Registry snapshot in stable spot-id order."""
         return [
             (spot.id, spot.state, spot.rate_cents_per_hour)
-            for spot in sorted(self._spots.values(), key=lambda s: s.id)
+            for spot in self._spots.values()
         ]
 
     def get_spot(self, spot_id: SpotId) -> Spot:
@@ -271,7 +271,7 @@ class ParkingService:
         """
         with self._lock:
             expired = []
-            for spot in sorted(self._spots.values(), key=lambda s: s.id):
+            for spot in self._spots.values():
                 session = spot.session
                 if (
                     spot.state is SpotState.OCCUPIED
@@ -388,7 +388,7 @@ class ParkingService:
     def snapshot(self) -> tuple:
         """Hashable fingerprint of the full registry state."""
         rows = []
-        for spot in sorted(self._spots.values(), key=lambda s: s.id):
+        for spot in self._spots.values():
             session = spot.session
             rows.append(
                 (

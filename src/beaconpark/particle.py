@@ -24,7 +24,6 @@ is a one-row bank; a bank row evolves bit for bit as that lone filter.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,16 +66,6 @@ class DistanceEstimate:
 class UpdateOutcome:
     resampled: bool
     reinitialized: bool
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    step: int
-    measurement_m: float
-    mean_m: float
-    std_m: float
-    neff: float
-    resampled: bool
 
 
 class ParticleBank:
@@ -253,42 +242,3 @@ class DistanceParticleFilter:
         return DistanceEstimate(
             mean_m=mean, std_m=std, effective_particles=self.effective_particles()
         )
-
-
-def trace_updates(
-    flt: DistanceParticleFilter, measurements_m, start_step: int = 0
-) -> list[TraceRow]:
-    """Run a measurement sequence, recording one trace row per update."""
-    rows = []
-    for i, z in enumerate(measurements_m, start=start_step):
-        outcome = flt.update(z)
-        est = flt.estimate()
-        rows.append(
-            TraceRow(
-                step=i,
-                measurement_m=float(z),
-                mean_m=est.mean_m,
-                std_m=est.std_m,
-                neff=est.effective_particles,
-                resampled=outcome.resampled,
-            )
-        )
-    return rows
-
-
-def write_filter_trace(path, rows: list[TraceRow]) -> None:
-    """CSV trace: step,measurement_m,mean_m,std_m,neff,resampled."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "measurement_m", "mean_m", "std_m", "neff", "resampled"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.step,
-                    f"{r.measurement_m:.6f}",
-                    f"{r.mean_m:.6f}",
-                    f"{r.std_m:.6f}",
-                    f"{r.neff:.6f}",
-                    int(r.resampled),
-                ]
-            )

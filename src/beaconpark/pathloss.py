@@ -4,6 +4,12 @@ The signal model is RSSI(d) = ref_rssi - 10 * exponent * log10(d / d_ref),
 i.e. a line in log10-distance. Fitting is therefore ordinary least squares
 on (log10 distance, mean RSSI per distance) with standard two-sided
 t-intervals for the 95% confidence bounds on both coefficients.
+
+The interval's critical value, the 0.975 quantile of Student's t with the
+fit's integer degrees of freedom, is computed exactly rather than
+approximated: with theta = arctan(t / sqrt(dof)), P(|T| < t) is a finite
+series in sin(theta) and cos(theta) (Abramowitz & Stegun 26.7.3-26.7.4),
+increasing in theta, and bisection on theta finds where it reaches 0.95.
 """
 
 from __future__ import annotations
@@ -114,6 +120,40 @@ def estimate_distance(model: PathLossModel, rssi_dbm: float) -> float:
     )
 
 
+def _t_interval_mass(theta: float, dof: int) -> float:
+    """P(|T| < sqrt(dof) * tan(theta)) for Student's t with integer dof >= 1."""
+    cos = math.cos(theta)
+    if dof % 2 == 0:
+        term = total = 1.0
+        for k in range(1, dof // 2):
+            term *= cos * cos * (2 * k - 1) / (2 * k)
+            total += term
+        return math.sin(theta) * total
+    term = total = cos if dof > 1 else 0.0
+    for k in range(1, (dof - 1) // 2):
+        term *= cos * cos * (2 * k) / (2 * k + 1)
+        total += term
+    return 2.0 / math.pi * (theta + math.sin(theta) * total)
+
+
+def t_quantile_975(dof: int) -> float:
+    """0.975 quantile of Student's t: the two-sided 95% critical value.
+
+    Bisects theta over (0, pi/2) until the bracket is one float wide.
+    """
+    if dof < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {dof}")
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.sqrt(dof) * math.tan(mid)
+        if _t_interval_mass(mid, dof) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+
+
 def fit_model(data: CalibrationDataset) -> FitResult:
     """Least-squares fit of (exponent, reference RSSI) with 95% CIs.
 
@@ -121,8 +161,6 @@ def fit_model(data: CalibrationDataset) -> FitResult:
     against log10 distance; the model line is y = ref_rssi - 10n * x.
     residual_std_db is the root-mean-square residual of those means.
     """
-    from scipy import stats  # imported here so that only calibration loads scipy
-
     x = np.array([math.log10(d / REFERENCE_DISTANCE_M) for d, _ in data.points])
     y = np.array([average_rssi(s) for _, s in data.points])
     m = len(x)
@@ -144,7 +182,7 @@ def fit_model(data: CalibrationDataset) -> FitResult:
         s2 = sse / dof
         se_slope = math.sqrt(s2 / sxx)
         se_intercept = math.sqrt(s2 * (1.0 / m + x_bar**2 / sxx))
-        t_crit = float(stats.t.ppf(0.975, dof))
+        t_crit = t_quantile_975(dof)
     else:
         # Exact fit (or only two distances): degenerate zero-width intervals.
         se_slope = se_intercept = 0.0

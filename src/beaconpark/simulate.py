@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -403,15 +403,13 @@ def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, Filt
         experiment = ExperimentSpec(
             kind=exp["kind"], grid=grid, repetitions=int(exp.get("repetitions", 1))
         )
-    filt = obj.get("filter", {})
-    filter_config = FilterConfig(
-        particle_count=int(filt.get("particle_count", 1000)),
-        beta=float(filt.get("beta", 0.5)),
-        measurement_noise_m=float(filt.get("measurement_noise_m", 1.2)),
-        state_min_m=float(filt.get("state_min_m", 0.0)),
-        state_max_m=float(filt.get("state_max_m", 4.0)),
-        seed=int(filt.get("seed", scenario.seed)),
-    )
+    # FilterConfig owns the defaults; each value is cast to its default's type.
+    casts = {f.name: type(f.default) for f in fields(FilterConfig)}
+    settings = {"seed": scenario.seed, **obj.get("filter", {})}
+    for key in settings:
+        if key not in casts:
+            raise ValueError(f"unknown filter key {key!r}")
+    filter_config = FilterConfig(**{key: casts[key](value) for key, value in settings.items()})
     return scenario, experiment, filter_config
 
 

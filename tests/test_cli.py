@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import os
 import re
@@ -23,33 +24,60 @@ def make_calibration_csv(path, model, duration_s=10.0, sigma=0.0, seed=0):
     write_calibration_csv(path, data)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports beaconpark from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, beaconpark.cli; print('scipy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_python("import sys, beaconpark.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("installed", [True, False])
 def test_manifest_records_scipy_only_when_installed(tmp_path, monkeypatch, installed):
-    real_version = cli.importlib.metadata.version
+    """No run uses scipy, so the manifest leaves it out whether or not it is installed."""
+    real_version = importlib.metadata.version
 
     def version(name):
-        if name == "scipy" and not installed:
-            raise cli.importlib.metadata.PackageNotFoundError(name)
+        if name == "scipy":
+            if not installed:
+                raise importlib.metadata.PackageNotFoundError(name)
+            return "1.10.0"
         return real_version(name)
 
-    monkeypatch.setattr(cli.importlib.metadata, "version", version)
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    if not installed:
+        monkeypatch.setitem(sys.modules, "scipy", None)
     cli.write_manifest(str(tmp_path), "proximity", 3, None)
     versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
-    assert ("scipy" in versions) == installed
-    assert set(versions) - {"scipy"} == {"beaconpark", "python", "numpy"}
+    assert set(versions) == {"beaconpark", "python", "numpy"}
 
 
-def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=300):
+def test_calibrate_runs_without_scipy(tmp_path):
+    csv_path = tmp_path / "cal.csv"
+    out_path = tmp_path / "fit.json"
+    make_calibration_csv(csv_path, INDOOR_MODEL, sigma=2.0, seed=4)
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from beaconpark.cli import main\n"
+        f"sys.exit(main(['--out-dir', {str(tmp_path)!r}, 'calibrate',"
+        f" '--input', {str(csv_path)!r}, '--out', {str(out_path)!r}]))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    fit = json.loads(out_path.read_text())
+    assert fit["n_ci95"][0] < fit["n"] < fit["n_ci95"][1]
+    assert fit["C_ci95"][0] < fit["C"] < fit["C_ci95"][1]
+
+
+def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=300, filt=None):
     path.write_text(
         json.dumps(
             {
@@ -58,7 +86,7 @@ def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=3
                 "duration_s": duration_s,
                 "seed": seed,
                 "experiment": {"kind": kind, "grid": grid, "repetitions": reps},
-                "filter": {"particle_count": particles},
+                "filter": {"particle_count": particles, **(filt or {})},
             }
         )
     )
@@ -174,6 +202,31 @@ class TestDistanceCommand:
             out_b / "distance_results.csv"
         ).read_text()
         assert json.loads((out_b / "manifest.json").read_text())["seed"] == 999
+
+    def test_seed_override_replaces_the_filter_seed(self, tmp_path):
+        pinned = tmp_path / "pinned.json"
+        tiny_scenario(pinned, "distance", [1.0, 2.5], seed=1, filt={"seed": 5})
+        scenario, _, config = cli._load_scenario_file(str(pinned), 999)
+        assert (scenario.seed, config.seed) == (999, 999)
+        plain = tmp_path / "plain.json"
+        tiny_scenario(plain, "distance", [1.0, 2.5], seed=999)
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        assert main(
+            ["--seed", "999", "--out-dir", str(out_a), "distance", "--scenario", str(pinned)]
+        ) == 0
+        assert main(["--out-dir", str(out_b), "distance", "--scenario", str(plain)]) == 0
+        assert (out_a / "distance_results.csv").read_bytes() == (
+            out_b / "distance_results.csv"
+        ).read_bytes()
+
+    def test_unknown_filter_key_is_input_error(self, tmp_path, capsys):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0], filt={"particles": 200})
+        assert main(
+            ["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
+        ) == 2
+        assert "unknown filter key 'particles'" in capsys.readouterr().err
 
     def test_wrong_experiment_kind_is_input_error(self, tmp_path, capsys):
         scenario_path = tmp_path / "s.json"

@@ -120,6 +120,24 @@ class TestRegistry:
         }
         assert occupants == {"A2": "u1", "A7": "u2"}
 
+    def test_spots_given_out_of_order_are_kept_in_id_order(self):
+        given = ["B2", "A10", "A2", "B1", "A1"]
+        lot = {
+            "spots": [
+                {"id": text, "namespace": "aa" * 10,
+                 "url": f"https://park.example/{text}", "rate_cents_per_hour": 100}
+                for text in given
+            ]
+        }
+        service = pk.ParkingService.from_config(lot)
+        in_order = ["A1", "A2", "A10", "B1", "B2"]
+        assert [str(s) for s, _, _ in service.list_spots()] == in_order
+        for text in given:
+            service.register(SpotId.parse(text), USER, now_ms=0, max_minutes=10)
+        expired = service.expire_overstays(now_ms=60 * MIN_MS)
+        assert [str(s) for s in expired] == in_order
+        assert [row[0] for row in service.snapshot()] == in_order
+
 
 class TestUnregister:
     def test_ninety_minute_session_costs_three_dollars(self):

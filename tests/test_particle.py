@@ -9,9 +9,6 @@ from beaconpark.particle import (
     DistanceParticleFilter,
     FilterConfig,
     ParticleBank,
-    TraceRow,
-    trace_updates,
-    write_filter_trace,
 )
 
 
@@ -260,19 +257,6 @@ class TestConvergenceAndDeterminism:
                 estimates.append(flt.estimate())
             runs.append(estimates)
         assert runs[0] == runs[1]
-
-
-class TestTrace:
-    def test_trace_rows_and_csv(self, tmp_path):
-        flt = DistanceParticleFilter(FilterConfig(seed=15))
-        rows = trace_updates(flt, [1.0, 1.2, 0.8, 1.1])
-        assert [r.step for r in rows] == [0, 1, 2, 3]
-        assert all(isinstance(r, TraceRow) for r in rows)
-        path = tmp_path / "trace.csv"
-        write_filter_trace(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,measurement_m,mean_m,std_m,neff,resampled"
-        assert len(lines) == 5
 
 
 class TestParticleBank:

@@ -145,6 +145,25 @@ class TestFitModel:
         assert fit_doubled.ref_rssi_dbm == pytest.approx(fit_base.ref_rssi_dbm, rel=1e-12)
 
 
+class TestTQuantile:
+    def test_closed_forms_at_one_and_two_degrees_of_freedom(self):
+        # dof 1 is Cauchy: t = tan(0.475 pi); dof 2: t / sqrt(2 + t^2) = 0.95
+        assert pl.t_quantile_975(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-13)
+        assert pl.t_quantile_975(2) == pytest.approx(math.sqrt(2 * 0.9025 / 0.0975), rel=1e-13)
+
+    def test_matches_scipy_for_every_dof_to_1000(self):
+        from scipy import stats  # the tests' independent oracle, not a runtime dependency
+
+        dofs = np.arange(1, 1001)
+        ours = np.array([pl.t_quantile_975(int(dof)) for dof in dofs])
+        expected = stats.t.ppf(0.975, dofs)
+        assert np.max(np.abs(ours - expected) / expected) < 1e-12
+
+    def test_needs_a_positive_dof(self):
+        with pytest.raises(ValueError):
+            pl.t_quantile_975(0)
+
+
 class TestDatasetAndFiles:
     def test_dataset_invariants(self):
         with pytest.raises(ValueError):

@@ -313,6 +313,13 @@ class TestScenarioFiles:
         _, _, cfg = sim.scenario_from_dict(obj)
         assert cfg.seed == 31
 
+    def test_filter_defaults_come_from_filter_config(self):
+        obj = {"model": {"n": 2.424, "C": -65.24}, "noise_sigma_db": 0.0, "seed": 8,
+               "filter": {"beta": 1, "particle_count": 300.0}}
+        _, _, cfg = sim.scenario_from_dict(obj)
+        assert cfg == FilterConfig(particle_count=300, beta=1.0, seed=8)
+        assert (type(cfg.particle_count), type(cfg.beta)) == (int, float)
+
     def test_experiment_kind_validated(self):
         with pytest.raises(ValueError):
             sim.ExperimentSpec(kind="teleport", grid=(1.0,))
