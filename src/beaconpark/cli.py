@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy
 
 from . import __version__
-from .parking import JournalError, service_from_files
+from .parking import JournalError, SpotState, service_from_files
 from .pathloss import (
     RankDeficientError,
     fit_model,
@@ -178,6 +179,7 @@ def cmd_serve(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "serve", args.seed or 0, None)
     journal_path = args.journal or os.path.join(args.out_dir, "parking.journal")
+    started = time.perf_counter()
     try:
         service = service_from_files(args.lot, journal_path)
     except FileNotFoundError as exc:
@@ -186,6 +188,13 @@ def cmd_serve(args) -> int:
         raise InputError(f"invalid journal: {exc}") from exc
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise InputError(f"invalid lot config: {exc}") from exc
+    live = sum(state is not SpotState.AVAILABLE for _, state, _ in service.list_spots())
+    print(
+        f"journal {journal_path}: replayed {service.replayed_entries} entries, "
+        f"{live} live sessions, restored in {(time.perf_counter() - started) * 1000:.1f} ms",
+        file=sys.stderr,
+        flush=True,
+    )
     clock = SimulatedClock() if args.clock == "simulated" else SystemClock()
     host, port = parse_bind_address(args.bind)
     server = ParkingTCPServer((host, port), service, clock)

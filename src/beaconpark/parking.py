@@ -6,9 +6,24 @@ charge fails; Illegal clears back to Available only through an explicit
 admin settle. Time never comes from the wall clock: every operation takes
 the current timestamp, so billing is reproducible.
 
-Successful state-changing commands are journaled as JSON-ready dicts;
-replaying a journal over the same lot configuration reconstructs the
-exact service state (the payment stub is deterministic by card token).
+Every successful state change is journaled as a JSON-ready dict holding
+its outcome, not the command that caused it:
+
+* `register`: spot, user id, plate, card token, time limit and start time;
+* `unregister`, and one `expire` per force-closed overstay: spot, end
+  time, cost and whether the charge went through;
+* `settle`: spot;
+* `snapshot`: the session counter and every open or owed session, each
+  recorded with the `register` fields plus its id, end time and cost.
+
+Replaying a journal over the same lot configuration applies these
+outcomes and reconstructs the exact service state without calling the
+payment gateway or journaling anything; a snapshot replaces the whole
+state, so any prefix of a journal replays to the state it recorded.
+Once the entries written since the last snapshot reach the lot's spot
+count, the service journals a snapshot, and `FileJournal` replaces the
+file by that one line: a journal file never holds more than spots + 1
+lines, and a restart replays O(lot size) entries, not the history.
 """
 
 from __future__ import annotations
@@ -71,6 +86,14 @@ class SpotState(Enum):
     AVAILABLE = "Available"
     OCCUPIED = "Occupied"
     ILLEGAL = "Illegal"
+
+
+# The error a command raises when its spot is not in the state it needs.
+_STATE_NEEDED = {
+    SpotState.AVAILABLE: (SpotTakenError, "already in use"),
+    SpotState.OCCUPIED: (NotRegisteredError, "is not registered"),
+    SpotState.ILLEGAL: (NotIllegalError, "is not illegally parked"),
+}
 
 
 class PaymentStub:
@@ -151,6 +174,12 @@ def parking_cost_cents(rate_cents_per_hour: int, minutes: int) -> int:
     return -(-rate_cents_per_hour * minutes // 60)
 
 
+def _check_max_minutes(max_minutes):
+    if max_minutes is not None and (type(max_minutes) is not int or max_minutes < 0):
+        raise ValueError(f"max_minutes must be a non-negative integer, got {max_minutes!r}")
+    return max_minutes
+
+
 class ParkingService:
     """Serialized command processor over the spot registry.
 
@@ -166,16 +195,27 @@ class ParkingService:
         journal_sink: Callable[[dict], None] | None = None,
     ):
         self._spots: dict[SpotId, Spot] = {}  # in spot-id order, which every listing keeps
+        self._by_uid: dict[tuple[bytes, bytes], Spot] = {}
+        self._by_url: dict[str, Spot] = {}
         for spot in sorted(spots, key=lambda s: s.id):
             if spot.id in self._spots:
                 raise ValueError(f"duplicate spot {spot.id}")
             self._spots[spot.id] = spot
+            for index, key, kind in (
+                (self._by_uid, (spot.namespace, spot.instance), "UID"),
+                (self._by_url, spot.url, "URL"),
+            ):
+                other = index.setdefault(key, spot)
+                if other is not spot:
+                    raise ValueError(f"spots {other.id} and {spot.id} share one beacon {kind}")
         if not self._spots:
             raise ValueError("lot has no spots")
         self.payment = payment or PaymentStub()
         self.events: list[dict] = []
         self._journal_sink = journal_sink
         self._session_seq = 0
+        self._since_snapshot = 0  # entries journaled since the last snapshot
+        self.replayed_entries = 0
         self._lock = threading.Lock()
 
     # -- queries --
@@ -196,17 +236,16 @@ class ParkingService:
     def resolve_beacon(self, frame: BeaconFrame) -> tuple[SpotId, str]:
         """Map a decoded advertisement to its spot and registration URL."""
         if isinstance(frame, UidFrame):
-            for spot in self._spots.values():
-                if spot.namespace == frame.namespace and spot.instance == frame.instance:
-                    return spot.id, spot.url
-            raise UnknownBeaconError("beacon UID is not registered to this lot")
-        if isinstance(frame, UrlFrame):
-            url = frame.url()
-            for spot in self._spots.values():
-                if spot.url == url:
-                    return spot.id, spot.url
-            raise UnknownBeaconError("beacon URL is not registered to this lot")
-        raise UnknownBeaconError("frame type does not identify a spot")
+            spot = self._by_uid.get((frame.namespace, frame.instance))
+            if spot is None:
+                raise UnknownBeaconError("beacon UID is not registered to this lot")
+        elif isinstance(frame, UrlFrame):
+            spot = self._by_url.get(frame.url())
+            if spot is None:
+                raise UnknownBeaconError("beacon URL is not registered to this lot")
+        else:
+            raise UnknownBeaconError("frame type does not identify a spot")
+        return spot.id, spot.url
 
     # -- commands --
 
@@ -222,35 +261,13 @@ class ParkingService:
         A session that could not be billed at its limit is refused here,
         before it is journaled, with a ValueError naming the value.
         """
-        if max_minutes is not None and (type(max_minutes) is not int or max_minutes < 0):
-            raise ValueError(f"max_minutes must be a non-negative integer, got {max_minutes!r}")
+        _check_max_minutes(max_minutes)
         with self._lock:
-            spot = self.get_spot(spot_id)
-            if spot.state is not SpotState.AVAILABLE:
-                raise SpotTakenError(f"spot {spot_id} already in use")
+            spot = self._spot_in(spot_id, SpotState.AVAILABLE)
             if not self.payment.validate_card(user.card_token):
                 raise CardDeclinedError(f"card validation refused for {user.user_id}")
-            self._session_seq += 1
-            session = Session(
-                session_id=f"S{self._session_seq}",
-                user=user,
-                vehicle_plate=user.vehicle_plate,
-                start_ms=now_ms,
-                max_minutes=max_minutes,
-            )
-            spot.state = SpotState.OCCUPIED
-            spot.session = session
-            self._journal(
-                {
-                    "op": "register",
-                    "spot": str(spot_id),
-                    "user_id": user.user_id,
-                    "plate": user.vehicle_plate,
-                    "card": user.card_token,
-                    "max_minutes": max_minutes,
-                    "now_ms": now_ms,
-                }
-            )
+            session = self._open_session(spot, user, now_ms, max_minutes)
+            self._journal({"op": "register", **_session_fields(spot)})
             return session
 
     def unregister(self, spot_id: SpotId, now_ms: int) -> Session:
@@ -261,7 +278,7 @@ class ParkingService:
         lock: the spot's state may change again as soon as it is released.
         """
         with self._lock:
-            return self._close_session(spot_id, now_ms, journal_op="unregister")
+            return self._close_session(spot_id, now_ms, "unregister")
 
     def expire_overstays(self, now_ms: int) -> list[SpotId]:
         """Force-close every occupied session past its time limit.
@@ -275,61 +292,110 @@ class ParkingService:
                 session = spot.session
                 if (
                     spot.state is SpotState.OCCUPIED
-                    and session is not None
                     and session.max_minutes is not None
                     and now_ms > session.start_ms + session.max_minutes * MS_PER_MINUTE
                 ):
                     cutoff = session.start_ms + session.max_minutes * MS_PER_MINUTE
-                    self._close_session(spot.id, cutoff, journal_op=None)
+                    self._close_session(spot.id, cutoff, "expire")
                     self._emit("overstay_expired", spot=str(spot.id))
                     expired.append(spot.id)
-            if expired:
-                self._journal({"op": "expire", "now_ms": now_ms})
             return expired
 
     def settle(self, spot_id: SpotId) -> None:
         """Admin action clearing an illegally-parked spot."""
         with self._lock:
-            spot = self.get_spot(spot_id)
-            if spot.state is not SpotState.ILLEGAL:
-                raise NotIllegalError(f"spot {spot_id} is not illegally parked")
-            spot.state = SpotState.AVAILABLE
-            spot.session = None
+            _clear(self._spot_in(spot_id, SpotState.ILLEGAL))
             self._journal({"op": "settle", "spot": str(spot_id)})
             self._emit("settled", spot=str(spot_id))
 
     # -- internals --
 
-    def _close_session(self, spot_id: SpotId, now_ms: int, journal_op: str | None) -> Session:
+    def _spot_in(self, spot_id: SpotId, state: SpotState) -> Spot:
         spot = self.get_spot(spot_id)
-        if spot.state is not SpotState.OCCUPIED or spot.session is None:
-            raise NotRegisteredError(f"spot {spot_id} is not registered")
+        if spot.state is not state:
+            error, reason = _STATE_NEEDED[state]
+            raise error(f"spot {spot_id} {reason}")
+        return spot
+
+    def _open_session(self, spot: Spot, user: UserProfile, now_ms: int, max_minutes) -> Session:
+        self._session_seq += 1
+        spot.session = Session(
+            session_id=f"S{self._session_seq}",
+            user=user,
+            vehicle_plate=user.vehicle_plate,
+            start_ms=now_ms,
+            max_minutes=max_minutes,
+        )
+        spot.state = SpotState.OCCUPIED
+        return spot.session
+
+    def _close_session(self, spot_id: SpotId, now_ms: int, op: str) -> Session:
+        spot = self._spot_in(spot_id, SpotState.OCCUPIED)
         session = spot.session
-        session.end_ms = now_ms
-        minutes = billable_minutes(session.start_ms, now_ms)
-        session.cost_cents = parking_cost_cents(spot.rate_cents_per_hour, minutes)
-        session.charged = self.payment.charge(session.user.card_token, session.cost_cents)
-        if session.charged:
-            spot.state = SpotState.AVAILABLE
-            spot.session = None
-        else:
-            spot.state = SpotState.ILLEGAL
+        cost = parking_cost_cents(
+            spot.rate_cents_per_hour, billable_minutes(session.start_ms, now_ms)
+        )
+        charged = self.payment.charge(session.user.card_token, cost)
+        _apply_close(spot, now_ms, cost, charged)
+        if not charged:
             self._emit(
-                "charge_failed",
-                spot=str(spot_id),
-                user_id=session.user.user_id,
-                cost_cents=session.cost_cents,
+                "charge_failed", spot=str(spot_id), user_id=session.user.user_id, cost_cents=cost
             )
-        if journal_op:
-            self._journal({"op": journal_op, "spot": str(spot_id), "now_ms": now_ms})
+        self._journal(
+            {
+                "op": op, "spot": str(spot_id), "now_ms": now_ms,
+                "cost_cents": cost, "charged": charged,
+            }
+        )
         return session
 
     def _emit(self, event_type: str, **data) -> None:
         self.events.append({"type": event_type, **data})
 
     def _journal(self, entry: dict) -> None:
-        if self._journal_sink is not None:
-            self._journal_sink(entry)
+        """Hand `entry` to the sink, then a snapshot once as many entries as
+        the lot has spots have been handed over since the last one."""
+        if self._journal_sink is None:
+            return
+        self._journal_sink(entry)
+        self._since_snapshot += 1
+        if self._since_snapshot >= len(self._spots):
+            self._journal_sink(self._snapshot_entry())
+            self._since_snapshot = 0
+
+    def _snapshot_entry(self) -> dict:
+        return {
+            "op": "snapshot",
+            "sessions": self._session_seq,
+            "spots": [
+                {
+                    **_session_fields(spot),
+                    "session_id": spot.session.session_id,
+                    "end_ms": spot.session.end_ms,
+                    "cost_cents": spot.session.cost_cents,
+                }
+                for spot in self._spots.values()
+                if spot.session is not None
+            ],
+        }
+
+    def _restore(self, entry: dict) -> None:
+        """Replace the whole registry state by a snapshot entry's."""
+        sessions = _field(entry, "sessions")
+        restored: dict[SpotId, Session] = {}
+        for record in _field(entry, "spots"):
+            spot_id, session = _decode_snapshot_session(record)
+            self.get_spot(spot_id)  # refuses a spot the lot does not have
+            if spot_id in restored:
+                raise ValueError(f"snapshot names spot {spot_id} twice")
+            restored[spot_id] = session
+        for spot in self._spots.values():
+            spot.session = session = restored.get(spot.id)
+            if session is None:
+                spot.state = SpotState.AVAILABLE
+            else:
+                spot.state = SpotState.OCCUPIED if session.end_ms is None else SpotState.ILLEGAL
+        self._session_seq = sessions
 
     # -- construction, journaling, replay --
 
@@ -356,34 +422,35 @@ class ParkingService:
         return cls(spots, **kwargs)
 
     def apply_journal_entry(self, entry: dict) -> None:
-        """Re-execute one journaled command (used during replay).
+        """Apply one journaled outcome (used during replay).
 
-        Each field must have its journaled type: ids are strings, `now_ms`
-        an int and `max_minutes` an int or null; a missing field raises
-        KeyError, a wrongly typed one TypeError.
+        Replay calls no payment method, emits no event and journals
+        nothing. Each field must have its journaled type: a missing field
+        raises KeyError, a wrongly typed one TypeError, and an outcome the
+        lot cannot take (a close of a spot that is not Occupied, a
+        snapshot naming an unknown spot) a ParkingError or ValueError.
         """
         op = entry["op"]
-        if op == "register":
-            self.register(
-                SpotId.parse(_journal_field(entry, "spot")),
-                UserProfile(
-                    _journal_field(entry, "user_id"),
-                    _journal_field(entry, "plate"),
-                    _journal_field(entry, "card"),
-                ),
-                _journal_field(entry, "now_ms"),
-                entry.get("max_minutes"),
-            )
-        elif op == "unregister":
-            self.unregister(
-                SpotId.parse(_journal_field(entry, "spot")), _journal_field(entry, "now_ms")
-            )
-        elif op == "expire":
-            self.expire_overstays(_journal_field(entry, "now_ms"))
-        elif op == "settle":
-            self.settle(SpotId.parse(_journal_field(entry, "spot")))
-        else:
-            raise ValueError(f"unknown journal op: {op}")
+        with self._lock:
+            if op == "snapshot":
+                self._restore(entry)
+            elif op == "register":
+                spot_id, user, now_ms, max_minutes = _decode_session_fields(entry)
+                self._open_session(
+                    self._spot_in(spot_id, SpotState.AVAILABLE), user, now_ms, max_minutes
+                )
+            elif op in ("unregister", "expire"):
+                spot_id = SpotId.parse(_field(entry, "spot"))
+                outcome = (
+                    _field(entry, "now_ms"), _field(entry, "cost_cents"), _field(entry, "charged")
+                )
+                _apply_close(self._spot_in(spot_id, SpotState.OCCUPIED), *outcome)
+            elif op == "settle":
+                _clear(self._spot_in(SpotId.parse(_field(entry, "spot")), SpotState.ILLEGAL))
+            else:
+                raise ValueError(f"unknown journal op: {op}")
+            self._since_snapshot = 0 if op == "snapshot" else self._since_snapshot + 1
+            self.replayed_entries += 1
 
     def snapshot(self) -> tuple:
         """Hashable fingerprint of the full registry state."""
@@ -410,16 +477,73 @@ class ParkingService:
         return tuple(rows)
 
 
-_JOURNAL_FIELD_TYPES = {"spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int}
+def _clear(spot: Spot) -> None:
+    spot.state = SpotState.AVAILABLE
+    spot.session = None
 
 
-def _journal_field(entry: dict, name: str):
+def _apply_close(spot: Spot, end_ms: int, cost_cents: int, charged: bool) -> None:
+    """Record a close's outcome: a charged spot is free, an unpaid one Illegal."""
+    session = spot.session
+    session.end_ms, session.cost_cents, session.charged = end_ms, cost_cents, charged
+    if charged:
+        _clear(spot)
+    else:
+        spot.state = SpotState.ILLEGAL
+
+
+# -- the journal codec: one exact type per field name --
+
+_FIELD_TYPES = {
+    "spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int, "cost_cents": int,
+    "charged": bool, "sessions": int, "spots": list, "session_id": str, "end_ms": int,
+}
+
+
+def _field(entry: dict, name: str, nullable: bool = False):
     """entry[name], which must have the exact type the field is journaled with."""
     value = entry[name]
-    kind = _JOURNAL_FIELD_TYPES[name]
-    if type(value) is not kind:
-        raise TypeError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    kind = _FIELD_TYPES[name]
+    if type(value) is not kind and not (nullable and value is None):
+        null = " or null" if nullable else ""
+        raise TypeError(f"field {name!r} must be {kind.__name__}{null}, got {value!r}")
     return value
+
+
+def _session_fields(spot: Spot) -> dict:
+    """The fields of a `register` entry for the session `spot` holds."""
+    session = spot.session
+    return {
+        "spot": str(spot.id),
+        "user_id": session.user.user_id,
+        "plate": session.vehicle_plate,
+        "card": session.user.card_token,
+        "max_minutes": session.max_minutes,
+        "now_ms": session.start_ms,
+    }
+
+
+def _decode_session_fields(entry: dict) -> tuple[SpotId, UserProfile, int, int | None]:
+    spot_id = SpotId.parse(_field(entry, "spot"))
+    user = UserProfile(_field(entry, "user_id"), _field(entry, "plate"), _field(entry, "card"))
+    max_minutes = _check_max_minutes(entry["max_minutes"])
+    return spot_id, user, _field(entry, "now_ms"), max_minutes
+
+
+def _decode_snapshot_session(record: dict) -> tuple[SpotId, Session]:
+    """A snapshot's session: `register` fields plus its id, and for an
+    Illegal spot the end time and the cost still owed (both null while open)."""
+    spot_id, user, start_ms, max_minutes = _decode_session_fields(record)
+    session_id = _field(record, "session_id")
+    end_ms = _field(record, "end_ms", nullable=True)
+    cost_cents = _field(record, "cost_cents", nullable=True)
+    if (end_ms is None) != (cost_cents is None):
+        raise ValueError(f"session {session_id} needs end_ms and cost_cents both set or both null")
+    charged = None if end_ms is None else False
+    session = Session(
+        session_id, user, user.vehicle_plate, start_ms, end_ms, max_minutes, cost_cents, charged
+    )
+    return spot_id, session
 
 
 def load_lot_config(path) -> dict:
@@ -428,15 +552,50 @@ def load_lot_config(path) -> dict:
 
 
 class FileJournal:
-    """Append-only line-delimited JSON journal sink."""
+    """Line-delimited JSON journal sink.
+
+    Entries are appended (flushed, not fsynced). A snapshot entry instead
+    replaces the whole file atomically: it is written to `<path>.tmp`,
+    fsynced and renamed over the journal, and appends go on after it.
+    """
 
     def __init__(self, path):
         self.path = path
         self._fh = open(path, "a")
 
     def __call__(self, entry: dict) -> None:
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._fh.flush()
+        line = json.dumps(entry) + "\n"
+        if entry["op"] == "snapshot":
+            self._compact(line)
+        else:
+            self._fh.write(line)
+            self._fh.flush()
+
+    def _compact(self, line: str) -> None:
+        """Make `line` the whole journal; on an OSError keep the old file.
+
+        The old file stays complete, since every entry the snapshot
+        covers was appended to it before the snapshot was taken.
+        """
+        fh = None
+        try:
+            fh = open(f"{self.path}.tmp", "w")
+            fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+            os.replace(f"{self.path}.tmp", self.path)
+            # The renamed handle takes the appends; the old one is closed below.
+            self._fh, fh = fh, self._fh
+            dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError as exc:
+            logger.warning("journal %s: compaction failed, journal kept whole: %s", self.path, exc)
+        finally:
+            if fh is not None:
+                fh.close()
 
     def close(self) -> None:
         self._fh.close()
@@ -477,7 +636,7 @@ def _truncate_torn_tail(path) -> None:
 
 
 def replay_journal(service: ParkingService, entries: Iterable[dict], path=None) -> None:
-    """Re-run journaled commands against a freshly built service.
+    """Apply journaled outcomes to a freshly built service.
 
     An entry that cannot be applied raises JournalError; with the `path`
     that read_journal read the entries from, the error names its line.

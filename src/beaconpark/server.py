@@ -11,6 +11,9 @@ One command per line; every response line starts with `OK` or
     SETTLE <spot>                                 -> OK | ERR STATE
     TICK <seconds>                                -> OK (simulated clock only)
 
+A line longer than MAX_LINE_BYTES gets `ERR BADCMD line too long`, and
+the connection is closed.
+
 Sessions past the time limit that REGISTER took are closed as they
 expire: after every TICK, and on every poll of the serve loop.
 
@@ -35,6 +38,9 @@ from .parking import (
     UnknownSpotError,
     UserProfile,
 )
+
+# Far above the longest legal command (a REGISTER with long ids, a hex frame).
+MAX_LINE_BYTES = 4096
 
 
 class SystemClock:
@@ -126,7 +132,10 @@ def handle_command(service: ParkingService, clock, line: str) -> str:
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                self._reply("ERR BADCMD line too long")
+                return
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:

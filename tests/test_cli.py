@@ -347,6 +347,44 @@ class TestServeCommand:
             proc.wait(timeout=10)
         assert (tmp_path / "parking.journal").read_text() == ""
 
+    def test_restart_reports_what_it_restored(self, tmp_path):
+        journal = tmp_path / "lot.journal"
+        args = [
+            sys.executable, "-m", "beaconpark", "--out-dir", str(tmp_path),
+            "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"), "--bind", "127.0.0.1:0",
+            "--clock", "simulated", "--journal", str(journal),
+        ]
+        for lines in (
+            ["REGISTER A1 u1 P tok", "REGISTER A2 u2 P CHARGEFAIL", "UNREGISTER A2"],
+            [],
+        ):
+            proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            try:
+                port = read_served_port(proc)
+                send_lines(port, lines)
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
+            restored = proc.stderr.readline()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert re.fullmatch(
+            rf"journal {re.escape(str(journal))}: replayed 3 entries, 2 live sessions, "
+            r"restored in \d+\.\d ms\n",
+            restored,
+        )
+
+    def test_lot_with_a_shared_beacon_is_input_error(self, tmp_path, capsys):
+        lot = json.loads((SCENARIOS_DIR / "demo_lot.json").read_text())
+        lot["spots"][3]["url"] = lot["spots"][0]["url"]
+        lot_path = tmp_path / "lot.json"
+        lot_path.write_text(json.dumps(lot))
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "127.0.0.1:0"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "invalid lot config: spots A1 and B1 share one beacon URL" in err
+
     def test_corrupt_journal_is_journal_error(self, tmp_path, capsys):
         journal = tmp_path / "lot.journal"
         journal.write_text("not json\n")

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import threading
 
@@ -254,6 +255,18 @@ class TestResolveBeacon:
         with pytest.raises(pk.UnknownBeaconError):
             service.resolve_beacon(frame)
 
+    def test_lot_with_a_shared_url_is_refused(self):
+        url = "https://park.example/X"
+        spots = [make_spot("B1", url=url), make_spot("A1", url=url)]
+        with pytest.raises(ValueError, match="spots A1 and B1 share one beacon URL"):
+            pk.ParkingService(spots)
+
+    def test_lot_with_a_shared_uid_is_refused(self):
+        a2 = make_spot("A2")
+        a2.instance = uid_instance_for_spot(SpotId.parse("A7"))
+        with pytest.raises(ValueError, match="spots A2 and A7 share one beacon UID"):
+            pk.ParkingService([make_spot("A1"), a2, make_spot("A7")])
+
 
 COMMANDS = []
 
@@ -332,6 +345,10 @@ class TestStateMachineFuzz:
             json.loads(json.dumps(entry))
 
 
+SNAPSHOT_SESSION = {"spot": "A1", "user_id": "u", "plate": "P", "card": "tok", "max_minutes": None,
+                    "now_ms": 0, "session_id": "S1", "end_ms": None, "cost_cents": None}
+
+
 class TestFileJournal:
     def test_round_trip_through_files(self, tmp_path):
         lot = {
@@ -402,7 +419,7 @@ class TestFileJournal:
         entries = [
             {"op": "register", "spot": "A1", "user_id": "u", "plate": "P",
              "card": "tok", "max_minutes": None, "now_ms": 0},
-            {"op": "unregister", "spot": "A1", "now_ms": 1},
+            {"op": "unregister", "spot": "A1", "now_ms": 1, "cost_cents": 4, "charged": True},
             {"op": "settle", "spot": "A1"},  # A1 was charged, so it is not illegal
         ]
         lines = [json.dumps(entries[0]), "", *map(json.dumps, entries[1:])]
@@ -415,8 +432,10 @@ class TestFileJournal:
     @pytest.mark.parametrize(
         "entry, reason",
         [
-            ({"op": "expire", "now_ms": "soon"}, "field 'now_ms' must be int, got 'soon'"),
-            ({"op": "unregister", "spot": "A1", "now_ms": 1.5}, "field 'now_ms' must be int"),
+            ({"op": "expire", "spot": "A1", "now_ms": "soon", "cost_cents": 0, "charged": True},
+             "field 'now_ms' must be int, got 'soon'"),
+            ({"op": "unregister", "spot": "A1", "now_ms": 1.5, "cost_cents": 0, "charged": True},
+             "field 'now_ms' must be int"),
             ({"op": "settle", "spot": 1}, "field 'spot' must be str, got 1"),
             ({"op": "register", "spot": "A1", "user_id": "u", "plate": ["P"], "card": "tok",
               "max_minutes": None, "now_ms": 0}, "field 'plate' must be str"),
@@ -424,6 +443,13 @@ class TestFileJournal:
               "max_minutes": -5, "now_ms": 0}, "max_minutes must be a non-negative integer"),
             ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
               "max_minutes": "60", "now_ms": 0}, "max_minutes must be a non-negative integer"),
+            ({"op": "snapshot", "sessions": 1, "spots": [{**SNAPSHOT_SESSION, "spot": "Z9"}]},
+             "no such spot: Z9"),
+            ({"op": "snapshot", "sessions": "1", "spots": [SNAPSHOT_SESSION]},
+             "field 'sessions' must be int, got '1'"),
+            ({"op": "unregister", "spot": "A1", "now_ms": 1, "cost_cents": 0, "charged": 1},
+             "field 'charged' must be bool, got 1"),
+            ({"op": "unregister", "spot": "A1", "now_ms": 1}, "missing field 'cost_cents'"),
         ],
     )
     def test_wrongly_typed_entry_names_path_and_line(self, tmp_path, entry, reason):
@@ -446,6 +472,164 @@ class TestFileJournal:
         service = pk.service_from_files(path)
         spot = service.get_spot(SpotId.parse("B7"))
         assert spot.instance == uid_instance_for_spot(SpotId.parse("B7"))
+
+
+class CountingPayment(pk.PaymentStub):
+    def __init__(self):
+        self.calls = {"validate_card": 0, "charge": 0}
+
+    def validate_card(self, card_token):
+        self.calls["validate_card"] += 1
+        return super().validate_card(card_token)
+
+    def charge(self, card_token, amount_cents):
+        self.calls["charge"] += 1
+        return super().charge(card_token, amount_cents)
+
+
+def write_lot_of(tmp_path, n):
+    lot = {
+        "spots": [
+            {"id": f"A{i}", "namespace": "00" * 10,
+             "url": f"https://park.example/A{i}", "rate_cents_per_hour": 60 * i}
+            for i in range(1, n + 1)
+        ]
+    }
+    lot_path = tmp_path / "lot.json"
+    lot_path.write_text(json.dumps(lot))
+    return lot_path, lot
+
+
+def restart(lot, journal_path, payment=None):
+    """What service_from_files restores from `journal_path`, with no sink attached."""
+    service = pk.ParkingService.from_config(lot, payment=payment)
+    pk.replay_journal(service, pk.read_journal(journal_path), journal_path)
+    return service
+
+
+class TestRestart:
+    def test_restart_makes_no_payment_calls(self, tmp_path):
+        _, lot = write_lot_of(tmp_path, 6)
+        journal_path = tmp_path / "lot.journal"
+        sink = pk.FileJournal(journal_path)
+        service = pk.ParkingService.from_config(lot, payment=CountingPayment(), journal_sink=sink)
+        a = [SpotId.parse(f"A{i}") for i in range(1, 7)]
+        service.register(a[0], USER, now_ms=0)
+        service.unregister(a[0], now_ms=90 * MIN_MS)
+        service.register(a[1], CHARGE_FAIL, now_ms=0)
+        service.unregister(a[1], now_ms=10 * MIN_MS)
+        service.register(a[2], USER2, now_ms=0, max_minutes=30)
+        assert service.expire_overstays(now_ms=45 * MIN_MS) == [a[2]]
+        service.register(a[3], USER, now_ms=MIN_MS)
+        service.register(a[4], USER2, now_ms=2 * MIN_MS)
+        service.unregister(a[4], now_ms=3 * MIN_MS)
+        sink.close()
+        assert service.payment.calls == {"validate_card": 5, "charge": 4}
+
+        payment = CountingPayment()
+        restored = restart(lot, journal_path, payment)
+        assert payment.calls == {"validate_card": 0, "charge": 0}
+        assert restored.snapshot() == service.snapshot()
+        assert restored.get_spot(a[1]).state is pk.SpotState.ILLEGAL
+
+    def test_journal_stays_within_spots_plus_one_lines(self, tmp_path):
+        lot_path, _ = write_lot_of(tmp_path, 3)
+        journal_path = tmp_path / "lot.journal"
+        service = pk.service_from_files(lot_path, journal_path)
+        spots = [SpotId.parse(f"A{i}") for i in range(1, 4)]
+        rng = random.Random(8)
+        now, opened, lines, compactions = 0, 0, [], 0
+        for step in range(3000):
+            now += rng.randrange(0, 50) * MIN_MS
+            spot = rng.choice(spots)
+            verb = rng.choice(("register", "register", "unregister", "settle", "expire"))
+            try:
+                if verb == "register":
+                    user = rng.choice((USER, USER2, CHARGE_FAIL, BAD_CARD))
+                    session = service.register(spot, user, now, rng.choice((None, 20, 40)))
+                    opened += 1
+                    assert session.session_id == f"S{opened}"
+                elif verb == "unregister":
+                    service.unregister(spot, now)
+                elif verb == "settle":
+                    service.settle(spot)
+                else:
+                    service.expire_overstays(now)
+            except pk.ParkingError:
+                pass
+            before, lines = lines, journal_path.read_text().splitlines()
+            assert len(lines) <= 4, (step, lines)
+            compactions += len(lines) < len(before)
+            if step % 97 == 0:  # restart, and go on with the restored service
+                service._journal_sink.close()
+                restored = pk.service_from_files(lot_path, journal_path)
+                assert restored.snapshot() == service.snapshot()
+                service = restored
+        service._journal_sink.close()
+        assert compactions > 300
+
+    def test_snapshot_replaces_the_replayed_state(self):
+        service = make_service(2)
+        pk.replay_journal(service, [
+            {"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
+             "max_minutes": None, "now_ms": 0},
+            {"op": "snapshot", "sessions": 7, "spots": [{**SNAPSHOT_SESSION, "spot": "A2"}]},
+        ])
+        assert [st.value for _, st, _ in service.list_spots()] == ["Available", "Occupied"]
+        assert service.register(SpotId.parse("A1"), USER, now_ms=0).session_id == "S8"
+
+    def test_failed_compaction_keeps_the_whole_journal(self, tmp_path, monkeypatch, caplog):
+        lot_path, lot = write_lot_of(tmp_path, 3)
+        journal_path = tmp_path / "lot.journal"
+        service = pk.service_from_files(lot_path, journal_path)
+        a1, a2 = SpotId.parse("A1"), SpotId.parse("A2")
+        service.register(a1, USER, now_ms=0)
+        service.register(a2, CHARGE_FAIL, now_ms=0)
+        real_replace = os.replace
+        failures = []
+
+        def replace_once(src, dst):
+            if not failures:
+                failures.append(dst)
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        with caplog.at_level("WARNING", logger="beaconpark.parking"):
+            assert service.unregister(a2, now_ms=30 * MIN_MS).charged is False
+        assert failures
+        assert any(str(journal_path) in rec.getMessage() for rec in caplog.records)
+        assert len(journal_path.read_text().splitlines()) == 3
+        assert restart(lot, journal_path).snapshot() == service.snapshot()
+
+        # the next try comes once as many entries as the lot has spots follow
+        service.settle(a2)
+        service.unregister(a1, now_ms=40 * MIN_MS)
+        assert len(journal_path.read_text().splitlines()) == 5
+        service.register(a2, USER2, now_ms=40 * MIN_MS)
+        assert len(journal_path.read_text().splitlines()) == 1
+        service._journal_sink.close()
+        assert restart(lot, journal_path).snapshot() == service.snapshot()
+
+    def test_stale_temp_file_does_not_change_the_restart(self, tmp_path):
+        lot_path, lot = write_lot_of(tmp_path, 3)
+        journal_path = tmp_path / "lot.journal"
+        service = pk.service_from_files(lot_path, journal_path)
+        for i in (1, 2, 3):
+            service.register(SpotId.parse(f"A{i}"), USER, now_ms=i * MIN_MS)
+        service.unregister(SpotId.parse("A2"), now_ms=9 * MIN_MS)
+        service._journal_sink.close()
+        tmp = tmp_path / "lot.journal.tmp"
+        tmp.write_text('{"op": "snapshot", "sessions": 0, "spots": []}\n{"op": "regis')
+
+        restored = pk.service_from_files(lot_path, journal_path)
+        assert restored.snapshot() == service.snapshot()
+        for _ in range(2):  # compacts over the stale file
+            restored.register(SpotId.parse("A2"), USER2, now_ms=10 * MIN_MS)
+            restored.unregister(SpotId.parse("A2"), now_ms=20 * MIN_MS)
+        restored._journal_sink.close()
+        assert not tmp.exists()
+        assert restart(lot, journal_path).snapshot() == restored.snapshot()
 
 
 class TestLinearizability:

@@ -7,6 +7,7 @@ import pytest
 from beaconpark.eddystone import SpotId, UidFrame, encode_frame, uid_instance_for_spot
 from beaconpark import parking as pk
 from beaconpark.server import (
+    MAX_LINE_BYTES,
     ParkingTCPServer,
     SimulatedClock,
     SystemClock,
@@ -251,6 +252,26 @@ class TestTCPServer:
         response = sock.makefile("r", encoding="utf-8").readline()
         assert response.startswith("ERR BADCMD")
         sock.close()
+
+    def test_overlong_line_is_refused_and_closes_the_connection(self, running_server):
+        port = running_server(make_service())
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"STATUS " + b"A" * (64 * 1024) + b"\n")
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"ERR BADCMD line too long\n"
+            assert reader.read() == b""  # EOF: the server closed the connection
+            reader.close()
+        client = LineClient(port)
+        assert client.send("STATUS A1") == "OK Available 200"
+        client.close()
+
+    def test_line_of_the_longest_allowed_length_is_served(self, running_server):
+        port = running_server(make_service())
+        client = LineClient(port)
+        line = "STATUS A1 " + "x" * (MAX_LINE_BYTES - len("STATUS A1 ") - 1)
+        assert client.send(line) == "ERR BADCMD malformed arguments"
+        assert client.send("STATUS A1") == "OK Available 200"
+        client.close()
 
 
 class TestBindAddress:
