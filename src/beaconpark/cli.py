@@ -78,17 +78,16 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
 
 
 def _load_scenario_file(path: str, seed_override: int | None):
-    """Parse a scenario file; --seed replaces both the scenario and the filter seed."""
+    """Parse a scenario file; --seed replaces the scenario seed."""
     try:
         scenario, experiment, config = load_scenario(path)
         if seed_override is not None:
             scenario = replace(scenario, seed=seed_override)
-            config = replace(config, seed=seed_override)
     except FileNotFoundError as exc:
         raise InputError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
     return scenario, experiment, config
 
@@ -195,7 +194,12 @@ def cmd_serve(args) -> int:
         file=sys.stderr,
         flush=True,
     )
-    clock = SimulatedClock() if args.clock == "simulated" else SystemClock()
+    # TICKs are not journaled: the clock resumes at the last journaled time.
+    clock = (
+        SimulatedClock(service.latest_session_ms())
+        if args.clock == "simulated"
+        else SystemClock()
+    )
     host, port = parse_bind_address(args.bind)
     server = ParkingTCPServer((host, port), service, clock)
     actual_host, actual_port = server.server_address[:2]

@@ -227,6 +227,14 @@ class ParkingService:
             for spot in self._spots.values()
         ]
 
+    def latest_session_ms(self) -> int:
+        """The latest start or end time among the sessions on the spots, 0 with none."""
+        latest = 0
+        for spot in self._spots.values():
+            if spot.session is not None:
+                latest = max(latest, spot.session.start_ms, spot.session.end_ms or 0)
+        return latest
+
     def get_spot(self, spot_id: SpotId) -> Spot:
         try:
             return self._spots[spot_id]

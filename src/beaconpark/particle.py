@@ -16,10 +16,11 @@ reinitializes uniformly and reports it.
 ParticleBank is the one implementation: B filters as (B, N) arrays, one
 numpy Generator per row, each seeded with that filter's own child seed.
 The experiments step every filter of a proximity grid (all beacons of all
-cells), or of a distance sweep at one particle count, as one bank. A bank
-steps in place: besides `particles` and `weights` it owns one (B, N) work
-buffer, so a step allocates no (B, N) temporaries. DistanceParticleFilter
-is a one-row bank; a bank row evolves bit for bit as that lone filter.
+cells), or of a distance sweep at one particle count, as one bank, through
+rounds of ragged readings (ParticleBank.run). A bank steps in place:
+besides `particles` and `weights` it owns one (B, N) work buffer, so a
+step allocates no (B, N) temporaries. DistanceParticleFilter is a one-row
+bank; a bank row evolves bit for bit as that lone filter.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class FilterConfig:
     measurement_noise_m: float = 1.2
     state_min_m: float = 0.0
     state_max_m: float = 4.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.particle_count < 2:
@@ -51,8 +51,6 @@ class FilterConfig:
             raise ValueError("measurement noise must be positive")
         if not self.state_min_m < self.state_max_m:
             raise ValueError("state range is empty")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -71,12 +69,12 @@ class UpdateOutcome:
 class ParticleBank:
     """B filters of one config, held as (B, N) `particles` and `weights`.
 
-    Row b draws from its own Generator, seeded with seeds[b] (config.seed
-    is not used). `update` reweights, normalizes and measures N_eff of the
-    rows it reaches as whole-array operations; a row that resamples or
-    reinitializes then does so alone, with its own Generator. Row-wise
-    sums add each row exactly as a 1-D sum does, so every row evolves bit
-    for bit as a lone filter given the same seed and measurements.
+    Row b draws from its own Generator, seeded with seeds[b]. `update`
+    reweights, normalizes and measures N_eff of the rows it reaches as
+    whole-array operations; a row that resamples or reinitializes then
+    does so alone, with its own Generator. Row-wise sums add each row
+    exactly as a 1-D sum does, so every row evolves bit for bit as a lone
+    filter given the same seed and measurements.
 
     The bank owns a third (B, N) array, `_work`, free between operations.
     A step of every row writes the new weights into it and swaps it with
@@ -147,6 +145,29 @@ class ParticleBank:
             self._resample(row)
         return resampled, collapsed
 
+    def run(self, readings, starts) -> np.ndarray:
+        """Step the rows through rounds of ragged readings; return the (B, rounds) means.
+
+        `readings` holds every row's measurements, row after row.
+        starts[b, r] is the index in `readings` of row b's first reading in
+        round r; the last column is one past the row's last reading.
+        Sub-step k of a round updates, in one step, the rows that have a
+        k-th reading in it; a row with none keeps its state. The means are
+        taken after each round.
+        """
+        readings = np.asarray(readings, dtype=float)
+        starts = np.asarray(starts)
+        if starts.ndim != 2 or starts.shape[0] != len(self._rows):
+            raise ValueError(f"starts of shape {starts.shape} for {len(self._rows)} filter rows")
+        counts = np.diff(starts, axis=1)
+        means = np.empty(counts.shape)
+        for r, most in enumerate(counts.max(axis=0).tolist()):
+            for k in range(most):
+                rows = np.flatnonzero(counts[:, r] > k)
+                self.update(readings[starts[rows, r] + k], rows)
+            means[:, r] = self.means()
+        return means
+
     def effective_particles(self) -> np.ndarray:
         """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
         return self._effective(self.weights, self._work)
@@ -192,9 +213,9 @@ class DistanceParticleFilter:
     the bank's weights array with its work buffer.
     """
 
-    def __init__(self, config: FilterConfig):
+    def __init__(self, config: FilterConfig, seed: int):
         self.config = config
-        self.bank = ParticleBank(config, [config.seed])
+        self.bank = ParticleBank(config, [seed])
 
     @property
     def particles(self) -> np.ndarray:

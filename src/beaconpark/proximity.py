@@ -12,7 +12,7 @@ against the geometric ground truth.
 `identify_cells` scores many layouts at once: the filters of every beacon
 of every cell are the rows of one particle.ParticleBank, stepped one
 sample per beacon at a time, round by round up to the longest cell's
-last round. `run_identification` is its one-cell case.
+last round (ParticleBank.run). `run_identification` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -144,13 +144,13 @@ def run_identification(
     streams: Mapping[SpotId, np.ndarray],
     model: PathLossModel,
     config: FilterConfig,
+    seed: int,
 ) -> PredictionTally:
     """Filtered identification of one cell: one particle filter per beacon.
 
-    Each filter's child seed is derived from the config seed; see
-    identify_cells.
+    Each filter's child seed is derived from `seed`; see identify_cells.
     """
-    return identify_cells([(layout, streams, config.seed)], model, config)[0]
+    return identify_cells([(layout, streams, seed)], model, config)[0]
 
 
 def identify_cells(
@@ -161,12 +161,11 @@ def identify_cells(
     """Filtered identification of many cells, each a (layout, streams, seed).
 
     Every beacon of every cell gets a filter row of one ParticleBank,
-    seeded with derive_seed(seed, TAG_FILTER, spot) from its cell's seed
-    (config.seed is not used). Sub-step k of a round updates, in one
-    step, the rows whose beacon delivered a k-th sample in that round; a
-    beacon with no samples in a round, or whose cell has no more rounds,
-    keeps its previous state. Each cell is tallied over its own rounds,
-    so every row evolves, and every tally comes out, as when the cell is
+    seeded with derive_seed(seed, TAG_FILTER, spot) from its cell's seed.
+    The bank runs one round per second (ParticleBank.run): a beacon with
+    no samples in a round, or whose cell has no more rounds, keeps its
+    previous state. Each cell is tallied over its own rounds, so every
+    row evolves, and every tally comes out, as when the cell is
     identified alone.
     """
     if not cells:
@@ -186,17 +185,9 @@ def identify_cells(
             distances.extend(
                 estimate_distance(model, rssi) for rssi in stream["rssi_dbm"].tolist()
             )
-    bank = ParticleBank(config, seeds)
-    distances = np.array(distances)
-    starts = np.array(starts)
-    counts = np.diff(starts, axis=1)
-    most = counts.max(axis=0).tolist()
-    means = np.empty((len(starts), last_round))
-    for r in range(last_round):
-        for k in range(most[r]):
-            rows = np.flatnonzero(counts[:, r] > k)
-            bank.update(distances[starts[rows, r] + k], rows)
-        means[:, r] = bank.means()
+    # rebinding drops the lists before the bank is allocated
+    distances, starts = np.array(distances), np.array(starts)
+    means = ParticleBank(config, seeds).run(distances, starts)
     tallies, first = [], 0
     for (layout, _, _), cell_spots, rounds in zip(cells, spots, n_rounds):
         cell_means = means[first : first + len(cell_spots), :rounds]

@@ -49,7 +49,7 @@ class SystemClock:
 
 
 class SimulatedClock:
-    """Starts at zero and only moves when told to (TICK command)."""
+    """Starts at `start_ms` (zero by default) and only moves when told to (TICK command)."""
 
     def __init__(self, start_ms: int = 0):
         self._now_ms = start_ms

@@ -89,6 +89,8 @@ class Scenario:
             raise ValueError("duration must be positive")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -197,12 +199,12 @@ def run_distance_experiment(
     filtered error is |final filter mean - truth|; MSE and the deviation
     of the final filter means are taken over the repetitions. The filters
     of every (distance, repetition) are the rows of one ParticleBank, each
-    with its own child seed; step k updates the rows whose stream has a
-    k-th reading.
+    with its own child seed, run through all of its readings as one round
+    (one round per reading with keep_step_errors).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    truths, seeds, readings, raw_errors = [], [], [], []
+    truths, seeds, readings, lengths, raw_errors = [], [], [], [], []
     for d in distances_m:
         for rep in range(repetitions):
             cell_seed = derive_seed(scenario.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
@@ -214,28 +216,26 @@ def run_distance_experiment(
             raw_errors.append(abs(raw_est - d))
             truths.append(d)
             seeds.append(derive_seed(cell_seed, TAG_FILTER))
-            readings.append([estimate_distance(scenario.model, rssi) for rssi in rssis])
+            readings.extend(estimate_distance(scenario.model, rssi) for rssi in rssis)
+            lengths.append(len(rssis))
     result = DistanceExperimentResult(rows=[])
-    if not readings:
+    if not truths:
         return result
-    bank = ParticleBank(config, seeds)
-    lengths = np.array([len(values) for values in readings])
-    padded = np.zeros((len(readings), lengths.max()))
-    for row, values in enumerate(readings):
-        padded[row, : len(values)] = values
-    step_means = np.empty_like(padded) if keep_step_errors else None
-    for k in range(padded.shape[1]):
-        rows = np.flatnonzero(lengths > k)
-        bank.update(padded[rows, k], rows)
-        if keep_step_errors:
-            step_means[rows, k] = bank.means()[rows]
-    finals = bank.means().tolist()
+    lengths = np.array(lengths)
+    firsts = np.cumsum(lengths) - lengths
+    if keep_step_errors:
+        # one round per reading, so the means are recorded after every step
+        starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
+    else:
+        starts = np.stack([firsts, firsts + lengths], axis=1)
+    means = ParticleBank(config, seeds).run(readings, starts)
+    finals = means[:, -1].tolist()
 
     if keep_step_errors:
-        for row, (d, values) in enumerate(zip(truths, readings)):
-            result.step_raw_errors_m.extend(abs(z - d) for z in values)
+        for row, (d, first, n) in enumerate(zip(truths, firsts.tolist(), lengths.tolist())):
+            result.step_raw_errors_m.extend(abs(z - d) for z in readings[first : first + n])
             result.step_filtered_errors_m.extend(
-                abs(mean - d) for mean in step_means[row, : len(values)].tolist()
+                abs(mean - d) for mean in means[row, :n].tolist()
             )
     for i, d in enumerate(distances_m):
         cells = slice(i * repetitions, (i + 1) * repetitions)
@@ -374,8 +374,19 @@ def write_proximity_csv(path, results: Sequence[ProximityCellResult]) -> None:
                 )
 
 
+def _checked_keys(obj, what: str, known) -> dict:
+    """`obj`, once it is a JSON object whose keys are all in `known`."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown {what} key {key!r}")
+    return obj
+
+
 def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, FilterConfig]:
-    """Parse a scenario dict; the filter config defaults to the scenario seed."""
+    """Parse a scenario dict; an unknown key, at the top or in `filter`, is refused."""
+    _checked_keys(obj, "scenario", {f.name for f in fields(Scenario)} | {"experiment", "filter"})
     layout = None
     if "layout" in obj:
         lay = obj["layout"]
@@ -405,10 +416,7 @@ def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, Filt
         )
     # FilterConfig owns the defaults; each value is cast to its default's type.
     casts = {f.name: type(f.default) for f in fields(FilterConfig)}
-    settings = {"seed": scenario.seed, **obj.get("filter", {})}
-    for key in settings:
-        if key not in casts:
-            raise ValueError(f"unknown filter key {key!r}")
+    settings = _checked_keys(obj.get("filter", {}), "filter", casts)
     filter_config = FilterConfig(**{key: casts[key](value) for key, value in settings.items()})
     return scenario, experiment, filter_config
 

@@ -114,10 +114,8 @@ def test_criterion_3_filter_convergence():
     updates = 60
     errors = {}
     for i, true_d in enumerate([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]):
-        config = FilterConfig(
-            particle_count=1000, beta=0.5, measurement_noise_m=1.2, seed=SEED + i
-        )
-        flt = DistanceParticleFilter(config)
+        config = FilterConfig(particle_count=1000, beta=0.5, measurement_noise_m=1.2)
+        flt = DistanceParticleFilter(config, SEED + i)
         for _ in range(updates):
             flt.update(true_d)
         mean = flt.estimate().mean_m
@@ -149,9 +147,7 @@ def test_criterion_4_resampling_correctness():
     worst_neff_gap = 0.0
     for i in range(sequences):
         n = int(rng.integers(2, 48))
-        flt = DistanceParticleFilter(
-            FilterConfig(particle_count=n, seed=int(rng.integers(0, 2**32)))
-        )
+        flt = DistanceParticleFilter(FilterConfig(particle_count=n), int(rng.integers(0, 2**32)))
         worst_sum = max(worst_sum, abs(float(flt.weights.sum()) - 1.0))
         for _ in range(int(rng.integers(1, 5))):
             outcome = flt.update(float(rng.uniform(-1.0, 5.0)))
@@ -167,7 +163,7 @@ def test_criterion_4_resampling_correctness():
     weights = np.array([0.7, 0.1, 0.1, 0.1])
     counts = np.zeros(4)
     for i in range(10_000):
-        flt = DistanceParticleFilter(FilterConfig(particle_count=4, seed=5000 + i))
+        flt = DistanceParticleFilter(FilterConfig(particle_count=4), 5000 + i)
         flt.particles = np.array([1.0, 2.0, 3.0, 4.0])
         flt.weights = weights.copy()
         assert flt.maybe_resample()

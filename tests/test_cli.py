@@ -203,22 +203,42 @@ class TestDistanceCommand:
         ).read_text()
         assert json.loads((out_b / "manifest.json").read_text())["seed"] == 999
 
-    def test_seed_override_replaces_the_filter_seed(self, tmp_path):
-        pinned = tmp_path / "pinned.json"
-        tiny_scenario(pinned, "distance", [1.0, 2.5], seed=1, filt={"seed": 5})
-        scenario, _, config = cli._load_scenario_file(str(pinned), 999)
-        assert (scenario.seed, config.seed) == (999, 999)
-        plain = tmp_path / "plain.json"
-        tiny_scenario(plain, "distance", [1.0, 2.5], seed=999)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
+    def test_filter_seed_is_input_error(self, tmp_path, capsys):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0], filt={"seed": 5})
         assert main(
-            ["--seed", "999", "--out-dir", str(out_a), "distance", "--scenario", str(pinned)]
-        ) == 0
-        assert main(["--out-dir", str(out_b), "distance", "--scenario", str(plain)]) == 0
-        assert (out_a / "distance_results.csv").read_bytes() == (
-            out_b / "distance_results.csv"
-        ).read_bytes()
+            ["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
+        ) == 2
+        assert "invalid scenario: unknown filter key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, seed_args, reason",
+        [
+            (lambda s: {**s, "filter": [1, 2]}, [], "filter must be a JSON object, got list"),
+            (lambda s: {**s, "filter": {"particle_count": None}}, [], "int() argument must be"),
+            (
+                lambda s: {**s, "experiment": {"kind": "distance", "grid": 5}},
+                [],
+                "'int' object is not iterable",
+            ),
+            (lambda s: [s], [], "scenario must be a JSON object, got list"),
+            (lambda s: {**s, "duraton_s": 10}, [], "unknown scenario key 'duraton_s'"),
+            (lambda s: {**s, "seed": -3}, [], "seed must be a non-negative integer"),
+            (lambda s: s, ["--seed", "-1"], "seed must be a non-negative integer"),
+        ],
+        ids=[
+            "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
+            "negative-seed", "negative-seed-override",
+        ],
+    )
+    def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0])
+        scenario_path.write_text(json.dumps(edit(json.loads(scenario_path.read_text()))))
+        assert main(
+            [*seed_args, "--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
+        ) == 2
+        assert f"invalid scenario: {reason}" in capsys.readouterr().err
 
     def test_unknown_filter_key_is_input_error(self, tmp_path, capsys):
         scenario_path = tmp_path / "s.json"
@@ -373,6 +393,36 @@ class TestServeCommand:
             r"restored in \d+\.\d ms\n",
             restored,
         )
+
+    def test_restart_resumes_the_simulated_clock(self, tmp_path):
+        # TICKs are not journaled: the clock resumes at A1's start (600 s),
+        # not at 0, so A1 is neither billed from before its start nor refused
+        journal = tmp_path / "lot.journal"
+        replies = []
+        for lines, path in (
+            (["TICK 600", "REGISTER A1 u1 P tok"], journal),
+            (["UNREGISTER A1"], tmp_path / "copy.journal"),
+            (["TICK 600", "UNREGISTER A1"], journal),
+        ):
+            if path != journal:
+                path.write_bytes(journal.read_bytes())
+            args = [
+                sys.executable, "-m", "beaconpark", "--out-dir", str(tmp_path),
+                "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"), "--bind", "127.0.0.1:0",
+                "--clock", "simulated", "--journal", str(path),
+            ]
+            proc = subprocess.Popen(
+                args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            )
+            try:
+                replies.append(send_lines(read_served_port(proc), lines))
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
+                proc.stdout.close()
+                proc.stderr.close()
+        # A1 bills 200 cents an hour: 10 minutes cost ceil(200 * 10 / 60) = 34
+        assert replies == [["OK", "OK S1"], ["OK 0"], ["OK", "OK 34"]]
 
     def test_lot_with_a_shared_beacon_is_input_error(self, tmp_path, capsys):
         lot = json.loads((SCENARIOS_DIR / "demo_lot.json").read_text())

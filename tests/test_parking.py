@@ -186,6 +186,16 @@ class TestUnregister:
         with pytest.raises(pk.NotRegisteredError):
             service.unregister(SpotId.parse("A1"), now_ms=2 * MIN_MS)
 
+    def test_latest_session_time_counts_an_owed_session_end(self):
+        service = make_service(3)
+        assert service.latest_session_ms() == 0
+        service.register(SpotId.parse("A1"), USER, now_ms=10 * MIN_MS)
+        service.register(SpotId.parse("A2"), CHARGE_FAIL, now_ms=5 * MIN_MS)
+        service.unregister(SpotId.parse("A2"), now_ms=30 * MIN_MS)  # Illegal, end kept
+        service.register(SpotId.parse("A3"), USER2, now_ms=20 * MIN_MS)
+        service.unregister(SpotId.parse("A3"), now_ms=40 * MIN_MS)  # paid, spot cleared
+        assert service.latest_session_ms() == 30 * MIN_MS
+
     def test_settle_clears_illegal(self):
         service = make_service(2)
         service.register(SpotId.parse("A1"), CHARGE_FAIL, now_ms=0)

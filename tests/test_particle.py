@@ -1,7 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from beaconpark.particle import (
 
 
 def small_filter(n=4, seed=0, **kw):
-    return DistanceParticleFilter(FilterConfig(particle_count=n, seed=seed, **kw))
+    return DistanceParticleFilter(FilterConfig(particle_count=n, **kw), seed)
 
 
 class TestConfig:
@@ -25,7 +23,6 @@ class TestConfig:
             {"beta": 1.5},
             {"measurement_noise_m": 0.0},
             {"state_min_m": 2.0, "state_max_m": 2.0},
-            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -42,18 +39,18 @@ class TestConfig:
 
 class TestInit:
     def test_same_seed_same_particles(self):
-        cfg = FilterConfig(seed=1234)
-        a = DistanceParticleFilter(cfg)
-        b = DistanceParticleFilter(cfg)
+        cfg = FilterConfig()
+        a = DistanceParticleFilter(cfg, 1234)
+        b = DistanceParticleFilter(cfg, 1234)
         assert np.array_equal(a.particles, b.particles)
 
     def test_initial_weights_are_uniform(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=1))
+        flt = DistanceParticleFilter(FilterConfig(), 1)
         assert np.all(flt.weights == 1.0 / 1000)
         assert flt.effective_particles() == pytest.approx(1000.0, abs=1e-6)
 
     def test_particles_inside_state_range(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=2))
+        flt = DistanceParticleFilter(FilterConfig(), 2)
         assert np.all(flt.particles >= 0.0)
         assert np.all(flt.particles <= 4.0)
 
@@ -71,20 +68,20 @@ class TestUpdate:
         assert math.exp(-0.5 * 1.2**2 / 1.2**2) == pytest.approx(0.60653065971, abs=1e-9)
 
     def test_weights_sum_to_one_after_updates(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=7))
+        flt = DistanceParticleFilter(FilterConfig(), 7)
         rng = np.random.default_rng(3)
         for _ in range(200):
             flt.update(float(rng.uniform(0.0, 4.0)))
             assert abs(float(flt.weights.sum()) - 1.0) <= 1e-9
 
     def test_out_of_range_measurement_clamped(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=8))
+        flt = DistanceParticleFilter(FilterConfig(), 8)
         flt.update(100.0)  # clamps to 4.0 instead of zeroing all gains
         assert abs(float(flt.weights.sum()) - 1.0) <= 1e-9
         assert flt.estimate().mean_m > 2.0
 
     def test_nonfinite_measurement_rejected(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=8))
+        flt = DistanceParticleFilter(FilterConfig(), 8)
         with pytest.raises(ValueError):
             flt.update(float("nan"))
 
@@ -100,7 +97,7 @@ class TestUpdate:
 
 class TestEffectiveParticles:
     def test_uniform_weights(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=1))
+        flt = DistanceParticleFilter(FilterConfig(), 1)
         assert flt.effective_particles() == pytest.approx(1000.0, abs=1e-6)
 
     def test_point_mass(self):
@@ -114,7 +111,7 @@ class TestEffectiveParticles:
         assert flt.effective_particles() == pytest.approx(2.0, abs=1e-12)
 
     def test_bounds_over_random_updates(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=9))
+        flt = DistanceParticleFilter(FilterConfig(), 9)
         rng = np.random.default_rng(10)
         n = flt.config.particle_count
         for _ in range(300):
@@ -124,11 +121,11 @@ class TestEffectiveParticles:
 
 class TestResampling:
     def test_uniform_weights_do_not_resample(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=3))
+        flt = DistanceParticleFilter(FilterConfig(), 3)
         assert flt.maybe_resample() is False
 
     def test_point_mass_resamples_to_that_particle(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=4))
+        flt = DistanceParticleFilter(FilterConfig(), 4)
         weights = np.zeros(1000)
         weights[137] = 1.0
         flt.weights = weights
@@ -138,7 +135,7 @@ class TestResampling:
         assert np.all(flt.weights == 1.0 / 1000)
 
     def test_resample_restores_effective_count(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=5))
+        flt = DistanceParticleFilter(FilterConfig(), 5)
         rng = np.random.default_rng(6)
         resampled = 0
         for _ in range(200):
@@ -167,7 +164,7 @@ class TestResampling:
 
 class TestEstimate:
     def test_uniform_weights_reduce_to_arithmetic_mean(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=11))
+        flt = DistanceParticleFilter(FilterConfig(), 11)
         est = flt.estimate()
         assert est.mean_m == pytest.approx(float(np.mean(flt.particles)), rel=1e-12)
 
@@ -207,7 +204,7 @@ class TestEstimate:
         assert flt.estimate().std_m == pytest.approx(expected, rel=1e-12)
 
     def test_estimate_stays_inside_state_range(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=12))
+        flt = DistanceParticleFilter(FilterConfig(), 12)
         rng = np.random.default_rng(13)
         for _ in range(100):
             flt.update(float(rng.uniform(-2.0, 8.0)))
@@ -218,14 +215,14 @@ class TestEstimate:
 
 class TestConvergenceAndDeterminism:
     def test_constant_measurement_converges(self):
-        flt = DistanceParticleFilter(FilterConfig(seed=271))
+        flt = DistanceParticleFilter(FilterConfig(), 271)
         for _ in range(60):
             flt.update(1.0)
         assert abs(flt.estimate().mean_m - 1.0) < 0.05
 
     def test_interior_grid_converges(self):
         for i, z in enumerate([0.5, 1.5, 2.5, 3.5]):
-            flt = DistanceParticleFilter(FilterConfig(seed=500 + i))
+            flt = DistanceParticleFilter(FilterConfig(), 500 + i)
             for _ in range(60):
                 flt.update(z)
             assert abs(flt.estimate().mean_m - z) < 0.05
@@ -236,7 +233,7 @@ class TestConvergenceAndDeterminism:
         for z in (0.5, 2.0, 3.5):
             checkpoint_errors = {2: [], 10: [], 60: []}
             for seed in range(10):
-                flt = DistanceParticleFilter(FilterConfig(seed=900 + seed))
+                flt = DistanceParticleFilter(FilterConfig(), 900 + seed)
                 for step in range(1, 61):
                     flt.update(z)
                     if step in checkpoint_errors:
@@ -250,7 +247,7 @@ class TestConvergenceAndDeterminism:
         measurements = [float(z) for z in rng.uniform(0.0, 4.0, 150)]
         runs = []
         for _ in range(2):
-            flt = DistanceParticleFilter(FilterConfig(seed=777))
+            flt = DistanceParticleFilter(FilterConfig(), 777)
             estimates = []
             for z in measurements:
                 flt.update(z)
@@ -265,7 +262,7 @@ class TestParticleBank:
     def bank_and_filters(self, **kw):
         cfg = FilterConfig(particle_count=64, **kw)
         bank = ParticleBank(cfg, self.SEEDS)
-        filters = [DistanceParticleFilter(replace(cfg, seed=s)) for s in self.SEEDS]
+        filters = [DistanceParticleFilter(cfg, s) for s in self.SEEDS]
         return bank, filters
 
     def assert_same_state(self, bank, filters):
@@ -343,6 +340,44 @@ class TestParticleBank:
         means = bank.means()
         for row, f in enumerate(filters):
             assert means[row] == f.estimate().mean_m
+
+    def test_run_rounds_match_lone_filters_bit_for_bit(self):
+        # each row takes 0, 1 or 3 readings per round, ragged across rows;
+        # round 1 gives every row a reading, so its first sub-step is
+        # whole-bank, and round 2 gives no row any
+        bank, filters = self.bank_and_filters(measurement_noise_m=0.3)
+        rng = np.random.default_rng(38)
+        counts = rng.choice([0, 1, 3], size=(4, 12))
+        counts[:, :3] = [[0, 1, 0], [1, 3, 0], [3, 1, 0], [0, 3, 0]]
+        readings = rng.uniform(-0.5, 4.5, counts.sum())
+        bounds = np.concatenate([np.zeros((4, 1), dtype=int), np.cumsum(counts, axis=1)], axis=1)
+        starts = bounds + (np.cumsum(counts.sum(axis=1)) - counts.sum(axis=1))[:, None]
+        with pytest.raises(ValueError, match="starts of shape"):
+            bank.run(readings, starts[:3])
+        means = bank.run(readings, starts)
+        assert means.shape == (4, 12)
+        for r in range(12):
+            for row, f in enumerate(filters):
+                for z in readings[starts[row, r] : starts[row, r + 1]].tolist():
+                    f.update(z)
+            assert means[:, r].tolist() == [f.estimate().mean_m for f in filters]
+        self.assert_same_state(bank, filters)
+
+    def test_run_one_reading_rounds_equal_single_reading_steps(self):
+        ran, _ = self.bank_and_filters()
+        stepped, _ = self.bank_and_filters()
+        lengths = np.array([5, 0, 9, 3])
+        readings = np.random.default_rng(39).uniform(0.0, 4.0, lengths.sum())
+        firsts = np.cumsum(lengths) - lengths
+        starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
+        means = ran.run(readings, starts)
+        assert means.shape == (4, lengths.max())
+        for k in range(lengths.max()):
+            for row in np.flatnonzero(lengths > k).tolist():
+                stepped.update([readings[firsts[row] + k]], [row])
+            assert means[:, k].tolist() == stepped.means().tolist()
+        assert np.array_equal(ran.particles, stepped.particles)
+        assert np.array_equal(ran.weights, stepped.weights)
 
     def test_nonfinite_measurement_names_row_and_value(self):
         bank, _ = self.bank_and_filters()

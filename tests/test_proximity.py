@@ -124,26 +124,26 @@ def noiseless_streams(x=2.0, y=0.5, duration_s=30.0, seed=0, sigma=0.0, drop=0.0
 class TestRunIdentification:
     def test_noiseless_accuracy_is_perfect(self):
         layout, streams = noiseless_streams()
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=1))
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 1)
         assert tally.accuracy == 1.0
         assert tally.counts[B1] == tally.total == 30
 
     def test_tally_conservation_with_noise(self):
         layout, streams = noiseless_streams(sigma=6.0, seed=5)
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=2))
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 2)
         assert sum(tally.counts.values()) == tally.total == 30
 
     def test_deterministic_given_seeds(self):
         layout, streams = noiseless_streams(sigma=5.0, seed=9)
         tallies = [
-            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=3))
+            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 3)
             for _ in range(2)
         ]
         assert tallies[0].counts == tallies[1].counts
 
     def test_missing_rounds_reuse_filter_state(self):
         layout, streams = noiseless_streams(drop=0.4, seed=11, duration_s=60.0)
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=4))
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 4)
         # one prediction per one-second round up to the last received sample
         last_ts = max(int(stream["timestamp_ms"][-1]) for stream in streams.values())
         assert tally.total == last_ts // 1000 + 1
@@ -153,12 +153,12 @@ class TestRunIdentification:
         layout, streams = noiseless_streams()
         streams[SpotId("Z", 9)] = streams[A1]
         with pytest.raises(ValueError):
-            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=5))
+            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 5)
 
     def test_empty_streams_rejected(self):
         layout, _ = noiseless_streams()
         with pytest.raises(ValueError):
-            run_identification(layout, {A1: stream()}, INDOOR_MODEL, FilterConfig(seed=6))
+            run_identification(layout, {A1: stream()}, INDOOR_MODEL, FilterConfig(), 6)
 
     def test_malformed_streams_rejected(self):
         layout, streams = noiseless_streams()
@@ -171,7 +171,7 @@ class TestRunIdentification:
         for bad_stream in bad.values():
             with pytest.raises(ValueError):
                 run_identification(
-                    layout, {**streams, A1: bad_stream}, INDOOR_MODEL, FilterConfig(seed=6)
+                    layout, {**streams, A1: bad_stream}, INDOOR_MODEL, FilterConfig(), 6
                 )
             with pytest.raises(ValueError):
                 raw_baseline({**streams, A1: bad_stream}, INDOOR_MODEL, layout)
@@ -179,7 +179,7 @@ class TestRunIdentification:
     def test_missing_stream_filter_keeps_its_prior(self):
         layout, streams = noiseless_streams()
         del streams[C1]
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=7))
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 7)
         assert tally.total == 30
         assert tally.counts[B1] == 30
 
@@ -188,7 +188,7 @@ class TestRunIdentification:
         layout, streams = noiseless_streams(
             x=2.0, y=0.5, duration_s=116.0, sigma=INDOOR_NOISE_SIGMA_DB, seed=116
         )
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=116))
+        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 116)
         assert tally.total == 116
         assert tally.counts[B1] == 116
         assert tally.accuracy == 1.0
@@ -210,7 +210,7 @@ class TestRawBaseline:
         layout, streams = noiseless_streams(x=2.0, y=1.0, sigma=INDOOR_NOISE_SIGMA_DB,
                                             seed=31, duration_s=120.0)
         raw = raw_baseline(streams, INDOOR_MODEL, layout)
-        filtered = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(seed=32))
+        filtered = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 32)
         assert filtered.accuracy >= raw.accuracy
 
     def test_rssi_sample_streams_are_time_ordered(self):

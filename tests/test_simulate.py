@@ -72,6 +72,8 @@ class TestGenerateStream:
             scenario(duration_s=0.0)
         with pytest.raises(ValueError):
             scenario(drop_rate=1.0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            scenario(seed=-1)
         with pytest.raises(ValueError):
             sim.generate_stream(scenario(), B1, 0.0)
 
@@ -90,7 +92,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=120.0),
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
-            FilterConfig(seed=1),
+            FilterConfig(),
             repetitions=1,
         )
         for row in result.rows:
@@ -102,7 +104,7 @@ class TestDistanceExperiment:
         # at the 4 m state edge the truncated posterior mean sits below the
         # measurement, so the filter cannot get arbitrarily close
         result = sim.run_distance_experiment(
-            scenario(duration_s=120.0), [4.0], FilterConfig(seed=1), repetitions=3
+            scenario(duration_s=120.0), [4.0], FilterConfig(), repetitions=3
         )
         assert 0.05 < result.rows[0].filtered_error_m < 0.15
 
@@ -111,7 +113,7 @@ class TestDistanceExperiment:
             sim.run_distance_experiment(
                 scenario(noise_sigma_db=4.0, duration_s=30.0, seed=5),
                 [1.0, 2.0],
-                FilterConfig(seed=5),
+                FilterConfig(),
                 repetitions=2,
             ).rows
             for _ in range(2)
@@ -122,7 +124,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=30.0),
             [1.0],
-            FilterConfig(seed=2),
+            FilterConfig(),
             repetitions=2,
             keep_step_errors=True,
         )
@@ -133,7 +135,7 @@ class TestDistanceExperiment:
         # with drops the (distance, repetition) streams differ in length, so
         # the bank's later steps update only some of its rows
         scen = scenario(noise_sigma_db=4.0, duration_s=20.0, drop_rate=0.4, seed=12)
-        config = FilterConfig(particle_count=100, seed=12)
+        config = FilterConfig(particle_count=100)
         distances = [0.5, 2.0, 3.5]
         result = sim.run_distance_experiment(
             scen, distances, config, repetitions=2, keep_step_errors=True
@@ -145,7 +147,7 @@ class TestDistanceExperiment:
                 stream = sim.generate_stream(replace(scen, seed=cell_seed), B1, d)
                 lengths.add(len(stream))
                 flt = DistanceParticleFilter(
-                    FilterConfig(particle_count=100, seed=derive_seed(cell_seed, TAG_FILTER))
+                    FilterConfig(particle_count=100), derive_seed(cell_seed, TAG_FILTER)
                 )
                 for rssi in stream["rssi_dbm"].tolist():
                     z = estimate_distance(scen.model, rssi)
@@ -163,7 +165,7 @@ class TestDistanceExperiment:
 
     def test_csv_shape(self, tmp_path):
         result = sim.run_distance_experiment(
-            scenario(duration_s=20.0), [1.0, 2.0], FilterConfig(seed=3), repetitions=1
+            scenario(duration_s=20.0), [1.0, 2.0], FilterConfig(), repetitions=1
         )
         path = tmp_path / "distance.csv"
         sim.write_distance_csv(path, result.rows)
@@ -175,7 +177,7 @@ class TestDistanceExperiment:
 class TestProximityExperiment:
     def test_noiseless_grid_is_perfect_in_both_modes(self):
         results = sim.run_proximity_experiment(
-            scenario(duration_s=20.0), [(1.0, 0.5), (2.0, 2.5)], FilterConfig(seed=1)
+            scenario(duration_s=20.0), [(1.0, 0.5), (2.0, 2.5)], FilterConfig()
         )
         assert len(results) == 2
         for cell in results:
@@ -184,7 +186,7 @@ class TestProximityExperiment:
 
     def test_deterministic_tallies(self):
         args = (scenario(noise_sigma_db=5.0, duration_s=40.0, seed=3),
-                [(1.0, 1.0)], FilterConfig(seed=3))
+                [(1.0, 1.0)], FilterConfig())
         a = sim.run_proximity_experiment(*args)
         b = sim.run_proximity_experiment(*args)
         assert a[0].filtered.counts == b[0].filtered.counts
@@ -198,7 +200,7 @@ class TestProximityExperiment:
                 res = sim.run_proximity_experiment(
                     scenario(noise_sigma_db=sigma, duration_s=40.0, seed=seed),
                     [(1.0, 1.5)],
-                    FilterConfig(seed=seed),
+                    FilterConfig(),
                 )
                 cell_acc.append(res[0].raw.accuracy)
             accuracies.append(np.mean(cell_acc))
@@ -208,7 +210,7 @@ class TestProximityExperiment:
         # aggregated over the beacon separations, the single-sample baseline
         # gets markedly worse at Y=2.5 than at Y=2
         s = scenario(noise_sigma_db=sim.INDOOR_NOISE_SIGMA_DB, duration_s=300.0, seed=42)
-        cfg = FilterConfig(seed=42)
+        cfg = FilterConfig()
         xs = (1.0, 1.5, 2.0, 2.5, 3.0)
         near = sim.run_proximity_experiment(s, [(x, 2.0) for x in xs], cfg)
         far = sim.run_proximity_experiment(s, [(x, 2.5) for x in xs], cfg)
@@ -224,7 +226,7 @@ class TestProximityExperiment:
             noise_sigma_db=sim.INDOOR_NOISE_SIGMA_DB, tx_interval_ms=350, duration_s=8.0,
             drop_rate=0.85, seed=16,
         )
-        config = FilterConfig(particle_count=200, seed=16)
+        config = FilterConfig(particle_count=200)
         pairs = [(1.0, 0.5), (1.5, 1.5), (2.5, 2.5), (2.0, 1.0), (3.0, 2.0)]
         results = sim.run_proximity_experiment(scen, pairs, config)
         assert len({cell.filtered.total for cell in results}) > 1
@@ -234,13 +236,15 @@ class TestProximityExperiment:
             lone = replace(scen, layout=layout, seed=cell_seed)
             truth = layout.true_distances()
             streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
-            cell_config = replace(config, seed=derive_seed(cell_seed, TAG_FILTER))
-            assert cell.filtered == run_identification(layout, streams, scen.model, cell_config)
+            cell_filter_seed = derive_seed(cell_seed, TAG_FILTER)
+            assert cell.filtered == run_identification(
+                layout, streams, scen.model, config, cell_filter_seed
+            )
             assert cell.raw == raw_baseline(streams, scen.model, layout)
 
     def test_csv_shape_and_percent_format(self, tmp_path):
         results = sim.run_proximity_experiment(
-            scenario(duration_s=10.0), [(1.0, 0.5)], FilterConfig(seed=2)
+            scenario(duration_s=10.0), [(1.0, 0.5)], FilterConfig()
         )
         path = tmp_path / "prox.csv"
         sim.write_proximity_csv(path, results)
@@ -265,7 +269,7 @@ class TestNoiseCalibration:
         s = scenario(
             noise_sigma_db=sim.INDOOR_NOISE_SIGMA_DB, duration_s=300.0, seed=55
         )
-        results = sim.run_proximity_experiment(s, [(1.0, 0.5)], FilterConfig(seed=55))
+        results = sim.run_proximity_experiment(s, [(1.0, 0.5)], FilterConfig())
         assert results[0].raw.accuracy == pytest.approx(0.778, abs=0.08)
 
 
@@ -288,7 +292,7 @@ class TestScenarioFiles:
             },
             "experiment": {"kind": "proximity", "grid": [[1.0, 0.5], [2.0, 1.0]],
                            "repetitions": 2},
-            "filter": {"particle_count": 400, "seed": 42},
+            "filter": {"particle_count": 400},
         }
         s, exp, cfg = sim.scenario_from_dict(json.loads(json.dumps(obj)))
         assert s == sim.Scenario(
@@ -302,22 +306,13 @@ class TestScenarioFiles:
         )
         assert exp == sim.ExperimentSpec(kind="proximity", grid=((1.0, 0.5), (2.0, 1.0)),
                                          repetitions=2)
-        assert cfg == FilterConfig(particle_count=400, seed=42)
-
-    def test_filter_seed_defaults_to_scenario_seed(self):
-        obj = {
-            "model": {"n": 2.424, "C": -65.24},
-            "noise_sigma_db": 0.0,
-            "seed": 31,
-        }
-        _, _, cfg = sim.scenario_from_dict(obj)
-        assert cfg.seed == 31
+        assert cfg == FilterConfig(particle_count=400)
 
     def test_filter_defaults_come_from_filter_config(self):
         obj = {"model": {"n": 2.424, "C": -65.24}, "noise_sigma_db": 0.0, "seed": 8,
                "filter": {"beta": 1, "particle_count": 300.0}}
         _, _, cfg = sim.scenario_from_dict(obj)
-        assert cfg == FilterConfig(particle_count=300, beta=1.0, seed=8)
+        assert cfg == FilterConfig(particle_count=300, beta=1.0)
         assert (type(cfg.particle_count), type(cfg.beta)) == (int, float)
 
     def test_experiment_kind_validated(self):
