@@ -4,7 +4,8 @@ Subcommands: calibrate (fit a path-loss model from a calibration CSV),
 distance (replicate the distance-estimation experiment), proximity
 (replicate the identification grid), and serve (run the parking lot
 line-protocol server). Every result directory gets a run manifest before
-any result file, and result files are written atomically.
+any result file, and result files are written atomically. Each command
+imports the modules it runs: `serve` never loads numpy.
 
 Exit codes: 0 success, 1 runtime error, 2 input error.
 """
@@ -18,26 +19,9 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy
-
 from . import __version__
-from .parking import JournalError, SpotState, service_from_files
-from .pathloss import (
-    RankDeficientError,
-    fit_model,
-    fit_result_to_json_dict,
-    read_calibration_csv,
-)
-from .server import ParkingTCPServer, SimulatedClock, SystemClock, parse_bind_address
-from .simulate import (
-    ExperimentSpec,
-    load_scenario,
-    run_distance_experiment,
-    run_proximity_experiment,
-    write_distance_csv,
-    write_proximity_csv,
-)
 
+NUMPY_COMMANDS = ("calibrate", "distance", "proximity")
 PARTICLE_SWEEP = tuple(range(200, 2001, 200))
 DEFAULT_DISTANCES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 DEFAULT_PROXIMITY_GRID = tuple(
@@ -61,15 +45,24 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _file_sha256(path: str) -> str:
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | None) -> None:
-    versions = {
-        "beaconpark": __version__,
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
-    }
+    """Record the command, its seed and scenario (path and sha256) and the versions it runs."""
+    versions = {"beaconpark": __version__, "python": sys.version.split()[0]}
+    if command in NUMPY_COMMANDS:
+        import numpy
+
+        versions["numpy"] = numpy.__version__
     manifest = {
         "command": command,
         "scenario_path": scenario_path,
+        "scenario_sha256": _file_sha256(scenario_path) if scenario_path else None,
         "seed": seed,
         "output_dir": os.path.abspath(out_dir),
         "versions": versions,
@@ -79,6 +72,8 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
 
 def _load_scenario_file(path: str, seed_override: int | None):
     """Parse a scenario file; --seed replaces the scenario seed."""
+    from .simulate import load_scenario
+
     try:
         scenario, experiment, config = load_scenario(path)
         if seed_override is not None:
@@ -93,6 +88,13 @@ def _load_scenario_file(path: str, seed_override: int | None):
 
 
 def cmd_calibrate(args) -> int:
+    from .pathloss import (
+        RankDeficientError,
+        fit_model,
+        fit_result_to_json_dict,
+        read_calibration_csv,
+    )
+
     try:
         dataset = read_calibration_csv(args.input)
     except FileNotFoundError as exc:
@@ -124,6 +126,8 @@ def cmd_calibrate(args) -> int:
 
 
 def _experiment_or_default(experiment, kind: str, default_grid, default_reps: int):
+    from .simulate import ExperimentSpec
+
     if experiment is None:
         return ExperimentSpec(kind=kind, grid=default_grid, repetitions=default_reps)
     if experiment.kind != kind:
@@ -132,6 +136,8 @@ def _experiment_or_default(experiment, kind: str, default_grid, default_reps: in
 
 
 def cmd_distance(args) -> int:
+    from .simulate import run_distance_experiment, write_distance_csv
+
     scenario, experiment, config = _load_scenario_file(args.scenario, args.seed)
     experiment = _experiment_or_default(experiment, "distance", DEFAULT_DISTANCES, 3)
     try:
@@ -158,6 +164,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_proximity(args) -> int:
+    from .simulate import run_proximity_experiment, write_proximity_csv
+
     scenario, experiment, config = _load_scenario_file(args.scenario, args.seed)
     experiment = _experiment_or_default(experiment, "proximity", DEFAULT_PROXIMITY_GRID, 1)
     try:
@@ -175,6 +183,9 @@ def cmd_proximity(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .parking import JournalError, SpotState, service_from_files
+    from .server import ParkingTCPServer, SimulatedClock, SystemClock, parse_bind_address
+
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "serve", args.seed or 0, None)
     journal_path = args.journal or os.path.join(args.out_dir, "parking.journal")

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .eddystone import SpotId
 from .particle import FilterConfig, ParticleBank
-from .pathloss import PathLossModel, average_rssi, estimate_distance
+from .pathloss import PathLossModel, estimate_distance
 from .seeding import TAG_FILTER, derive_seed, spot_key
 
 ROUND_MS = 1000
@@ -206,17 +207,37 @@ def raw_baseline(
     The averaging window is the samples received in the round; a beacon
     silent in a round keeps its last estimate, and one never heard is
     infinitely far away until its first sample.
+
+    Every round of every beacon is averaged at once, bit for bit as
+    `estimate_distance(model, average_rssi(samples))` per round: sub-step
+    k adds the k-th sample of each round that has one, left to right as
+    Python 3.11's float `sum` adds, and the inversion calls libm's `pow`
+    through `math.pow`, as `**` does (numpy's vectorized power can differ
+    from it in the last bit).
     """
     n_rounds = _check_streams(streams, layout)
     spots = sorted(layout.spots())
-    distances = np.empty((len(spots), n_rounds))
-    for row, spot in enumerate(spots):
+    # rssi holds every beacon's samples, beacon after beacon; starts[b, r]
+    # is the index of beacon b's first sample in round r.
+    rssi, starts, offset = [], [], 0
+    for spot in spots:
         stream = streams.get(spot, _EMPTY_STREAM)
-        bounds = _round_bounds(stream, n_rounds).tolist()
-        rssi = stream["rssi_dbm"].tolist()
-        current = math.inf
-        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if hi > lo:
-                current = estimate_distance(model, average_rssi(rssi[lo:hi]))
-            distances[row, r] = current
-    return _tally(layout, spots, distances)
+        starts.append(_round_bounds(stream, n_rounds) + offset)
+        rssi.append(stream["rssi_dbm"])
+        offset += len(stream)
+    rssi, starts = np.concatenate(rssi), np.array(starts)
+    counts = np.diff(starts, axis=1)
+    sums = np.zeros(counts.shape)
+    for k in range(int(counts.max())):
+        has = counts > k
+        sums[has] += rssi[starts[:, :-1][has] + k]
+    heard = counts > 0
+    exponents = (model.ref_rssi_dbm - sums[heard] / counts[heard]) / (10.0 * model.exponent)
+    estimates = np.full(counts.shape, math.inf)
+    estimates[heard] = model.ref_distance_m * np.array(
+        list(map(math.pow, repeat(10.0), exponents.tolist()))
+    )
+    # Round r reads the estimate of the beacon's last heard round up to r;
+    # before its first one that is round 0, still at inf.
+    last_heard = np.maximum.accumulate(np.where(heard, np.arange(n_rounds), 0), axis=1)
+    return _tally(layout, spots, np.take_along_axis(estimates, last_heard, axis=1))

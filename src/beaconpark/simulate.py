@@ -385,19 +385,19 @@ def _checked_keys(obj, what: str, known) -> dict:
 
 
 def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, FilterConfig]:
-    """Parse a scenario dict; an unknown key, at the top or in `filter`, is refused."""
+    """Parse a scenario dict; an unknown key in any of its objects is refused."""
     _checked_keys(obj, "scenario", {f.name for f in fields(Scenario)} | {"experiment", "filter"})
     layout = None
     if "layout" in obj:
-        lay = obj["layout"]
+        lay = _checked_keys(obj["layout"], "layout", {"beacons", "listener"})
+        beacons = [_checked_keys(b, "beacon", {"spot", "position_m"}) for b in lay["beacons"]]
+        listener = _checked_keys(lay["listener"], "listener", {"x_m", "y_m"})
         layout = BeaconLayout(
-            beacons=tuple(
-                (SpotId.parse(b["spot"]), float(b["position_m"])) for b in lay["beacons"]
-            ),
-            listener_offset=(float(lay["listener"]["x_m"]), float(lay["listener"]["y_m"])),
+            beacons=tuple((SpotId.parse(b["spot"]), float(b["position_m"])) for b in beacons),
+            listener_offset=(float(listener["x_m"]), float(listener["y_m"])),
         )
     scenario = Scenario(
-        model=model_from_json_dict(obj["model"]),
+        model=model_from_json_dict(_checked_keys(obj["model"], "model", {"n", "C", "d0"})),
         noise_sigma_db=float(obj["noise_sigma_db"]),
         layout=layout,
         tx_interval_ms=int(obj.get("tx_interval_ms", 1000)),
@@ -407,7 +407,7 @@ def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, Filt
     )
     experiment = None
     if "experiment" in obj:
-        exp = obj["experiment"]
+        exp = _checked_keys(obj["experiment"], "experiment", {"kind", "grid", "repetitions"})
         grid = tuple(
             tuple(g) if isinstance(g, list) else float(g) for g in exp["grid"]
         )

@@ -1,7 +1,9 @@
+import hashlib
 import importlib.metadata
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -24,20 +26,34 @@ def make_calibration_csv(path, model, duration_s=10.0, sigma=0.0, seed=0):
     write_calibration_csv(path, data)
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run `code` in a fresh interpreter that imports beaconpark from this checkout."""
+def python_env() -> dict:
+    """The environment of a fresh interpreter that imports beaconpark from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports beaconpark from this checkout."""
     return subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        [sys.executable, "-c", code], env=python_env(), capture_output=True, text=True
     )
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    proc = run_python("import sys, beaconpark.cli; print('scipy' in sys.modules)")
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    proc = run_python(f"import sys, beaconpark.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("DistanceEstimate(mean_m=")
 
 
 @pytest.mark.parametrize("installed", [True, False])
@@ -90,6 +106,12 @@ def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=3
             }
         )
     )
+
+
+LAYOUT = {
+    "beacons": [{"spot": "A1", "position_m": -1.0}, {"spot": "B1", "position_m": 1.0}],
+    "listener": {"x_m": 0.0, "y_m": 1.0},
+}
 
 
 class TestCalibrateCommand:
@@ -189,6 +211,14 @@ class TestDistanceCommand:
             out_b / "distance_results.csv"
         ).read_bytes()
 
+    def test_manifest_records_the_scenario_sha256(self, tmp_path):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0], duration_s=5.0)
+        assert main(["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scenario_sha256"] == hashlib.sha256(scenario_path.read_bytes()).hexdigest()
+        assert set(manifest["versions"]) == {"beaconpark", "python", "numpy"}
+
     def test_seed_override_changes_results(self, tmp_path):
         scenario_path = tmp_path / "s.json"
         tiny_scenario(scenario_path, "distance", [1.0], seed=1)
@@ -225,10 +255,33 @@ class TestDistanceCommand:
             (lambda s: {**s, "duraton_s": 10}, [], "unknown scenario key 'duraton_s'"),
             (lambda s: {**s, "seed": -3}, [], "seed must be a non-negative integer"),
             (lambda s: s, ["--seed", "-1"], "seed must be a non-negative integer"),
+            (
+                lambda s: {**s, "experiment": {**s["experiment"], "repetitons": 5}},
+                [],
+                "unknown experiment key 'repetitons'",
+            ),
+            (
+                lambda s: {**s, "model": {**s["model"], "d_0": 2.0}},
+                [],
+                "unknown model key 'd_0'",
+            ),
+            (lambda s: {**s, "layout": {**LAYOUT, "rows": 1}}, [], "unknown layout key 'rows'"),
+            (
+                lambda s: {**s, "layout": {**LAYOUT, "beacons": [{"spot": "A1", "pos_m": 0.0}]}},
+                [],
+                "unknown beacon key 'pos_m'",
+            ),
+            (
+                lambda s: {**s, "layout": {**LAYOUT, "listener": {"x_m": 0.0, "z_m": 1.0}}},
+                [],
+                "unknown listener key 'z_m'",
+            ),
         ],
         ids=[
             "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
-            "negative-seed", "negative-seed-override",
+            "negative-seed", "negative-seed-override", "unknown-experiment-key",
+            "unknown-model-key", "unknown-layout-key", "unknown-beacon-key",
+            "unknown-listener-key",
         ],
     )
     def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
@@ -275,6 +328,13 @@ class TestProximityCommand:
         assert {line.split(",")[2] for line in lines[1:]} == {"raw", "filtered"}
         for line in lines[1:]:
             assert re.match(r"^\d+\.\d{6},\d+\.\d{6},(raw|filtered),\d+,\d+,\d+,\d+\.\d$", line)
+
+    def test_manifest_records_the_scenario_sha256(self, tmp_path):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "proximity", [[1.0, 0.5]], duration_s=5.0)
+        assert main(["--out-dir", str(tmp_path), "proximity", "--scenario", str(scenario_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["scenario_sha256"] == hashlib.sha256(scenario_path.read_bytes()).hexdigest()
 
     def test_shipped_scenarios_parse(self):
         for name in ("indoor_proximity.json", "outdoor_proximity.json", "indoor_distance.json"):
@@ -342,6 +402,38 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_serve_runs_without_numpy(self, tmp_path):
+        # numpy cannot be imported: serve binds, answers, restarts on its
+        # journal and exits 0 on SIGINT without it
+        script = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from beaconpark.cli import main\n"
+            f"sys.exit(main(['--out-dir', {str(tmp_path)!r}, 'serve', '--lot',"
+            f" {str(SCENARIOS_DIR / 'demo_lot.json')!r}, '--bind', '127.0.0.1:0',"
+            " '--clock', 'simulated']))\n"
+        )
+        replies = []
+        for lines in (["REGISTER A1 u1 PLATE tok", "LIST"], ["LIST"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", script],
+                env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            try:
+                replies.append(send_lines(read_served_port(proc), lines))
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0, proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
+                proc.stderr.close()
+        assert replies[0][0] == "OK S1"
+        assert "A1:Occupied:200" in replies[0][1]
+        assert replies[1] == replies[0][1:]
+        versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
+        assert set(versions) == {"beaconpark", "python"}
 
     def test_negative_time_limit_does_not_stop_the_server(self, tmp_path):
         # A REGISTER whose limit ends before it starts could never be billed:

@@ -4,9 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from beaconpark import proximity
 from beaconpark.eddystone import SpotId
 from beaconpark.particle import FilterConfig
-from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, predict_rssi
+from beaconpark.pathloss import (
+    INDOOR_MODEL,
+    OUTDOOR_MODEL,
+    average_rssi,
+    estimate_distance,
+    predict_rssi,
+)
 from beaconpark.proximity import (
     STREAM_DTYPE,
     BeaconLayout,
@@ -244,6 +251,61 @@ class TestRawBaseline:
         # A leads in rounds 0 and 1 (carried forward), B in round 2
         assert tally.total == 3
         assert tally.counts == {A1: 2, B1: 1, C1: 0}
+
+
+def loop_raw_distances(streams, model, spots):
+    """The per-round loop the array form of raw_baseline replaced, as its reference."""
+    n_rounds = max(int(s["timestamp_ms"][-1]) for s in streams.values() if len(s)) // 1000 + 1
+    distances = np.empty((len(spots), n_rounds))
+    for row, spot in enumerate(spots):
+        samples = streams[spot].tolist()
+        current = math.inf
+        for r in range(n_rounds):
+            window = [rssi for t, rssi in samples if t // 1000 == r]
+            if window:
+                current = estimate_distance(model, average_rssi(window))
+            distances[row, r] = current
+    return distances
+
+
+def ragged_stream(rng, counts):
+    """counts[r] samples in round r, at sorted random times, RSSI to many decimals."""
+    rows = []
+    for r, n in enumerate(counts):
+        for t in sorted(rng.sample(range(1000), n)):
+            rows.append((r * 1000 + t, rng.gauss(-70.0, 6.0)))
+    return np.array(rows, dtype=STREAM_DTYPE)
+
+
+class TestRawBaselineArrayForm:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("model", [INDOOR_MODEL, OUTDOOR_MODEL], ids=["indoor", "outdoor"])
+    def test_equals_the_per_round_loop_bit_for_bit(self, monkeypatch, seed, model):
+        rng = random.Random(seed)
+        n_rounds = 120
+        ragged = [rng.choice((0, 1, 1, 2, 3, 7)) for _ in range(n_rounds)]
+        silent_mid = [rng.randint(1, 4) for _ in range(n_rounds)]
+        silent_mid[30:70] = [0] * 40
+        streams = {
+            A1: ragged_stream(rng, ragged),
+            B1: ragged_stream(rng, silent_mid),
+            C1: ragged_stream(rng, [0] * rng.randint(0, n_rounds)),  # never heard
+        }
+        seen = {}
+        tally = proximity._tally
+
+        def capture(layout, spots, distances):
+            seen["distances"] = distances
+            return tally(layout, spots, distances)
+
+        monkeypatch.setattr(proximity, "_tally", capture)
+        layout = three_beacon_layout(1.5, 1.0)
+        raw = raw_baseline(streams, model, layout)
+        expected = loop_raw_distances(streams, model, [A1, B1, C1])
+        assert seen["distances"].shape == expected.shape
+        assert seen["distances"].tobytes() == expected.tobytes()
+        assert np.isinf(expected[2]).all()
+        assert raw == tally(layout, [A1, B1, C1], expected)
 
 
 class TestGeometryOracle:
