@@ -3,7 +3,9 @@
 Subcommands: calibrate (fit a path-loss model from a calibration CSV),
 distance (replicate the distance-estimation experiment), proximity
 (replicate the identification grid), and serve (run the parking lot
-line-protocol server). Every result directory gets a run manifest before
+line-protocol server). distance and proximity run the grid and the
+repetitions of the scenario file's required `experiment`, whose kind
+must name the command. Every result directory gets a run manifest before
 any result file, and result files are written atomically. Each command
 imports the modules it runs: `serve` never loads numpy.
 
@@ -23,10 +25,6 @@ from . import __version__
 
 NUMPY_COMMANDS = ("calibrate", "distance", "proximity")
 PARTICLE_SWEEP = tuple(range(200, 2001, 200))
-DEFAULT_DISTANCES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
-DEFAULT_PROXIMITY_GRID = tuple(
-    (x, y) for x in (1.0, 1.5, 2.0, 2.5, 3.0) for y in (0.5, 1.0, 1.5, 2.0, 2.5)
-)
 
 
 class InputError(Exception):
@@ -70,8 +68,8 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
     write_atomically(os.path.join(out_dir, "manifest.json"), _write_json, manifest)
 
 
-def _load_scenario_file(path: str, seed_override: int | None):
-    """Parse a scenario file; --seed replaces the scenario seed."""
+def _load_scenario_file(path: str, kind: str, seed_override: int | None):
+    """Parse a scenario file whose experiment is of `kind`; --seed replaces its seed."""
     from .simulate import load_scenario
 
     try:
@@ -84,6 +82,8 @@ def _load_scenario_file(path: str, seed_override: int | None):
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
+    if experiment.kind != kind:
+        raise InputError(f"scenario experiment kind is {experiment.kind!r}, expected {kind!r}")
     return scenario, experiment, config
 
 
@@ -125,25 +125,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _experiment_or_default(experiment, kind: str, default_grid, default_reps: int):
-    from .simulate import ExperimentSpec
-
-    if experiment is None:
-        return ExperimentSpec(kind=kind, grid=default_grid, repetitions=default_reps)
-    if experiment.kind != kind:
-        raise InputError(f"scenario experiment kind is {experiment.kind!r}, expected {kind!r}")
-    return experiment
-
-
 def cmd_distance(args) -> int:
     from .simulate import run_distance_experiment, write_distance_csv
 
-    scenario, experiment, config = _load_scenario_file(args.scenario, args.seed)
-    experiment = _experiment_or_default(experiment, "distance", DEFAULT_DISTANCES, 3)
-    try:
-        distances = [float(d) for d in experiment.grid]
-    except TypeError as exc:
-        raise InputError(f"distance experiment grid must be a list of distances: {exc}") from exc
+    scenario, experiment, config = _load_scenario_file(args.scenario, "distance", args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "distance", scenario.seed, args.scenario)
 
@@ -152,7 +137,7 @@ def cmd_distance(args) -> int:
     for n_particles in sweep:
         result = run_distance_experiment(
             scenario,
-            distances,
+            experiment.grid,
             replace(config, particle_count=n_particles),
             repetitions=experiment.repetitions,
         )
@@ -166,16 +151,11 @@ def cmd_distance(args) -> int:
 def cmd_proximity(args) -> int:
     from .simulate import run_proximity_experiment, write_proximity_csv
 
-    scenario, experiment, config = _load_scenario_file(args.scenario, args.seed)
-    experiment = _experiment_or_default(experiment, "proximity", DEFAULT_PROXIMITY_GRID, 1)
-    try:
-        pairs = [(float(x), float(y)) for x, y in experiment.grid]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"proximity experiment grid must be [X, Y] pairs: {exc}") from exc
+    scenario, experiment, config = _load_scenario_file(args.scenario, "proximity", args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "proximity", scenario.seed, args.scenario)
 
-    results = run_proximity_experiment(scenario, pairs, config)
+    results = run_proximity_experiment(scenario, experiment.grid, config)
     out_path = os.path.join(args.out_dir, "proximity_results.csv")
     write_atomically(out_path, write_proximity_csv, results)
     print(f"wrote {out_path} ({2 * len(results)} rows)")

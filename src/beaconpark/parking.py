@@ -133,7 +133,6 @@ class Session:
 
     session_id: str
     user: UserProfile
-    vehicle_plate: str
     start_ms: int
     end_ms: int | None = None
     max_minutes: int | None = None
@@ -330,7 +329,6 @@ class ParkingService:
         spot.session = Session(
             session_id=f"S{self._session_seq}",
             user=user,
-            vehicle_plate=user.vehicle_plate,
             start_ms=now_ms,
             max_minutes=max_minutes,
         )
@@ -368,10 +366,15 @@ class ParkingService:
         self._journal_sink(entry)
         self._since_snapshot += 1
         if self._since_snapshot >= len(self._spots):
-            self._journal_sink(self._snapshot_entry())
+            self._journal_sink(self.snapshot())
             self._since_snapshot = 0
 
-    def _snapshot_entry(self) -> dict:
+    def snapshot(self) -> dict:
+        """The full registry state as a journal `snapshot` entry.
+
+        A spot without a session is Available, one with an open session
+        Occupied, one with a closed (unpaid) session Illegal.
+        """
         return {
             "op": "snapshot",
             "sessions": self._session_seq,
@@ -460,30 +463,6 @@ class ParkingService:
             self._since_snapshot = 0 if op == "snapshot" else self._since_snapshot + 1
             self.replayed_entries += 1
 
-    def snapshot(self) -> tuple:
-        """Hashable fingerprint of the full registry state."""
-        rows = []
-        for spot in self._spots.values():
-            session = spot.session
-            rows.append(
-                (
-                    str(spot.id),
-                    spot.state.value,
-                    None
-                    if session is None
-                    else (
-                        session.session_id,
-                        session.user.user_id,
-                        session.vehicle_plate,
-                        session.start_ms,
-                        session.end_ms,
-                        session.max_minutes,
-                        session.cost_cents,
-                    ),
-                )
-            )
-        return tuple(rows)
-
 
 def _clear(spot: Spot) -> None:
     spot.state = SpotState.AVAILABLE
@@ -524,7 +503,7 @@ def _session_fields(spot: Spot) -> dict:
     return {
         "spot": str(spot.id),
         "user_id": session.user.user_id,
-        "plate": session.vehicle_plate,
+        "plate": session.user.vehicle_plate,
         "card": session.user.card_token,
         "max_minutes": session.max_minutes,
         "now_ms": session.start_ms,
@@ -548,9 +527,7 @@ def _decode_snapshot_session(record: dict) -> tuple[SpotId, Session]:
     if (end_ms is None) != (cost_cents is None):
         raise ValueError(f"session {session_id} needs end_ms and cost_cents both set or both null")
     charged = None if end_ms is None else False
-    session = Session(
-        session_id, user, user.vehicle_plate, start_ms, end_ms, max_minutes, cost_cents, charged
-    )
+    session = Session(session_id, user, start_ms, end_ms, max_minutes, cost_cents, charged)
     return spot_id, session
 
 

@@ -16,6 +16,11 @@ Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures; noise defaults per environment
 are anchored by matching the raw proximity accuracy at the (X=1 m,
 Y=0.5 m) three-beacon cell to the 77.8% reference value.
+
+A scenario file is the whole spec of a distance or proximity run: the
+environment (Scenario), the required `experiment` (its kind, grid and
+repetitions) and the `filter` settings. Every key it may hold is read by
+the run, and any other key is refused.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ OUTDOOR_NOISE_SIGMA_DB = 4.60
 RAW_ANCHOR_ACCURACY = 0.778
 ANCHOR_X_M = 1.0
 ANCHOR_Y_M = 0.5
+CALIBRATION_ROUNDS = 200_000
+CALIBRATION_SEED = 20_260_101
 
 EXPERIMENT_KINDS = ("distance", "proximity")
 
@@ -74,7 +81,6 @@ class Scenario:
 
     model: PathLossModel
     noise_sigma_db: float
-    layout: BeaconLayout | None = None
     tx_interval_ms: int = 1000
     duration_s: float = 300.0
     drop_rate: float = 0.0
@@ -95,7 +101,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Which experiment a scenario file drives, over which grid."""
+    """Which experiment a scenario file drives, over which grid.
+
+    The grid is held as the experiment reads it: a distance grid as a
+    tuple of floats (m), a proximity grid as a tuple of (X, Y) float
+    pairs (m). A proximity run scores each cell once, so it takes
+    repetitions 1 only.
+    """
 
     kind: str
     grid: tuple
@@ -104,10 +116,27 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment kind must be one of {EXPERIMENT_KINDS}")
+        object.__setattr__(self, "grid", tuple(_grid_point(self.kind, g) for g in self.grid))
         if len(self.grid) == 0:
             raise ValueError("experiment grid is empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.kind == "proximity" and self.repetitions != 1:
+            raise ValueError(f"proximity experiment takes repetitions 1, got {self.repetitions}")
+
+
+def _grid_point(kind: str, entry):
+    """One grid entry as its experiment reads it: a distance, or an (X, Y) pair."""
+    pair = isinstance(entry, (list, tuple))
+    try:
+        if kind == "distance" and not pair:
+            return float(entry)
+        if kind == "proximity" and pair and len(entry) == 2:
+            return (float(entry[0]), float(entry[1]))
+    except (TypeError, ValueError):
+        pass
+    shape = "a list of distances" if kind == "distance" else "a list of [X, Y] pairs"
+    raise ValueError(f"{kind} experiment grid must be {shape}, got entry {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -260,8 +289,8 @@ def run_proximity_experiment(
 ) -> list[ProximityCellResult]:
     """Score raw and filtered identification over an (X, Y) grid.
 
-    Each cell builds the three-beacon layout and simulates the per-beacon
-    streams at the geometric true distances. The raw baseline is tallied
+    Each cell simulates the per-beacon streams of its three-beacon layout
+    at the geometric true distances. The raw baseline is tallied
     per cell; the filtered mode identifies every cell in one grid-wide
     particle bank (proximity.identify_cells), each cell's filters seeded
     from the cell's own seed.
@@ -272,7 +301,7 @@ def run_proximity_experiment(
         cell_seed = derive_seed(
             scenario.seed, TAG_PROXIMITY_CELL, scaled_key(x_m), scaled_key(y_m)
         )
-        cell = replace(scenario, layout=layout, seed=cell_seed)
+        cell = replace(scenario, seed=cell_seed)
         truth = layout.true_distances()
         streams = {
             spot: generate_stream(cell, spot, truth[spot]) for spot in layout.spots()
@@ -290,39 +319,30 @@ def run_proximity_experiment(
     ]
 
 
-def calibrate_noise_sigma(
-    model: PathLossModel,
-    target_accuracy: float = RAW_ANCHOR_ACCURACY,
-    x_m: float = ANCHOR_X_M,
-    y_m: float = ANCHOR_Y_M,
-    sigma_grid: Sequence[float] | None = None,
-    rounds: int = 200_000,
-    seed: int = 20_260_101,
-) -> float:
+def calibrate_noise_sigma(model: PathLossModel) -> float:
     """One-dimensional sweep for the shadowing sigma of an environment.
 
-    Sweeps candidate sigmas and returns the one whose simulated raw
-    (single-sample) identification accuracy at the anchor cell is closest
-    to the target. Deterministic for fixed arguments.
+    Sweeps sigma over 2..10 dB in 0.05 dB steps and returns the one whose
+    simulated raw (single-sample) identification accuracy at the anchor
+    cell, over CALIBRATION_ROUNDS seeded rounds, is closest to
+    RAW_ANCHOR_ACCURACY. Deterministic for a fixed model.
     """
-    if sigma_grid is None:
-        sigma_grid = np.arange(2.0, 10.0001, 0.05)
-    side = math.hypot(x_m, y_m)
+    side = math.hypot(ANCHOR_X_M, ANCHOR_Y_M)
     mus = np.array(
         [
             predict_rssi(model, side),
-            predict_rssi(model, y_m),
+            predict_rssi(model, ANCHOR_Y_M),
             predict_rssi(model, side),
         ]
     )
-    rng = np.random.default_rng(derive_seed(seed, TAG_CALIBRATION))
-    draws = rng.standard_normal((rounds, 3))
+    rng = np.random.default_rng(derive_seed(CALIBRATION_SEED, TAG_CALIBRATION))
+    draws = rng.standard_normal((CALIBRATION_ROUNDS, 3))
     best_sigma = None
     best_gap = math.inf
-    for sigma in sigma_grid:
+    for sigma in np.arange(2.0, 10.0001, 0.05):
         rssi = mus[None, :] + sigma * draws
         accuracy = float(np.mean(np.argmax(rssi, axis=1) == 1))
-        gap = abs(accuracy - target_accuracy)
+        gap = abs(accuracy - RAW_ANCHOR_ACCURACY)
         if gap < best_gap:
             best_gap = gap
             best_sigma = float(sigma)
@@ -384,36 +404,23 @@ def _checked_keys(obj, what: str, known) -> dict:
     return obj
 
 
-def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, FilterConfig]:
+def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec, FilterConfig]:
     """Parse a scenario dict; an unknown key in any of its objects is refused."""
     _checked_keys(obj, "scenario", {f.name for f in fields(Scenario)} | {"experiment", "filter"})
-    layout = None
-    if "layout" in obj:
-        lay = _checked_keys(obj["layout"], "layout", {"beacons", "listener"})
-        beacons = [_checked_keys(b, "beacon", {"spot", "position_m"}) for b in lay["beacons"]]
-        listener = _checked_keys(lay["listener"], "listener", {"x_m", "y_m"})
-        layout = BeaconLayout(
-            beacons=tuple((SpotId.parse(b["spot"]), float(b["position_m"])) for b in beacons),
-            listener_offset=(float(listener["x_m"]), float(listener["y_m"])),
-        )
     scenario = Scenario(
         model=model_from_json_dict(_checked_keys(obj["model"], "model", {"n", "C", "d0"})),
         noise_sigma_db=float(obj["noise_sigma_db"]),
-        layout=layout,
         tx_interval_ms=int(obj.get("tx_interval_ms", 1000)),
         duration_s=float(obj.get("duration_s", 300.0)),
         drop_rate=float(obj.get("drop_rate", 0.0)),
         seed=int(obj.get("seed", 0)),
     )
-    experiment = None
-    if "experiment" in obj:
-        exp = _checked_keys(obj["experiment"], "experiment", {"kind", "grid", "repetitions"})
-        grid = tuple(
-            tuple(g) if isinstance(g, list) else float(g) for g in exp["grid"]
-        )
-        experiment = ExperimentSpec(
-            kind=exp["kind"], grid=grid, repetitions=int(exp.get("repetitions", 1))
-        )
+    if "experiment" not in obj:
+        raise ValueError("scenario needs an 'experiment' object")
+    exp = _checked_keys(obj["experiment"], "experiment", {"kind", "grid", "repetitions"})
+    experiment = ExperimentSpec(
+        kind=exp["kind"], grid=exp["grid"], repetitions=int(exp.get("repetitions", 1))
+    )
     # FilterConfig owns the defaults; each value is cast to its default's type.
     casts = {f.name: type(f.default) for f in fields(FilterConfig)}
     settings = _checked_keys(obj.get("filter", {}), "filter", casts)
@@ -421,7 +428,7 @@ def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec | None, Filt
     return scenario, experiment, filter_config
 
 
-def load_scenario(path) -> tuple[Scenario, ExperimentSpec | None, FilterConfig]:
+def load_scenario(path) -> tuple[Scenario, ExperimentSpec, FilterConfig]:
     with open(path) as fh:
         obj = json.load(fh)
     return scenario_from_dict(obj)

@@ -249,7 +249,7 @@ def test_criterion_6_distance_error_structure():
     scenario, experiment, config = sim.load_scenario(SCENARIOS / "indoor_distance.json")
     result = sim.run_distance_experiment(
         scenario,
-        [float(d) for d in experiment.grid],
+        experiment.grid,
         config,
         repetitions=experiment.repetitions,
         keep_step_errors=True,

@@ -108,12 +108,6 @@ def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=3
     )
 
 
-LAYOUT = {
-    "beacons": [{"spot": "A1", "position_m": -1.0}, {"spot": "B1", "position_m": 1.0}],
-    "listener": {"x_m": 0.0, "y_m": 1.0},
-}
-
-
 class TestCalibrateCommand:
     def test_recovers_indoor_constants(self, tmp_path, capsys):
         csv_path = tmp_path / "cal.csv"
@@ -265,23 +259,45 @@ class TestDistanceCommand:
                 [],
                 "unknown model key 'd_0'",
             ),
-            (lambda s: {**s, "layout": {**LAYOUT, "rows": 1}}, [], "unknown layout key 'rows'"),
             (
-                lambda s: {**s, "layout": {**LAYOUT, "beacons": [{"spot": "A1", "pos_m": 0.0}]}},
+                lambda s: {**s, "layout": {"listener": {"x_m": 0.0, "y_m": 1.0}}},
                 [],
-                "unknown beacon key 'pos_m'",
+                "unknown scenario key 'layout'",
             ),
             (
-                lambda s: {**s, "layout": {**LAYOUT, "listener": {"x_m": 0.0, "z_m": 1.0}}},
+                lambda s: {k: v for k, v in s.items() if k != "experiment"},
                 [],
-                "unknown listener key 'z_m'",
+                "scenario needs an 'experiment' object",
+            ),
+            (
+                lambda s: {**s, "experiment": {"kind": "distance", "grid": [[1.0, 0.5]]}},
+                [],
+                "distance experiment grid must be a list of distances, got entry [1.0, 0.5]",
+            ),
+            (
+                lambda s: {**s, "experiment": {"kind": "proximity", "grid": [1.0, 2.0]}},
+                [],
+                "proximity experiment grid must be a list of [X, Y] pairs, got entry 1.0",
+            ),
+            (
+                lambda s: {**s, "experiment": {"kind": "proximity", "grid": [[1.0, "x"]]}},
+                [],
+                "proximity experiment grid must be a list of [X, Y] pairs, got entry [1.0, 'x']",
+            ),
+            (
+                lambda s: {
+                    **s, "experiment": {"kind": "proximity", "grid": [[1.0, 0.5]], "repetitions": 2}
+                },
+                [],
+                "proximity experiment takes repetitions 1, got 2",
             ),
         ],
         ids=[
             "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
             "negative-seed", "negative-seed-override", "unknown-experiment-key",
-            "unknown-model-key", "unknown-layout-key", "unknown-beacon-key",
-            "unknown-listener-key",
+            "unknown-model-key", "unknown-layout-key", "missing-experiment",
+            "distance-grid-of-pairs", "proximity-grid-of-scalars",
+            "proximity-grid-bad-coordinate", "proximity-repetitions",
         ],
     )
     def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
@@ -307,6 +323,7 @@ class TestDistanceCommand:
         assert main(
             ["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
         ) == 2
+        assert "experiment kind is 'proximity', expected 'distance'" in capsys.readouterr().err
 
     def test_malformed_scenario_is_input_error(self, tmp_path):
         scenario_path = tmp_path / "s.json"
@@ -336,12 +353,20 @@ class TestProximityCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["scenario_sha256"] == hashlib.sha256(scenario_path.read_bytes()).hexdigest()
 
+    def test_distance_scenario_is_input_error(self, tmp_path, capsys):
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0])
+        assert main(
+            ["--out-dir", str(tmp_path), "proximity", "--scenario", str(scenario_path)]
+        ) == 2
+        assert "experiment kind is 'distance', expected 'proximity'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_shipped_scenarios_parse(self):
         for name in ("indoor_proximity.json", "outdoor_proximity.json", "indoor_distance.json"):
             from beaconpark.simulate import load_scenario
 
             scenario, experiment, config = load_scenario(SCENARIOS_DIR / name)
-            assert experiment is not None
             assert config.particle_count == 1000
         indoor, exp, _ = load_scenario(SCENARIOS_DIR / "indoor_proximity.json")
         assert len(exp.grid) == 25

@@ -43,7 +43,8 @@ GOLDEN_SHA256 = {
 
 def _digest(tmp_path, command, grid, extra_args=(), overrides=None):
     scenario = dict(SCENARIO, **(overrides or {}))
-    scenario["experiment"] = {"kind": command, "grid": grid, "repetitions": 2}
+    repetitions = 2 if command == "distance" else 1
+    scenario["experiment"] = {"kind": command, "grid": grid, "repetitions": repetitions}
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps(scenario))
     out_dir = tmp_path / command

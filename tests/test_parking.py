@@ -137,7 +137,7 @@ class TestRegistry:
             service.register(SpotId.parse(text), USER, now_ms=0, max_minutes=10)
         expired = service.expire_overstays(now_ms=60 * MIN_MS)
         assert [str(s) for s in expired] == in_order
-        assert [row[0] for row in service.snapshot()] == in_order
+        assert [str(s) for s, _, _ in service.list_spots()] == in_order
 
 
 class TestUnregister:

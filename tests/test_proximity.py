@@ -118,7 +118,6 @@ def noiseless_streams(x=2.0, y=0.5, duration_s=30.0, seed=0, sigma=0.0, drop=0.0
     scenario = Scenario(
         model=INDOOR_MODEL,
         noise_sigma_db=sigma,
-        layout=layout,
         duration_s=duration_s,
         drop_rate=drop,
         seed=seed,

@@ -233,7 +233,7 @@ class TestProximityExperiment:
         for (x_m, y_m), cell in zip(pairs, results):
             layout = sim.three_beacon_layout(x_m, y_m)
             cell_seed = derive_seed(scen.seed, TAG_PROXIMITY_CELL, scaled_key(x_m), scaled_key(y_m))
-            lone = replace(scen, layout=layout, seed=cell_seed)
+            lone = replace(scen, seed=cell_seed)
             truth = layout.true_distances()
             streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
             cell_filter_seed = derive_seed(cell_seed, TAG_FILTER)
@@ -274,7 +274,7 @@ class TestNoiseCalibration:
 
 
 class TestScenarioFiles:
-    def test_parses_layout_experiment_and_filter(self):
+    def test_parses_experiment_and_filter(self):
         obj = {
             "model": {"n": 2.424, "C": -65.24, "d0": 1.0},
             "noise_sigma_db": 5.45,
@@ -282,38 +282,32 @@ class TestScenarioFiles:
             "duration_s": 120.0,
             "drop_rate": 0.1,
             "seed": 42,
-            "layout": {
-                "beacons": [
-                    {"spot": "A1", "position_m": -2.0},
-                    {"spot": "B1", "position_m": 0.0},
-                    {"spot": "C1", "position_m": 2.0},
-                ],
-                "listener": {"x_m": 0.0, "y_m": 1.0},
-            },
-            "experiment": {"kind": "proximity", "grid": [[1.0, 0.5], [2.0, 1.0]],
-                           "repetitions": 2},
+            "experiment": {"kind": "proximity", "grid": [[1, 0.5], [2.0, 1]], "repetitions": 1},
             "filter": {"particle_count": 400},
         }
         s, exp, cfg = sim.scenario_from_dict(json.loads(json.dumps(obj)))
         assert s == sim.Scenario(
             model=INDOOR_MODEL,
             noise_sigma_db=5.45,
-            layout=sim.three_beacon_layout(2.0, 1.0),
             tx_interval_ms=500,
             duration_s=120.0,
             drop_rate=0.1,
             seed=42,
         )
-        assert exp == sim.ExperimentSpec(kind="proximity", grid=((1.0, 0.5), (2.0, 1.0)),
-                                         repetitions=2)
+        assert exp == sim.ExperimentSpec(kind="proximity", grid=((1.0, 0.5), (2.0, 1.0)))
+        assert all(type(v) is float for pair in exp.grid for v in pair)
         assert cfg == FilterConfig(particle_count=400)
+        with pytest.raises(ValueError, match="unknown scenario key 'layout'"):
+            sim.scenario_from_dict({**obj, "layout": {}})
 
     def test_filter_defaults_come_from_filter_config(self):
         obj = {"model": {"n": 2.424, "C": -65.24}, "noise_sigma_db": 0.0, "seed": 8,
+               "experiment": {"kind": "distance", "grid": [1]},
                "filter": {"beta": 1, "particle_count": 300.0}}
-        _, _, cfg = sim.scenario_from_dict(obj)
+        _, exp, cfg = sim.scenario_from_dict(obj)
         assert cfg == FilterConfig(particle_count=300, beta=1.0)
         assert (type(cfg.particle_count), type(cfg.beta)) == (int, float)
+        assert exp.grid == (1.0,) and type(exp.grid[0]) is float
 
     def test_experiment_kind_validated(self):
         with pytest.raises(ValueError):
