@@ -80,7 +80,7 @@ def _load_scenario_file(path: str, kind: str, seed_override: int | None):
         raise InputError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid scenario: {exc}") from exc
     if experiment.kind != kind:
         raise InputError(f"scenario experiment kind is {experiment.kind!r}, expected {kind!r}")
@@ -176,7 +176,7 @@ def cmd_serve(args) -> int:
         raise InputError(f"lot config not found: {args.lot}") from exc
     except JournalError as exc:
         raise InputError(f"invalid journal: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise InputError(f"invalid lot config: {exc}") from exc
     live = sum(state is not SpotState.AVAILABLE for _, state, _ in service.list_spots())
     print(

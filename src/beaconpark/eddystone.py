@@ -277,6 +277,7 @@ def decode_frame(data: bytes) -> BeaconFrame:
     if len(data) == 0:
         raise TruncatedFrameError("truncated frame: empty input")
     ftype = data[0]
+    tx = int.from_bytes(data[1:2], "big", signed=True)  # UID and URL: signed tx power
     if ftype == FRAME_TYPE_UID:
         if len(data) < 18:
             raise TruncatedFrameError(f"truncated UID frame: {len(data)} bytes")
@@ -285,16 +286,12 @@ def decode_frame(data: bytes) -> BeaconFrame:
                 raise FrameDecodeError("UID reserved bytes must be zero")
         elif len(data) != 18:
             raise FrameDecodeError(f"trailing bytes after UID frame: {len(data)} total")
-        tx = data[1] - 256 if data[1] > 127 else data[1]
         return UidFrame(data[2:12], data[12:18], tx)
     if ftype == FRAME_TYPE_URL:
         if len(data) < 3:
             raise TruncatedFrameError(f"truncated URL frame: {len(data)} bytes")
         if len(data) > 3 + MAX_URL_BODY_BYTES:
             raise FrameDecodeError(f"URL frame too long: {len(data)} bytes")
-        if data[2] >= len(URL_SCHEMES):
-            raise FrameDecodeError(f"URL scheme code {data[2]} out of range")
-        tx = data[1] - 256 if data[1] > 127 else data[1]
         try:
             return UrlFrame(data[2], data[3:], tx)
         except FrameError as exc:

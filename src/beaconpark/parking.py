@@ -44,6 +44,7 @@ from .eddystone import (
     UrlFrame,
     uid_instance_for_spot,
 )
+from .jsonfields import read_object
 
 MS_PER_MINUTE = 60_000
 
@@ -153,6 +154,10 @@ class Spot:
     def __post_init__(self):
         self.namespace = bytes(self.namespace)
         self.instance = bytes(self.instance)
+        for key, size in (("namespace", 10), ("instance", 6)):  # the UidFrame sizes
+            length = len(getattr(self, key))
+            if length != size:
+                raise ValueError(f"spot {self.id}: {key} must be {size} bytes, got {length}")
         if self.rate_cents_per_hour < 0:
             raise ValueError("rate cannot be negative")
         if not self.url:
@@ -392,9 +397,8 @@ class ParkingService:
 
     def _restore(self, entry: dict) -> None:
         """Replace the whole registry state by a snapshot entry's."""
-        sessions = _field(entry, "sessions")
         restored: dict[SpotId, Session] = {}
-        for record in _field(entry, "spots"):
+        for record in entry["spots"]:
             spot_id, session = _decode_snapshot_session(record)
             self.get_spot(spot_id)  # refuses a spot the lot does not have
             if spot_id in restored:
@@ -406,7 +410,7 @@ class ParkingService:
                 spot.state = SpotState.AVAILABLE
             else:
                 spot.state = SpotState.OCCUPIED if session.end_ms is None else SpotState.ILLEGAL
-        self._session_seq = sessions
+        self._session_seq = entry["sessions"]
 
     # -- construction, journaling, replay --
 
@@ -414,34 +418,33 @@ class ParkingService:
     def from_config(cls, config: dict, **kwargs) -> "ParkingService":
         """Build a service from a lot-definition dict (see lot JSON)."""
         spots = []
-        for entry in config["spots"]:
-            spot_id = SpotId.parse(entry["id"])
-            namespace = bytes.fromhex(entry["namespace"])
-            if "instance" in entry:
-                instance = bytes.fromhex(entry["instance"])
-            else:
-                instance = uid_instance_for_spot(spot_id)
-            spots.append(
-                Spot(
-                    id=spot_id,
-                    namespace=namespace,
-                    instance=instance,
-                    url=entry["url"],
-                    rate_cents_per_hour=int(entry["rate_cents_per_hour"]),
-                )
-            )
+        for entry in read_object(config, "lot", {"spots": list}, ("spots",))["spots"]:
+            fields = read_object(entry, "spot", _SPOT_KINDS, _SPOT_REQUIRED)
+            spot_id = fields["id"] = SpotId.parse(fields["id"])
+            fields.setdefault("instance", uid_instance_for_spot(spot_id).hex())
+            for key in ("namespace", "instance"):
+                try:
+                    fields[key] = bytes.fromhex(fields[key])
+                except ValueError:
+                    raise ValueError(f"spot {spot_id}: {key} is not hex: {fields[key]!r}") from None
+            spots.append(Spot(**fields))
         return cls(spots, **kwargs)
 
     def apply_journal_entry(self, entry: dict) -> None:
         """Apply one journaled outcome (used during replay).
 
         Replay calls no payment method, emits no event and journals
-        nothing. Each field must have its journaled type: a missing field
-        raises KeyError, a wrongly typed one TypeError, and an outcome the
-        lot cannot take (a close of a spot that is not Occupied, a
-        snapshot naming an unknown spot) a ParkingError or ValueError.
+        nothing. An entry holds exactly its op's fields, each of its
+        journaled type: a missing or unknown field raises ValueError, a
+        wrongly typed one TypeError, and an outcome the lot cannot take (a
+        close of a spot that is not Occupied, a snapshot naming an unknown
+        spot) a ParkingError or ValueError.
         """
-        op = entry["op"]
+        op = entry.get("op") if type(entry) is dict else None
+        if type(op) is str and op not in _ENTRY_KINDS:
+            raise ValueError(f"unknown journal op: {op}")
+        kinds = _ENTRY_KINDS[op] if type(op) is str else {"op": str}
+        entry = read_object(entry, "journal entry", kinds, kinds)
         with self._lock:
             if op == "snapshot":
                 self._restore(entry)
@@ -451,15 +454,10 @@ class ParkingService:
                     self._spot_in(spot_id, SpotState.AVAILABLE), user, now_ms, max_minutes
                 )
             elif op in ("unregister", "expire"):
-                spot_id = SpotId.parse(_field(entry, "spot"))
-                outcome = (
-                    _field(entry, "now_ms"), _field(entry, "cost_cents"), _field(entry, "charged")
-                )
-                _apply_close(self._spot_in(spot_id, SpotState.OCCUPIED), *outcome)
-            elif op == "settle":
-                _clear(self._spot_in(SpotId.parse(_field(entry, "spot")), SpotState.ILLEGAL))
-            else:
-                raise ValueError(f"unknown journal op: {op}")
+                spot = self._spot_in(SpotId.parse(entry["spot"]), SpotState.OCCUPIED)
+                _apply_close(spot, entry["now_ms"], entry["cost_cents"], entry["charged"])
+            else:  # settle
+                _clear(self._spot_in(SpotId.parse(entry["spot"]), SpotState.ILLEGAL))
             self._since_snapshot = 0 if op == "snapshot" else self._since_snapshot + 1
             self.replayed_entries += 1
 
@@ -479,22 +477,23 @@ def _apply_close(spot: Spot, end_ms: int, cost_cents: int, charged: bool) -> Non
         spot.state = SpotState.ILLEGAL
 
 
-# -- the journal codec: one exact type per field name --
+# A lot file's spot: the Spot fields, the beacon bytes as hex (`instance` optional).
+_SPOT_KINDS = {"id": str, "namespace": str, "instance": str, "url": str, "rate_cents_per_hour": int}
+_SPOT_REQUIRED = ("id", "namespace", "url", "rate_cents_per_hour")
 
-_FIELD_TYPES = {
-    "spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int, "cost_cents": int,
-    "charged": bool, "sessions": int, "spots": list, "session_id": str, "end_ms": int,
+# -- the journal codec: the fields of each op's entry, each of one exact JSON type --
+
+_INT_OR_NULL = (int, type(None))
+_SESSION_KINDS = {"spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int,
+                  "max_minutes": _INT_OR_NULL}
+_CLOSE_KINDS = {"op": str, "spot": str, "now_ms": int, "cost_cents": int, "charged": bool}
+_ENTRY_KINDS = {
+    "register": {"op": str, **_SESSION_KINDS}, "unregister": _CLOSE_KINDS, "expire": _CLOSE_KINDS,
+    "settle": {"op": str, "spot": str}, "snapshot": {"op": str, "sessions": int, "spots": list},
 }
-
-
-def _field(entry: dict, name: str, nullable: bool = False):
-    """entry[name], which must have the exact type the field is journaled with."""
-    value = entry[name]
-    kind = _FIELD_TYPES[name]
-    if type(value) is not kind and not (nullable and value is None):
-        null = " or null" if nullable else ""
-        raise TypeError(f"field {name!r} must be {kind.__name__}{null}, got {value!r}")
-    return value
+_SESSION_RECORD_KINDS = {
+    **_SESSION_KINDS, "session_id": str, "end_ms": _INT_OR_NULL, "cost_cents": _INT_OR_NULL,
+}
 
 
 def _session_fields(spot: Spot) -> dict:
@@ -511,29 +510,22 @@ def _session_fields(spot: Spot) -> dict:
 
 
 def _decode_session_fields(entry: dict) -> tuple[SpotId, UserProfile, int, int | None]:
-    spot_id = SpotId.parse(_field(entry, "spot"))
-    user = UserProfile(_field(entry, "user_id"), _field(entry, "plate"), _field(entry, "card"))
+    user = UserProfile(entry["user_id"], entry["plate"], entry["card"])
     max_minutes = _check_max_minutes(entry["max_minutes"])
-    return spot_id, user, _field(entry, "now_ms"), max_minutes
+    return SpotId.parse(entry["spot"]), user, entry["now_ms"], max_minutes
 
 
 def _decode_snapshot_session(record: dict) -> tuple[SpotId, Session]:
     """A snapshot's session: `register` fields plus its id, and for an
     Illegal spot the end time and the cost still owed (both null while open)."""
+    record = read_object(record, "snapshot session", _SESSION_RECORD_KINDS, _SESSION_RECORD_KINDS)
     spot_id, user, start_ms, max_minutes = _decode_session_fields(record)
-    session_id = _field(record, "session_id")
-    end_ms = _field(record, "end_ms", nullable=True)
-    cost_cents = _field(record, "cost_cents", nullable=True)
+    session_id, end_ms, cost_cents = record["session_id"], record["end_ms"], record["cost_cents"]
     if (end_ms is None) != (cost_cents is None):
         raise ValueError(f"session {session_id} needs end_ms and cost_cents both set or both null")
     charged = None if end_ms is None else False
     session = Session(session_id, user, start_ms, end_ms, max_minutes, cost_cents, charged)
     return spot_id, session
-
-
-def load_lot_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 class FileJournal:
@@ -629,21 +621,20 @@ def replay_journal(service: ParkingService, entries: Iterable[dict], path=None) 
     for index, entry in enumerate(entries):
         try:
             service.apply_journal_entry(entry)
-        except (ParkingError, KeyError, TypeError, ValueError) as exc:
+        except (ParkingError, TypeError, ValueError) as exc:
             if path is None:
                 where = f"journal entry {index + 1}"
             else:
                 lineno, _ = next(itertools.islice(_journal_lines(path), index, None))
                 where = f"{path} line {lineno}"
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise JournalError(f"{where}: {reason}") from exc
+            raise JournalError(f"{where}: {exc}") from exc
 
 
 def service_from_files(lot_config_path, journal_path=None) -> ParkingService:
     """Restore a service: build from the lot config, replay the journal,
     then attach the journal file for appending."""
-    config = load_lot_config(lot_config_path)
-    service = ParkingService.from_config(config)
+    with open(lot_config_path) as fh:
+        service = ParkingService.from_config(json.load(fh))
     if journal_path is not None:
         if os.path.exists(journal_path):
             _truncate_torn_tail(journal_path)

@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .jsonfields import read_object
+
 REFERENCE_DISTANCE_M = 1.0
 
 
@@ -248,8 +250,7 @@ def fit_result_to_json_dict(fit: FitResult) -> dict:
 
 
 def model_from_json_dict(obj: dict) -> PathLossModel:
-    return PathLossModel(
-        exponent=float(obj["n"]),
-        ref_rssi_dbm=float(obj["C"]),
-        ref_distance_m=float(obj.get("d0", REFERENCE_DISTANCE_M)),
-    )
+    """The model of a fit result (the intervals are not read) or of a scenario."""
+    fit_only = {"n_ci95": list, "C_ci95": list, "residual_std": float}
+    fit = read_object(obj, "model", {"n": float, "C": float, "d0": float, **fit_only}, ("n", "C"))
+    return PathLossModel(fit["n"], fit["C"], fit.get("d0", REFERENCE_DISTANCE_M))

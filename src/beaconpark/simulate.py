@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .eddystone import SpotId
+from .jsonfields import read_object, read_value
 from .particle import FilterConfig, ParticleBank
 from .pathloss import (
     CalibrationDataset,
@@ -130,10 +131,10 @@ def _grid_point(kind: str, entry):
     pair = isinstance(entry, (list, tuple))
     try:
         if kind == "distance" and not pair:
-            return float(entry)
+            return read_value("grid", entry, float)
         if kind == "proximity" and pair and len(entry) == 2:
-            return (float(entry[0]), float(entry[1]))
-    except (TypeError, ValueError):
+            return tuple(read_value("grid", value, float) for value in entry)
+    except TypeError:
         pass
     shape = "a list of distances" if kind == "distance" else "a list of [X, Y] pairs"
     raise ValueError(f"{kind} experiment grid must be {shape}, got entry {entry!r}")
@@ -394,38 +395,26 @@ def write_proximity_csv(path, results: Sequence[ProximityCellResult]) -> None:
                 )
 
 
-def _checked_keys(obj, what: str, known) -> dict:
-    """`obj`, once it is a JSON object whose keys are all in `known`."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"unknown {what} key {key!r}")
-    return obj
+# The JSON type of each scenario key: `model`, `experiment` and `filter` are read below.
+SCENARIO_KINDS = {
+    "model": object, "noise_sigma_db": float, "tx_interval_ms": int, "duration_s": float,
+    "drop_rate": float, "seed": int, "experiment": object, "filter": object,
+}
+SPEC_KINDS = {"kind": str, "grid": list, "repetitions": int}  # ExperimentSpec
+# FilterConfig owns the defaults; each value must have its default's type.
+FILTER_KINDS = {f.name: type(f.default) for f in fields(FilterConfig)}
 
 
 def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec, FilterConfig]:
     """Parse a scenario dict; an unknown key in any of its objects is refused."""
-    _checked_keys(obj, "scenario", {f.name for f in fields(Scenario)} | {"experiment", "filter"})
-    scenario = Scenario(
-        model=model_from_json_dict(_checked_keys(obj["model"], "model", {"n", "C", "d0"})),
-        noise_sigma_db=float(obj["noise_sigma_db"]),
-        tx_interval_ms=int(obj.get("tx_interval_ms", 1000)),
-        duration_s=float(obj.get("duration_s", 300.0)),
-        drop_rate=float(obj.get("drop_rate", 0.0)),
-        seed=int(obj.get("seed", 0)),
-    )
-    if "experiment" not in obj:
+    values = read_object(obj, "scenario", SCENARIO_KINDS, ("model", "noise_sigma_db"))
+    if "experiment" not in values:
         raise ValueError("scenario needs an 'experiment' object")
-    exp = _checked_keys(obj["experiment"], "experiment", {"kind", "grid", "repetitions"})
-    experiment = ExperimentSpec(
-        kind=exp["kind"], grid=exp["grid"], repetitions=int(exp.get("repetitions", 1))
-    )
-    # FilterConfig owns the defaults; each value is cast to its default's type.
-    casts = {f.name: type(f.default) for f in fields(FilterConfig)}
-    settings = _checked_keys(obj.get("filter", {}), "filter", casts)
-    filter_config = FilterConfig(**{key: casts[key](value) for key, value in settings.items()})
-    return scenario, experiment, filter_config
+    exp = read_object(values.pop("experiment"), "experiment", SPEC_KINDS, ("kind", "grid"))
+    settings = read_object(values.pop("filter", {}), "filter", FILTER_KINDS)
+    model = read_object(values.pop("model"), "model", {"n": float, "C": float, "d0": float})
+    scenario = Scenario(model=model_from_json_dict(model), **values)
+    return scenario, ExperimentSpec(**exp), FilterConfig(**settings)
 
 
 def load_scenario(path) -> tuple[Scenario, ExperimentSpec, FilterConfig]:

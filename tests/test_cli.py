@@ -239,11 +239,15 @@ class TestDistanceCommand:
         "edit, seed_args, reason",
         [
             (lambda s: {**s, "filter": [1, 2]}, [], "filter must be a JSON object, got list"),
-            (lambda s: {**s, "filter": {"particle_count": None}}, [], "int() argument must be"),
+            (
+                lambda s: {**s, "filter": {"particle_count": None}},
+                [],
+                "field 'particle_count' must be int, got None",
+            ),
             (
                 lambda s: {**s, "experiment": {"kind": "distance", "grid": 5}},
                 [],
-                "'int' object is not iterable",
+                "field 'grid' must be list, got 5",
             ),
             (lambda s: [s], [], "scenario must be a JSON object, got list"),
             (lambda s: {**s, "duraton_s": 10}, [], "unknown scenario key 'duraton_s'"),
@@ -291,6 +295,40 @@ class TestDistanceCommand:
                 [],
                 "proximity experiment takes repetitions 1, got 2",
             ),
+            (lambda s: {**s, "seed": True}, [], "field 'seed' must be int, got True"),
+            (
+                lambda s: {**s, "noise_sigma_db": "3.0"},
+                [],
+                "field 'noise_sigma_db' must be number, got '3.0'",
+            ),
+            (lambda s: {**s, "duration_s": "5"}, [], "field 'duration_s' must be number, got '5'"),
+            (
+                lambda s: {**s, "experiment": {**s["experiment"], "grid": ["1.0"]}},
+                [],
+                "distance experiment grid must be a list of distances, got entry '1.0'",
+            ),
+            (
+                lambda s: {**s, "tx_interval_ms": 100.9},
+                [],
+                "field 'tx_interval_ms' must be int, got 100.9",
+            ),
+            (
+                lambda s: {**s, "experiment": {**s["experiment"], "repetitions": 2.9}},
+                [],
+                "field 'repetitions' must be int, got 2.9",
+            ),
+            (
+                lambda s: {**s, "filter": {"particle_count": 1000.7}},
+                [],
+                "field 'particle_count' must be int, got 1000.7",
+            ),
+            (lambda s: {k: v for k, v in s.items() if k != "model"}, [], "missing field 'model'"),
+            (
+                lambda s: {k: v for k, v in s.items() if k != "noise_sigma_db"},
+                [],
+                "missing field 'noise_sigma_db'",
+            ),
+            (lambda s: {**s, "experiment": {"grid": [1.0]}}, [], "missing field 'kind'"),
         ],
         ids=[
             "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
@@ -298,6 +336,9 @@ class TestDistanceCommand:
             "unknown-model-key", "unknown-layout-key", "missing-experiment",
             "distance-grid-of-pairs", "proximity-grid-of-scalars",
             "proximity-grid-bad-coordinate", "proximity-repetitions",
+            "bool-seed", "string-sigma", "string-duration", "string-grid-entry",
+            "fractional-interval", "fractional-repetitions", "fractional-count",
+            "missing-model", "missing-sigma", "missing-kind",
         ],
     )
     def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
@@ -552,6 +593,60 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert "invalid lot config: spots A1 and B1 share one beacon URL" in err
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda spot: {**spot, "rate_cents_per_hour": 2.7},
+             "field 'rate_cents_per_hour' must be int, got 2.7"),
+            (lambda spot: {**spot, "rate_cents_per_hour": "200"},
+             "field 'rate_cents_per_hour' must be int, got '200'"),
+            (lambda spot: {**spot, "rate_cents_per_hour": True},
+             "field 'rate_cents_per_hour' must be int, got True"),
+            (lambda spot: {**spot, "instanse": "410000000001"}, "unknown spot key 'instanse'"),
+            (lambda spot: {k: v for k, v in spot.items() if k != "url"}, "missing field 'url'"),
+            (lambda spot: {**spot, "id": 5}, "field 'id' must be str, got 5"),
+            (lambda spot: {**spot, "namespace": "edd1"},
+             "spot A1: namespace must be 10 bytes, got 2"),
+            (lambda spot: {**spot, "namespace": "zz" * 10},
+             "spot A1: namespace is not hex: 'zzzzzzzzzzzzzzzzzzzz'"),
+            (lambda spot: {**spot, "instance": "4100000001"},
+             "spot A1: instance must be 6 bytes, got 5"),
+            (lambda spot: [spot], "spot must be a JSON object, got list"),
+        ],
+        ids=[
+            "fractional-rate", "string-rate", "bool-rate", "unknown-key", "missing-url",
+            "int-id", "short-namespace", "non-hex-namespace", "short-instance", "list-spot",
+        ],
+    )
+    def test_malformed_lot_spot_is_input_error(self, tmp_path, capsys, edit, reason):
+        lot = json.loads((SCENARIOS_DIR / "demo_lot.json").read_text())
+        lot["spots"][0] = edit(lot["spots"][0])
+        lot_path = tmp_path / "lot.json"
+        lot_path.write_text(json.dumps(lot))
+        # a lot that loads fails on the bind address below instead of serving forever
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "no-port"]
+        ) == 2
+        assert f"invalid lot config: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lot, reason",
+        [
+            ([], "lot must be a JSON object, got list"),
+            ({}, "missing field 'spots'"),
+            ({"spots": {}}, "field 'spots' must be list, got {}"),
+        ],
+        ids=["list", "no-spots", "spots-object"],
+    )
+    def test_malformed_lot_is_input_error(self, tmp_path, capsys, lot, reason):
+        lot_path = tmp_path / "lot.json"
+        lot_path.write_text(json.dumps(lot))
+        # a lot that loads fails on the bind address below instead of serving forever
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "no-port"]
+        ) == 2
+        assert f"invalid lot config: {reason}" in capsys.readouterr().err
+
     def test_corrupt_journal_is_journal_error(self, tmp_path, capsys):
         journal = tmp_path / "lot.journal"
         journal.write_text("not json\n")
@@ -568,6 +663,10 @@ class TestServeCommand:
         [
             ({"op": "teleport"}, "unknown journal op: teleport"),
             ({"op": "register", "spot": "A1"}, "missing field 'user_id'"),
+            ([1, 2], "journal entry must be a JSON object, got list"),
+            ({"spot": "A1"}, "missing field 'op'"),
+            ({"op": 5}, "field 'op' must be str, got 5"),
+            ({"op": "settle", "spot": "A1", "plate": "P"}, "unknown journal entry key 'plate'"),
         ],
     )
     def test_invalid_journal_entry_is_journal_error(self, tmp_path, capsys, entry, reason):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -96,6 +97,18 @@ class TestRegistry:
         service = make_service(2)
         with pytest.raises(pk.UnknownSpotError):
             service.register(SpotId.parse("Z9"), USER, now_ms=0)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("namespace", bytes(2), "spot A1: namespace must be 10 bytes, got 2"),
+            ("instance", bytes(7), "spot A1: instance must be 6 bytes, got 7"),
+        ],
+        ids=["namespace", "instance"],
+    )
+    def test_beacon_bytes_of_wrong_size_are_refused(self, field, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            dataclasses.replace(make_spot("A1"), **{field: value})
 
     @pytest.mark.parametrize("max_minutes", [-5, 1.5, "60", True])
     def test_time_limit_must_be_a_non_negative_int(self, max_minutes):
@@ -452,7 +465,8 @@ class TestFileJournal:
             ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
               "max_minutes": -5, "now_ms": 0}, "max_minutes must be a non-negative integer"),
             ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
-              "max_minutes": "60", "now_ms": 0}, "max_minutes must be a non-negative integer"),
+              "max_minutes": "60", "now_ms": 0},
+             "field 'max_minutes' must be int or null, got '60'"),
             ({"op": "snapshot", "sessions": 1, "spots": [{**SNAPSHOT_SESSION, "spot": "Z9"}]},
              "no such spot: Z9"),
             ({"op": "snapshot", "sessions": "1", "spots": [SNAPSHOT_SESSION]},

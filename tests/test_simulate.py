@@ -303,11 +303,14 @@ class TestScenarioFiles:
     def test_filter_defaults_come_from_filter_config(self):
         obj = {"model": {"n": 2.424, "C": -65.24}, "noise_sigma_db": 0.0, "seed": 8,
                "experiment": {"kind": "distance", "grid": [1]},
-               "filter": {"beta": 1, "particle_count": 300.0}}
+               "filter": {"beta": 1, "particle_count": 300}}
         _, exp, cfg = sim.scenario_from_dict(obj)
         assert cfg == FilterConfig(particle_count=300, beta=1.0)
         assert (type(cfg.particle_count), type(cfg.beta)) == (int, float)
         assert exp.grid == (1.0,) and type(exp.grid[0]) is float
+        # an int field takes only a JSON integer
+        with pytest.raises(TypeError, match="field 'particle_count' must be int, got 300.0"):
+            sim.scenario_from_dict({**obj, "filter": {"particle_count": 300.0}})
 
     def test_experiment_kind_validated(self):
         with pytest.raises(ValueError):
