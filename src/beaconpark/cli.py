@@ -132,16 +132,11 @@ def cmd_distance(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "distance", scenario.seed, args.scenario)
 
-    rows = []
     sweep = PARTICLE_SWEEP if args.sweep else (config.particle_count,)
-    for n_particles in sweep:
-        result = run_distance_experiment(
-            scenario,
-            experiment.grid,
-            replace(config, particle_count=n_particles),
-            repetitions=experiment.repetitions,
-        )
-        rows.extend(result.rows)
+    configs = [replace(config, particle_count=n_particles) for n_particles in sweep]
+    rows = run_distance_experiment(
+        scenario, experiment.grid, configs, repetitions=experiment.repetitions
+    ).rows
     out_path = os.path.join(args.out_dir, "distance_results.csv")
     write_atomically(out_path, write_distance_csv, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")

@@ -121,8 +121,7 @@ class ParticleBank:
             weights = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
             weights -= z[:, None]
         np.square(weights, out=weights)
-        weights *= -0.5
-        weights /= cfg.measurement_noise_m**2
+        weights /= -2.0 * cfg.measurement_noise_m**2
         np.exp(weights, out=weights)
         weights *= self.weights if whole else self.weights[rows]
         total = weights.sum(axis=1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,11 +100,32 @@ class FitResult:
     residual_std_db: float
 
 
+def ragged_means(samples, starts) -> np.ndarray:
+    """Mean RSSI of every round of ragged rows, nan for a round with no samples.
+
+    `samples` holds every row's readings, row after row. starts[b, r] is
+    the index in `samples` of row b's first reading in round r; the last
+    column is one past the row's last reading (a 1-D `starts` is one row).
+    Sub-step k adds the k-th sample of every round that has one, so each
+    round is summed left to right from 0.0: the same bits on every Python,
+    where `sum()` compensates since 3.12.
+    """
+    samples = np.asarray(samples, dtype=float)
+    starts = np.asarray(starts)
+    counts = np.diff(starts, axis=-1)
+    firsts = starts[..., :-1]
+    sums = np.zeros(counts.shape)
+    for k in range(int(counts.max(initial=0))):
+        has = counts > k
+        sums[has] += samples[firsts[has] + k]
+    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+
+
 def average_rssi(samples: Sequence[float]) -> float:
-    """Arithmetic mean of raw RSSI readings."""
+    """Arithmetic mean of raw RSSI readings, summed left to right (ragged_means)."""
     if len(samples) == 0:
         raise ValueError("cannot average an empty RSSI list")
-    return float(sum(samples)) / len(samples)
+    return float(ragged_means(samples, [0, len(samples)])[0])
 
 
 def predict_rssi(model: PathLossModel, distance_m: float) -> float:
@@ -115,11 +137,17 @@ def predict_rssi(model: PathLossModel, distance_m: float) -> float:
     )
 
 
-def estimate_distance(model: PathLossModel, rssi_dbm: float) -> float:
-    """Exact algebraic inverse of predict_rssi."""
-    return model.ref_distance_m * 10.0 ** (
-        (model.ref_rssi_dbm - rssi_dbm) / (10.0 * model.exponent)
-    )
+def estimate_distance(model: PathLossModel, rssi_dbm):
+    """Exact algebraic inverse of predict_rssi: a float of a float, an array of an array.
+
+    10**x is libm's `pow` per element (`math.pow`), as Python's `**`
+    computes it; numpy's vectorized power can differ in the last bit.
+    """
+    exponents = (model.ref_rssi_dbm - np.asarray(rssi_dbm, dtype=float)) / (10.0 * model.exponent)
+    if exponents.ndim == 0:
+        return model.ref_distance_m * math.pow(10.0, float(exponents))
+    powers = np.fromiter(map(math.pow, repeat(10.0), exponents.ravel().tolist()), float)
+    return model.ref_distance_m * powers.reshape(exponents.shape)
 
 
 def _t_interval_mass(theta: float, dof: int) -> float:
@@ -164,7 +192,8 @@ def fit_model(data: CalibrationDataset) -> FitResult:
     residual_std_db is the root-mean-square residual of those means.
     """
     x = np.array([math.log10(d / REFERENCE_DISTANCE_M) for d, _ in data.points])
-    y = np.array([average_rssi(s) for _, s in data.points])
+    captures = [samples for _, samples in data.points]
+    y = ragged_means(np.concatenate(captures), np.cumsum([0] + [len(s) for s in captures]))
     m = len(x)
 
     x_bar = x.mean()

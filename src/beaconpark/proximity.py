@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .eddystone import SpotId
 from .particle import FilterConfig, ParticleBank
-from .pathloss import PathLossModel, estimate_distance
+from .pathloss import PathLossModel, estimate_distance, ragged_means
 from .seeding import TAG_FILTER, derive_seed, spot_key
 
 ROUND_MS = 1000
@@ -121,9 +120,19 @@ def _check_streams(streams: Mapping[SpotId, np.ndarray], layout: BeaconLayout) -
     return last_ms // ROUND_MS + 1
 
 
-def _round_bounds(stream: np.ndarray, n_rounds: int) -> np.ndarray:
-    """Index of the stream's first sample in each round, then its length."""
-    return np.searchsorted(stream["timestamp_ms"], np.arange(n_rounds + 1) * ROUND_MS)
+def _stack_rounds(streams: Sequence[np.ndarray], n_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every stream's RSSI, stream after stream, and the rounds it splits into.
+
+    starts[b, r] is the index of stream b's first sample in round r; the
+    last column is one past its last sample.
+    """
+    edges = np.arange(n_rounds + 1) * ROUND_MS
+    offsets = np.cumsum([0] + [len(stream) for stream in streams])
+    starts = [
+        np.searchsorted(stream["timestamp_ms"], edges) + offset
+        for stream, offset in zip(streams, offsets.tolist())
+    ]
+    return np.concatenate([stream["rssi_dbm"] for stream in streams]), np.array(starts)
 
 
 def _tally(layout: BeaconLayout, spots: list[SpotId], distances: np.ndarray) -> PredictionTally:
@@ -173,22 +182,13 @@ def identify_cells(
         return []
     n_rounds = [_check_streams(streams, layout) for layout, streams, _ in cells]
     spots = [sorted(layout.spots()) for layout, _, _ in cells]
-    last_round = max(n_rounds)
-    # One row per beacon, cell by cell. distances holds every row's readings
-    # in row order; starts[row, r] is the index of that row's first reading
-    # in round r.
-    seeds, distances, starts = [], [], []
+    seeds, rows = [], []  # one row per beacon, cell by cell
     for (_, streams, seed), cell_spots in zip(cells, spots):
         for spot in cell_spots:
             seeds.append(derive_seed(seed, TAG_FILTER, spot_key(spot)))
-            stream = streams.get(spot, _EMPTY_STREAM)
-            starts.append(_round_bounds(stream, last_round) + len(distances))
-            distances.extend(
-                estimate_distance(model, rssi) for rssi in stream["rssi_dbm"].tolist()
-            )
-    # rebinding drops the lists before the bank is allocated
-    distances, starts = np.array(distances), np.array(starts)
-    means = ParticleBank(config, seeds).run(distances, starts)
+            rows.append(streams.get(spot, _EMPTY_STREAM))
+    rssi, starts = _stack_rounds(rows, max(n_rounds))
+    means = ParticleBank(config, seeds).run(estimate_distance(model, rssi), starts)
     tallies, first = [], 0
     for (layout, _, _), cell_spots, rounds in zip(cells, spots, n_rounds):
         cell_means = means[first : first + len(cell_spots), :rounds]
@@ -206,37 +206,15 @@ def raw_baseline(
 
     The averaging window is the samples received in the round; a beacon
     silent in a round keeps its last estimate, and one never heard is
-    infinitely far away until its first sample.
-
-    Every round of every beacon is averaged at once, bit for bit as
-    `estimate_distance(model, average_rssi(samples))` per round: sub-step
-    k adds the k-th sample of each round that has one, left to right as
-    Python 3.11's float `sum` adds, and the inversion calls libm's `pow`
-    through `math.pow`, as `**` does (numpy's vectorized power can differ
-    from it in the last bit).
+    infinitely far away until its first sample. Every round of every
+    beacon is averaged (pathloss.ragged_means) and inverted at once.
     """
     n_rounds = _check_streams(streams, layout)
     spots = sorted(layout.spots())
-    # rssi holds every beacon's samples, beacon after beacon; starts[b, r]
-    # is the index of beacon b's first sample in round r.
-    rssi, starts, offset = [], [], 0
-    for spot in spots:
-        stream = streams.get(spot, _EMPTY_STREAM)
-        starts.append(_round_bounds(stream, n_rounds) + offset)
-        rssi.append(stream["rssi_dbm"])
-        offset += len(stream)
-    rssi, starts = np.concatenate(rssi), np.array(starts)
-    counts = np.diff(starts, axis=1)
-    sums = np.zeros(counts.shape)
-    for k in range(int(counts.max())):
-        has = counts > k
-        sums[has] += rssi[starts[:, :-1][has] + k]
-    heard = counts > 0
-    exponents = (model.ref_rssi_dbm - sums[heard] / counts[heard]) / (10.0 * model.exponent)
-    estimates = np.full(counts.shape, math.inf)
-    estimates[heard] = model.ref_distance_m * np.array(
-        list(map(math.pow, repeat(10.0), exponents.tolist()))
-    )
+    rssi, starts = _stack_rounds([streams.get(spot, _EMPTY_STREAM) for spot in spots], n_rounds)
+    heard = np.diff(starts, axis=1) > 0
+    estimates = np.full(heard.shape, math.inf)
+    estimates[heard] = estimate_distance(model, ragged_means(rssi, starts)[heard])
     # Round r reads the estimate of the beacon's last heard round up to r;
     # before its first one that is round 0, still at inf.
     last_heard = np.maximum.accumulate(np.where(heard, np.arange(n_rounds), 0), axis=1)

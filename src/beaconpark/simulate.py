@@ -39,10 +39,10 @@ from .particle import FilterConfig, ParticleBank
 from .pathloss import (
     CalibrationDataset,
     PathLossModel,
-    average_rssi,
     estimate_distance,
     model_from_json_dict,
     predict_rssi,
+    ragged_means,
 )
 from .proximity import (
     STREAM_DTYPE,
@@ -219,7 +219,7 @@ def run_pathloss_experiment(
 def run_distance_experiment(
     scenario: Scenario,
     distances_m: Sequence[float],
-    config: FilterConfig,
+    configs: Sequence[FilterConfig],
     repetitions: int = 3,
     keep_step_errors: bool = False,
 ) -> DistanceExperimentResult:
@@ -227,59 +227,61 @@ def run_distance_experiment(
 
     Per distance: raw error is |distance from the averaged RSSI - truth|,
     filtered error is |final filter mean - truth|; MSE and the deviation
-    of the final filter means are taken over the repetitions. The filters
-    of every (distance, repetition) are the rows of one ParticleBank, each
-    with its own child seed, run through all of its readings as one round
-    (one round per reading with keep_step_errors).
+    of the final filter means are taken over the repetitions. The streams
+    are generated once; each config in turn runs the filters of every
+    (distance, repetition) as the rows of one ParticleBank, each with its
+    own child seed, through all of its readings as one round (one round per
+    reading with keep_step_errors). Rows and step errors come config by config.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    truths, seeds, readings, lengths, raw_errors = [], [], [], [], []
+    truths, seeds, streams = [], [], []
     for d in distances_m:
         for rep in range(repetitions):
             cell_seed = derive_seed(scenario.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
             cell = replace(scenario, seed=cell_seed)
-            rssis = generate_stream(cell, SpotId("B", 1), d)["rssi_dbm"].tolist()
-            if not rssis:
+            stream = generate_stream(cell, SpotId("B", 1), d)
+            if len(stream) == 0:
                 raise ValueError("scenario produced an empty stream")
-            raw_est = estimate_distance(scenario.model, average_rssi(rssis))
-            raw_errors.append(abs(raw_est - d))
             truths.append(d)
             seeds.append(derive_seed(cell_seed, TAG_FILTER))
-            readings.extend(estimate_distance(scenario.model, rssi) for rssi in rssis)
-            lengths.append(len(rssis))
+            streams.append(stream["rssi_dbm"])
     result = DistanceExperimentResult(rows=[])
     if not truths:
         return result
-    lengths = np.array(lengths)
-    firsts = np.cumsum(lengths) - lengths
+    rssi = np.concatenate(streams)
+    bounds = np.cumsum([0] + [len(stream) for stream in streams])
+    firsts, lengths = bounds[:-1], np.diff(bounds)
+    readings = estimate_distance(scenario.model, rssi)
+    raw_errors = np.abs(estimate_distance(scenario.model, ragged_means(rssi, bounds)) - truths)
     if keep_step_errors:
         # one round per reading, so the means are recorded after every step
         starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
     else:
-        starts = np.stack([firsts, firsts + lengths], axis=1)
-    means = ParticleBank(config, seeds).run(readings, starts)
-    finals = means[:, -1].tolist()
+        starts = np.stack([firsts, bounds[1:]], axis=1)
 
-    if keep_step_errors:
-        for row, (d, first, n) in enumerate(zip(truths, firsts.tolist(), lengths.tolist())):
-            result.step_raw_errors_m.extend(abs(z - d) for z in readings[first : first + n])
-            result.step_filtered_errors_m.extend(
-                abs(mean - d) for mean in means[row, :n].tolist()
+    for config in configs:
+        means = ParticleBank(config, seeds).run(readings, starts)
+        finals = means[:, -1].tolist()
+        if keep_step_errors:
+            for row, (d, first, n) in enumerate(zip(truths, firsts.tolist(), lengths.tolist())):
+                result.step_raw_errors_m.extend(np.abs(readings[first : first + n] - d).tolist())
+                result.step_filtered_errors_m.extend(
+                    abs(mean - d) for mean in means[row, :n].tolist()
+                )
+        for i, d in enumerate(distances_m):
+            cells = slice(i * repetitions, (i + 1) * repetitions)
+            filt_errors = [abs(final - d) for final in finals[cells]]
+            result.rows.append(
+                DistanceRow(
+                    particle_count=config.particle_count,
+                    distance_m=float(d),
+                    raw_error_m=float(np.mean(raw_errors[cells])),
+                    filtered_error_m=float(np.mean(filt_errors)),
+                    mse=float(np.mean(np.square(filt_errors))),
+                    std_m=float(np.std(finals[cells], ddof=1)) if repetitions > 1 else 0.0,
+                )
             )
-    for i, d in enumerate(distances_m):
-        cells = slice(i * repetitions, (i + 1) * repetitions)
-        filt_errors = [abs(final - d) for final in finals[cells]]
-        result.rows.append(
-            DistanceRow(
-                particle_count=config.particle_count,
-                distance_m=float(d),
-                raw_error_m=float(np.mean(raw_errors[cells])),
-                filtered_error_m=float(np.mean(filt_errors)),
-                mse=float(np.mean(np.square(filt_errors))),
-                std_m=float(np.std(finals[cells], ddof=1)) if repetitions > 1 else 0.0,
-            )
-        )
     return result
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import re
 import signal
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beaconpark import cli
+from beaconpark import cli, simulate
 from beaconpark.cli import main
 from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, write_calibration_csv
 from beaconpark.simulate import Scenario, run_pathloss_experiment
@@ -194,6 +195,26 @@ class TestDistanceCommand:
         particles = [int(line.split(",")[0]) for line in lines[1:]]
         assert sorted(set(particles)) == list(range(200, 2001, 200))
 
+    def test_sweep_generates_each_stream_once(self, tmp_path, monkeypatch):
+        calls = []
+        generate = simulate.generate_stream
+
+        def counting(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(simulate, "generate_stream", counting)
+        scenario_path = tmp_path / "s.json"
+        grid = [0.5, 1.5, 2.5]
+        tiny_scenario(scenario_path, "distance", grid, duration_s=5.0, reps=2)
+        code = main(
+            ["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path), "--sweep"]
+        )
+        assert code == 0
+        assert len(calls) == len(grid) * 2
+        lines = (tmp_path / "distance_results.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(cli.PARTICLE_SWEEP) * len(grid)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         scenario_path = tmp_path / "s.json"
         tiny_scenario(scenario_path, "distance", [0.5, 1.5], seed=77)
@@ -350,6 +371,31 @@ class TestDistanceCommand:
         ) == 2
         assert f"invalid scenario: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda s: {**s, "noise_sigma_db": math.nan}, "noise_sigma_db"),
+            (lambda s: {**s, "duration_s": math.inf}, "duration_s"),
+            (lambda s: {**s, "experiment": {**s["experiment"], "grid": [1.0, math.nan]}}, "grid"),
+            (lambda s: {**s, "filter": {"state_max_m": math.inf}}, "state_max_m"),
+            (lambda s: {**s, "model": {**s["model"], "C": -math.inf}}, "C"),
+            (lambda s: {**s, "noise_sigma_db": 10**400}, "noise_sigma_db"),
+        ],
+        ids=[
+            "nan-sigma", "infinite-duration", "nan-grid-entry", "infinite-state-max",
+            "minus-infinite-C", "integer-beyond-float-sigma",
+        ],
+    )
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, edit, key):
+        # json writes and reads Python's non-standard NaN and Infinity literals
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0])
+        scenario_path.write_text(json.dumps(edit(json.loads(scenario_path.read_text()))))
+        out_dir = tmp_path / "out"
+        assert main(["--out-dir", str(out_dir), "distance", "--scenario", str(scenario_path)]) == 2
+        assert f"invalid scenario: field {key!r} must be a finite number" in capsys.readouterr().err
+        assert not (out_dir / "manifest.json").exists()
+
     def test_unknown_filter_key_is_input_error(self, tmp_path, capsys):
         scenario_path = tmp_path / "s.json"
         tiny_scenario(scenario_path, "distance", [1.0], filt={"particles": 200})
@@ -482,12 +528,19 @@ class TestServeCommand:
         replies = []
         for lines in (["REGISTER A1 u1 PLATE tok", "LIST"], ["LIST"]):
             proc = subprocess.Popen(
-                [sys.executable, "-c", script],
+                [sys.executable, "-X", "faulthandler", "-c", script],
                 env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
             try:
                 replies.append(send_lines(read_served_port(proc), lines))
                 proc.send_signal(signal.SIGINT)
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    # faulthandler prints every thread's stack on SIGABRT
+                    proc.send_signal(signal.SIGABRT)
+                    proc.wait(timeout=10)
+                    pytest.fail(f"serve still running 10 s after SIGINT:\n{proc.stderr.read()}")
                 assert proc.wait(timeout=10) == 0, proc.stderr.read()
             finally:
                 if proc.poll() is None:

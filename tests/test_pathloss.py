@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -28,6 +30,33 @@ class TestAverageRssi:
             avg = pl.average_rssi(values)
             assert avg == pytest.approx(pl.average_rssi(shuffled), abs=1e-12)
             assert min(values) <= avg <= max(values)
+
+    def test_sums_left_to_right(self):
+        # a compensated sum, as Python 3.12's sum() takes, gives 1/3 here
+        assert pl.average_rssi([1e16, 1.0, -1e16]) == 0.0
+
+
+class TestRaggedMeans:
+    def test_equals_a_left_to_right_sum_per_round(self):
+        rng = random.Random(5)
+        counts = [[rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(60)] for _ in range(3)]
+        counts[1][10:20] = [0] * 10
+        samples, starts = [], []
+        for row in counts:
+            bounds = [len(samples)]
+            for n in row:
+                samples.extend(rng.gauss(-70.0, 8.0) for _ in range(n))
+                bounds.append(len(samples))
+            starts.append(bounds)
+        means = pl.ragged_means(samples, starts)
+        assert means.shape == (3, 60)
+        for b, row in enumerate(starts):
+            for r, (first, end) in enumerate(zip(row, row[1:])):
+                window = samples[first:end]
+                if window:
+                    assert means[b, r] == functools.reduce(operator.add, window) / len(window)
+                else:
+                    assert math.isnan(means[b, r])
 
 
 class TestPredictAndInvert:
@@ -66,6 +95,22 @@ class TestPredictAndInvert:
             d = rng.uniform(1e-3, 100.0)
             back = pl.estimate_distance(model, pl.predict_rssi(model, d))
             assert back == pytest.approx(d, rel=1e-9)
+
+    def test_array_inversion_equals_the_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        rssi = np.concatenate(
+            [np.linspace(-200.0, 50.0, 50_001), rng.uniform(-200.0, 50.0, 50_000)]
+        )
+        for model in (pl.INDOOR_MODEL, pl.OUTDOOR_MODEL):
+            array = pl.estimate_distance(model, rssi)
+            scalar = [pl.estimate_distance(model, r) for r in rssi.tolist()]
+            power = [
+                model.ref_distance_m * 10.0 ** ((model.ref_rssi_dbm - r) / (10.0 * model.exponent))
+                for r in rssi.tolist()
+            ]
+            assert array.tobytes() == np.array(scalar).tobytes() == np.array(power).tobytes()
+            assert type(scalar[0]) is float
+            assert pl.estimate_distance(model, rssi[:100].reshape(4, 25)).shape == (4, 25)
 
     def test_monotonicity(self):
         distances = np.linspace(0.05, 50.0, 400)

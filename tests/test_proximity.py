@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -10,8 +12,6 @@ from beaconpark.particle import FilterConfig
 from beaconpark.pathloss import (
     INDOOR_MODEL,
     OUTDOOR_MODEL,
-    average_rssi,
-    estimate_distance,
     predict_rssi,
 )
 from beaconpark.proximity import (
@@ -253,7 +253,11 @@ class TestRawBaseline:
 
 
 def loop_raw_distances(streams, model, spots):
-    """The per-round loop the array form of raw_baseline replaced, as its reference."""
+    """The per-round loop the array form of raw_baseline replaced, as its reference.
+
+    Each window is summed left to right and inverted with `**`, written
+    out here rather than through pathloss, whose functions raw_baseline uses.
+    """
     n_rounds = max(int(s["timestamp_ms"][-1]) for s in streams.values() if len(s)) // 1000 + 1
     distances = np.empty((len(spots), n_rounds))
     for row, spot in enumerate(spots):
@@ -262,7 +266,9 @@ def loop_raw_distances(streams, model, spots):
         for r in range(n_rounds):
             window = [rssi for t, rssi in samples if t // 1000 == r]
             if window:
-                current = estimate_distance(model, average_rssi(window))
+                mean = functools.reduce(operator.add, window) / len(window)
+                exponent = (model.ref_rssi_dbm - mean) / (10.0 * model.exponent)
+                current = model.ref_distance_m * 10.0**exponent
             distances[row, r] = current
     return distances
 

@@ -92,7 +92,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=120.0),
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
-            FilterConfig(),
+            [FilterConfig()],
             repetitions=1,
         )
         for row in result.rows:
@@ -104,7 +104,7 @@ class TestDistanceExperiment:
         # at the 4 m state edge the truncated posterior mean sits below the
         # measurement, so the filter cannot get arbitrarily close
         result = sim.run_distance_experiment(
-            scenario(duration_s=120.0), [4.0], FilterConfig(), repetitions=3
+            scenario(duration_s=120.0), [4.0], [FilterConfig()], repetitions=3
         )
         assert 0.05 < result.rows[0].filtered_error_m < 0.15
 
@@ -113,7 +113,7 @@ class TestDistanceExperiment:
             sim.run_distance_experiment(
                 scenario(noise_sigma_db=4.0, duration_s=30.0, seed=5),
                 [1.0, 2.0],
-                FilterConfig(),
+                [FilterConfig()],
                 repetitions=2,
             ).rows
             for _ in range(2)
@@ -124,7 +124,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=30.0),
             [1.0],
-            FilterConfig(),
+            [FilterConfig()],
             repetitions=2,
             keep_step_errors=True,
         )
@@ -138,7 +138,7 @@ class TestDistanceExperiment:
         config = FilterConfig(particle_count=100)
         distances = [0.5, 2.0, 3.5]
         result = sim.run_distance_experiment(
-            scen, distances, config, repetitions=2, keep_step_errors=True
+            scen, distances, [config], repetitions=2, keep_step_errors=True
         )
         lengths, step_raw, step_filtered, finals = set(), [], [], []
         for d in distances:
@@ -165,7 +165,7 @@ class TestDistanceExperiment:
 
     def test_csv_shape(self, tmp_path):
         result = sim.run_distance_experiment(
-            scenario(duration_s=20.0), [1.0, 2.0], FilterConfig(), repetitions=1
+            scenario(duration_s=20.0), [1.0, 2.0], [FilterConfig()], repetitions=1
         )
         path = tmp_path / "distance.csv"
         sim.write_distance_csv(path, result.rows)
