@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "INDOOR_NOISE_SIGMA_DB", "OUTDOOR_NOISE_SIGMA_DB", "ExperimentSpec", "Scenario",
-        "calibrate_noise_sigma", "generate_stream", "run_distance_experiment",
+        "calibrate_noise_sigma", "generate_stream", "raw_accuracy", "run_distance_experiment",
         "run_pathloss_experiment", "run_proximity_experiment", "three_beacon_layout",
     ),
 }

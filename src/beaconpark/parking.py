@@ -89,6 +89,9 @@ class SpotState(Enum):
     ILLEGAL = "Illegal"
 
 
+# Spot.state returns these plain names, which CPython looks up faster than SpotState.X.
+_AVAILABLE, _OCCUPIED, _ILLEGAL = SpotState
+
 # The error a command raises when its spot is not in the state it needs.
 _STATE_NEEDED = {
     SpotState.AVAILABLE: (SpotTakenError, "already in use"),
@@ -148,7 +151,6 @@ class Spot:
     instance: bytes
     url: str
     rate_cents_per_hour: int
-    state: SpotState = SpotState.AVAILABLE
     session: Session | None = None
 
     def __post_init__(self):
@@ -162,6 +164,14 @@ class Spot:
             raise ValueError("rate cannot be negative")
         if not self.url:
             raise ValueError("spot needs a registration URL")
+
+    @property
+    def state(self) -> SpotState:
+        """No session is Available, an open one Occupied, a closed (unpaid) one Illegal."""
+        session = self.session
+        if session is None:
+            return _AVAILABLE
+        return _OCCUPIED if session.end_ms is None else _ILLEGAL
 
 
 def billable_minutes(start_ms: int, end_ms: int) -> int:
@@ -303,7 +313,8 @@ class ParkingService:
             for spot in self._spots.values():
                 session = spot.session
                 if (
-                    spot.state is SpotState.OCCUPIED
+                    session is not None
+                    and session.end_ms is None  # Occupied
                     and session.max_minutes is not None
                     and now_ms > session.start_ms + session.max_minutes * MS_PER_MINUTE
                 ):
@@ -316,7 +327,7 @@ class ParkingService:
     def settle(self, spot_id: SpotId) -> None:
         """Admin action clearing an illegally-parked spot."""
         with self._lock:
-            _clear(self._spot_in(spot_id, SpotState.ILLEGAL))
+            self._spot_in(spot_id, SpotState.ILLEGAL).session = None
             self._journal({"op": "settle", "spot": str(spot_id)})
             self._emit("settled", spot=str(spot_id))
 
@@ -337,7 +348,6 @@ class ParkingService:
             start_ms=now_ms,
             max_minutes=max_minutes,
         )
-        spot.state = SpotState.OCCUPIED
         return spot.session
 
     def _close_session(self, spot_id: SpotId, now_ms: int, op: str) -> Session:
@@ -375,11 +385,7 @@ class ParkingService:
             self._since_snapshot = 0
 
     def snapshot(self) -> dict:
-        """The full registry state as a journal `snapshot` entry.
-
-        A spot without a session is Available, one with an open session
-        Occupied, one with a closed (unpaid) session Illegal.
-        """
+        """The full registry state as a journal `snapshot` entry: every spot's session."""
         return {
             "op": "snapshot",
             "sessions": self._session_seq,
@@ -405,11 +411,7 @@ class ParkingService:
                 raise ValueError(f"snapshot names spot {spot_id} twice")
             restored[spot_id] = session
         for spot in self._spots.values():
-            spot.session = session = restored.get(spot.id)
-            if session is None:
-                spot.state = SpotState.AVAILABLE
-            else:
-                spot.state = SpotState.OCCUPIED if session.end_ms is None else SpotState.ILLEGAL
+            spot.session = restored.get(spot.id)
         self._session_seq = entry["sessions"]
 
     # -- construction, journaling, replay --
@@ -457,14 +459,9 @@ class ParkingService:
                 spot = self._spot_in(SpotId.parse(entry["spot"]), SpotState.OCCUPIED)
                 _apply_close(spot, entry["now_ms"], entry["cost_cents"], entry["charged"])
             else:  # settle
-                _clear(self._spot_in(SpotId.parse(entry["spot"]), SpotState.ILLEGAL))
+                self._spot_in(SpotId.parse(entry["spot"]), SpotState.ILLEGAL).session = None
             self._since_snapshot = 0 if op == "snapshot" else self._since_snapshot + 1
             self.replayed_entries += 1
-
-
-def _clear(spot: Spot) -> None:
-    spot.state = SpotState.AVAILABLE
-    spot.session = None
 
 
 def _apply_close(spot: Spot, end_ms: int, cost_cents: int, charged: bool) -> None:
@@ -472,9 +469,7 @@ def _apply_close(spot: Spot, end_ms: int, cost_cents: int, charged: bool) -> Non
     session = spot.session
     session.end_ms, session.cost_cents, session.charged = end_ms, cost_cents, charged
     if charged:
-        _clear(spot)
-    else:
-        spot.state = SpotState.ILLEGAL
+        spot.session = None
 
 
 # A lot file's spot: the Spot fields, the beacon bytes as hex (`instance` optional).

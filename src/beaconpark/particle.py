@@ -77,10 +77,9 @@ class ParticleBank:
     filter given the same seed and measurements.
 
     The bank owns a third (B, N) array, `_work`, free between operations.
-    A step of every row writes the new weights into it and swaps it with
-    `weights`; a step of some rows uses its first len(rows) rows. The
-    N_eff squares and `means` use it too. `weights` is therefore a
-    different array after a whole-bank step: read it again, do not keep it.
+    A step of every row computes the gains in it and multiplies them into
+    `weights` in place; a step of some rows computes their new weights in
+    its first len(rows) rows. The N_eff squares and `means` use it too.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -116,14 +115,15 @@ class ParticleBank:
             raise ValueError(f"filter row {rows[bad]}: measurement must be finite, got {z[bad]}")
         z = np.minimum(np.maximum(z, cfg.state_min_m), cfg.state_max_m)
         if whole:
-            weights = np.subtract(self.particles, z[:, None], out=self._work)
+            gains = np.subtract(self.particles, z[:, None], out=self._work)
         else:
-            weights = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
-            weights -= z[:, None]
-        np.square(weights, out=weights)
-        weights /= -2.0 * cfg.measurement_noise_m**2
-        np.exp(weights, out=weights)
-        weights *= self.weights if whole else self.weights[rows]
+            gains = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
+            gains -= z[:, None]
+        np.square(gains, out=gains)
+        gains /= -2.0 * cfg.measurement_noise_m**2
+        np.exp(gains, out=gains)
+        weights = self.weights if whole else gains  # a partial step's rows are copied back below
+        weights *= gains if whole else self.weights[rows]
         total = weights.sum(axis=1)
         collapsed = ~(np.isfinite(total) & (total > 0.0))
         if collapsed.any():
@@ -131,12 +131,9 @@ class ParticleBank:
             weights[collapsed] = 1.0
             total[collapsed] = cfg.particle_count
         weights /= total[:, None]
-        if whole:
-            self.weights, self._work = weights, self.weights
-            neff = self._effective(weights, self._work)
-        else:
+        if not whole:
             self.weights[rows] = weights
-            neff = self._effective(weights, weights)
+        neff = self._effective(weights, gains)  # the gains are spent: square into their buffer
         resampled = ~collapsed & (neff < self._threshold)
         for row in rows[collapsed].tolist():
             self._reinitialize(row)
@@ -208,8 +205,7 @@ class DistanceParticleFilter:
     """Weighted particle set estimating one beacon's distance: a one-row bank.
 
     `particles` and `weights` are row 0 of the bank; assigning to them
-    writes into that row. Read them again after an update: a step swaps
-    the bank's weights array with its work buffer.
+    writes into that row.
     """
 
     def __init__(self, config: FilterConfig, seed: int):

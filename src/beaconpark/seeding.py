@@ -16,7 +16,6 @@ TAG_STREAM = 1
 TAG_FILTER = 2
 TAG_DISTANCE_CELL = 3
 TAG_PROXIMITY_CELL = 4
-TAG_CALIBRATION = 5
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:

@@ -58,11 +58,12 @@ class SimulatedClock:
         return self._now_ms
 
     def advance_seconds(self, seconds: float) -> None:
-        if not math.isfinite(seconds):
-            raise ValueError(f"clock advance must be finite, got {seconds}")
+        advance_ms = seconds * 1000
+        if not math.isfinite(advance_ms):  # a finite 1e306 s overflows to inf ms
+            raise ValueError(f"clock advance must be finite in ms, got {seconds} s")
         if seconds < 0:
             raise ValueError("clock cannot run backwards")
-        self._now_ms += int(seconds * 1000)
+        self._now_ms += int(advance_ms)
 
 
 def handle_command(service: ParkingService, clock, line: str) -> str:

@@ -1,8 +1,13 @@
-"""The traced benchmark wraps beaconpark's functions by name: a guard that they still exist."""
+"""The traced benchmark wraps beaconpark's functions by name: a guard that they still exist,
+for the parking service and for both experiments run through the benchmark's launcher."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 
@@ -37,3 +42,44 @@ def test_traced_restart_counts_the_replay_and_the_register(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["OK S1", "OK A1:Occupied:200", "1 1"]
+
+
+def tiny_scenario(kind, grid, repetitions):
+    """A 10 s scenario: 10 samples per beacon stream; `--sweep` overrides its 100 particles."""
+    return {
+        "model": {"n": 2.424, "C": -65.24, "d0": 1.0},
+        "noise_sigma_db": 5.45,
+        "duration_s": 10,
+        "seed": 42,
+        "experiment": {"kind": kind, "grid": grid, "repetitions": repetitions},
+        "filter": {"particle_count": 100},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, scenario, csv_name, samples",
+    [
+        # 2 cells x 3 beacons x 10 samples
+        (["proximity"], tiny_scenario("proximity", [[1.0, 0.5], [2.0, 1.0]], 1),
+         "proximity_results.csv", 60),
+        # 2 distances x 2 repetitions x 10 samples
+        (["distance", "--sweep"], tiny_scenario("distance", [1.0, 2.5], 2),
+         "distance_results.csv", 40),
+    ],
+    ids=["proximity", "distance-sweep"],
+)
+def test_traced_experiment_writes_its_csv(tmp_path, argv, scenario, csv_name, samples):
+    scenario_path, summary_path = tmp_path / "scenario.json", tmp_path / "summary.json"
+    scenario_path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "launch.py"), str(summary_path),
+         "--out-dir", str(out_dir), *argv, "--scenario", str(scenario_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out_dir / csv_name).stat().st_size > 0
+    assert json.loads(summary_path.read_text())["simulate.samples"] == samples

@@ -112,6 +112,12 @@ class TestHandleCommand:
         assert self.run("TICK 1") == "OK"
         assert self.clock.now_ms() == 1000
 
+    def test_tick_overflowing_to_infinite_ms_is_refused(self):
+        # 1e306 s is finite, but 1e309 ms is not
+        self.run("TICK 5")
+        assert self.run("TICK 1e306") == "ERR BADCMD malformed arguments"
+        assert self.clock.now_ms() == 5000
+
     def test_tick_needs_simulated_clock(self):
         service = make_service()
         assert handle_command(service, SystemClock(), "TICK 5").startswith("ERR CLOCK")
@@ -194,6 +200,13 @@ class TestTCPServer:
         assert client.send("REGISTER A1 u1 PLATE tok") == "OK S1"
         assert client.send("TICK 5400") == "OK"
         assert client.send("UNREGISTER A1") == "OK 300"
+        client.close()
+
+    def test_overflowing_tick_leaves_the_connection_serving(self, running_server):
+        port = running_server(make_service())
+        client = LineClient(port)
+        assert client.send("TICK 1e306") == "ERR BADCMD malformed arguments"
+        assert client.send("LIST") == "OK A1:Available:200;A2:Available:200"
         client.close()
 
     def test_concurrent_duplicate_registration(self, running_server):

@@ -1,5 +1,7 @@
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from beaconpark.seeding import (
 from beaconpark import simulate as sim
 
 B1 = SpotId("B", 1)
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def scenario(**kw):
@@ -271,6 +274,53 @@ class TestNoiseCalibration:
         )
         results = sim.run_proximity_experiment(s, [(1.0, 0.5)], FilterConfig())
         assert results[0].raw.accuracy == pytest.approx(0.778, abs=0.08)
+
+
+class TestRawAccuracy:
+    """raw_accuracy is the raw baseline's oracle: the exact single-sample accuracy."""
+
+    GRID = np.arange(2.0, 10.0001, 0.05).tolist()  # the calibration's sigma grid
+
+    @pytest.mark.parametrize("model", [INDOOR_MODEL, OUTDOOR_MODEL])
+    def test_matches_scipy_quadrature_over_the_calibration_grid(self, model):
+        from scipy import integrate, special  # the tests' oracle, not a runtime dependency
+
+        gap = predict_rssi(model, 0.5) - predict_rssi(model, math.hypot(1.0, 0.5))
+        for sigma in self.GRID:
+            m = gap / sigma
+            exact, _ = integrate.quad(
+                lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi) * special.ndtr(t + m) ** 2,
+                -math.inf,
+                math.inf,
+                epsabs=1e-12,
+            )
+            assert sim.raw_accuracy(model, 1.0, 0.5, sigma) == pytest.approx(exact, abs=1e-8)
+
+    def test_far_row_figures(self):
+        # the figures quoted by acceptance check 5(c)
+        accuracies = [sim.raw_accuracy(INDOOR_MODEL, x, 2.5, 5.45) for x in (1.0, 1.5, 2.0, 2.5)]
+        assert [round(a, 3) for a in accuracies] == [0.375, 0.420, 0.476, 0.535]
+
+    def test_sigma_must_be_positive(self):
+        with pytest.raises(ValueError, match="sigma"):
+            sim.raw_accuracy(INDOOR_MODEL, 1.0, 0.5, 0.0)
+
+    def test_shipped_grids_raw_tallies_are_binomial(self):
+        # Each round holds one sample per beacon, so a cell's raw tally of B is
+        # Binomial(rounds, raw_accuracy). |z| <= 4 over the 30 cells of both grids
+        # is a Bonferroni bound: about a 0.2% chance of a false alarm.
+        worst = 0.0
+        for name in ("indoor_proximity.json", "outdoor_proximity.json"):
+            s, exp, config = sim.load_scenario(SCENARIOS / name)
+            # the raw tallies do not depend on the filter, so a small one keeps this quick
+            cells = sim.run_proximity_experiment(s, exp.grid, replace(config, particle_count=2))
+            for cell in cells:
+                n = cell.raw.total
+                assert n == s.duration_s * 1000 / s.tx_interval_ms
+                p = sim.raw_accuracy(s.model, cell.x_m, cell.y_m, s.noise_sigma_db)
+                z = (cell.raw.counts[B1] - n * p) / math.sqrt(n * p * (1 - p))
+                worst = max(worst, abs(z))
+        assert worst <= 4.0
 
 
 class TestScenarioFiles:
