@@ -21,6 +21,23 @@ rounds of ragged readings (ParticleBank.run). A bank steps in place:
 besides `particles` and `weights` it owns one (B, N) work buffer, so a
 step allocates no (B, N) temporaries. DistanceParticleFilter is a one-row
 bank; a bank row evolves bit for bit as that lone filter.
+
+A step makes nine passes over the (B, N) rows it reaches: subtract each
+row's measurement, square, divide by -2 noise^2, exp, multiply into the
+weights, row sum, divide by the row sums, then square and row-sum again
+for N_eff. Two of them broadcast one value per row (`particles - z[:, None]`
+and `weights / total[:, None]`). While two or more rows fit in numpy's
+ufunc buffer (8192 elements by default), numpy's iterator copies the
+broadcast operand into that buffer, chunk by chunk, and those two passes
+then cost 2-4 times the same operation against a scalar: on numpy 2.4.6
+at 75 x 1000, 75 us and 87 us where the scalar forms take 22 us and
+54 us. So `run` and `update` step with the buffer set to 16 elements
+(_STEP_BUFSIZE), where the copy disappears (27 us and 62 us), and restore
+the caller's size on the way out. Elementwise IEEE results do not depend
+on the chunking, and the contiguous row sums and cumsums give the same
+bits at either size. `run` also checks and clamps all readings once, not
+once per step, and a round in which every row has the same number of
+readings steps the whole bank from one gather.
 """
 
 from __future__ import annotations
@@ -30,6 +47,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# ufunc buffer size, in elements, while a bank steps (see the module docstring).
+_STEP_BUFSIZE = 16
 
 
 @dataclass(frozen=True)
@@ -103,7 +123,6 @@ class ParticleBank:
         every row. Returns two boolean arrays aligned with the measurements:
         which rows resampled, and which collapsed and were reinitialized.
         """
-        cfg = self.config
         z = np.asarray(measurements_m, dtype=float)
         whole = rows is None or len(rows) == len(self._rows)
         rows = self._rows if rows is None else np.asarray(rows)
@@ -113,7 +132,79 @@ class ParticleBank:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"filter row {rows[bad]}: measurement must be finite, got {z[bad]}")
-        z = np.minimum(np.maximum(z, cfg.state_min_m), cfg.state_max_m)
+        bufsize = np.setbufsize(_STEP_BUFSIZE)
+        try:
+            return self._step(self._clamp(z), None if whole else rows)
+        finally:
+            np.setbufsize(bufsize)
+
+    def run(self, readings, starts) -> np.ndarray:
+        """Step the rows through rounds of ragged readings; return the (B, rounds) means.
+
+        `readings` holds every row's measurements, row after row.
+        starts[b, r] is the index in `readings` of row b's first reading in
+        round r; the last column is one past the row's last reading.
+        Sub-step k of a round updates, in one step, the rows that have a
+        k-th reading in it; a row with none keeps its state. The means are
+        taken after each round.
+        """
+        readings = np.asarray(readings, dtype=float)
+        starts = np.asarray(starts)
+        n_rows = len(self._rows)
+        if starts.ndim != 2 or starts.shape[0] != n_rows:
+            raise ValueError(f"starts of shape {starts.shape} for {n_rows} filter rows")
+        # Every check and clamp happens here, once; a non-finite reading is
+        # an error only if some row reads it.
+        for i in np.flatnonzero(~np.isfinite(readings)).tolist():
+            owners = np.flatnonzero((starts[:, 0] <= i) & (i < starts[:, -1]))
+            if owners.size:
+                raise ValueError(
+                    f"filter row {owners[0]}: measurement must be finite, got {readings[i]}"
+                )
+        z = self._clamp(readings)
+        counts = np.diff(starts, axis=1)
+        most = counts.max(axis=0)
+        even = (counts == most).all(axis=0)
+        means = np.empty(counts.shape)
+        bufsize = np.setbufsize(_STEP_BUFSIZE)
+        try:
+            for r, (most_r, even_r) in enumerate(zip(most.tolist(), even.tolist())):
+                if even_r:
+                    # Every row has most_r readings: one gather, whole-bank steps.
+                    for z_k in z[starts[:, r] + np.arange(most_r)[:, None]]:
+                        self._step(z_k, None)
+                else:
+                    for k in range(most_r):
+                        rows = np.flatnonzero(counts[:, r] > k)
+                        self._step(z[starts[rows, r] + k], None if len(rows) == n_rows else rows)
+                means[:, r] = self.means()
+        finally:
+            np.setbufsize(bufsize)
+        return means
+
+    def effective_particles(self) -> np.ndarray:
+        """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
+        return self._effective(self.weights, self._work)
+
+    def maybe_resample(self, row: int) -> bool:
+        """Multinomially resample one row when its N_eff falls below beta * N."""
+        if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
+            return False
+        self._resample(row)
+        return True
+
+    def means(self) -> np.ndarray:
+        """Weighted mean particle of every row."""
+        weighted = np.multiply(self.weights, self.particles, out=self._work)
+        return weighted.sum(axis=1) / self.weights.sum(axis=1)
+
+    def _clamp(self, z: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
+
+    def _step(self, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """update() on finite, clamped measurements: every row if `rows` is None."""
+        cfg = self.config
+        whole = rows is None
         if whole:
             gains = np.subtract(self.particles, z[:, None], out=self._work)
         else:
@@ -135,50 +226,12 @@ class ParticleBank:
             self.weights[rows] = weights
         neff = self._effective(weights, gains)  # the gains are spent: square into their buffer
         resampled = ~collapsed & (neff < self._threshold)
+        rows = self._rows if whole else rows
         for row in rows[collapsed].tolist():
             self._reinitialize(row)
         for row in rows[resampled].tolist():
             self._resample(row)
         return resampled, collapsed
-
-    def run(self, readings, starts) -> np.ndarray:
-        """Step the rows through rounds of ragged readings; return the (B, rounds) means.
-
-        `readings` holds every row's measurements, row after row.
-        starts[b, r] is the index in `readings` of row b's first reading in
-        round r; the last column is one past the row's last reading.
-        Sub-step k of a round updates, in one step, the rows that have a
-        k-th reading in it; a row with none keeps its state. The means are
-        taken after each round.
-        """
-        readings = np.asarray(readings, dtype=float)
-        starts = np.asarray(starts)
-        if starts.ndim != 2 or starts.shape[0] != len(self._rows):
-            raise ValueError(f"starts of shape {starts.shape} for {len(self._rows)} filter rows")
-        counts = np.diff(starts, axis=1)
-        means = np.empty(counts.shape)
-        for r, most in enumerate(counts.max(axis=0).tolist()):
-            for k in range(most):
-                rows = np.flatnonzero(counts[:, r] > k)
-                self.update(readings[starts[rows, r] + k], rows)
-            means[:, r] = self.means()
-        return means
-
-    def effective_particles(self) -> np.ndarray:
-        """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
-        return self._effective(self.weights, self._work)
-
-    def maybe_resample(self, row: int) -> bool:
-        """Multinomially resample one row when its N_eff falls below beta * N."""
-        if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
-            return False
-        self._resample(row)
-        return True
-
-    def means(self) -> np.ndarray:
-        """Weighted mean particle of every row."""
-        weighted = np.multiply(self.weights, self.particles, out=self._work)
-        return weighted.sum(axis=1) / self.weights.sum(axis=1)
 
     @staticmethod
     def _effective(weights: np.ndarray, out: np.ndarray) -> np.ndarray:

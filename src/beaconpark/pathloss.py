@@ -106,18 +106,23 @@ def ragged_means(samples, starts) -> np.ndarray:
     `samples` holds every row's readings, row after row. starts[b, r] is
     the index in `samples` of row b's first reading in round r; the last
     column is one past the row's last reading (a 1-D `starts` is one row).
-    Sub-step k adds the k-th sample of every round that has one, so each
-    round is summed left to right from 0.0: the same bits on every Python,
-    where `sum()` compensates since 3.12.
+    Each round is summed left to right from 0.0: the same bits on every
+    Python, where `sum()` compensates since 3.12. The rounds are padded to
+    the longest one and summed by one `np.add.accumulate`, a sequential
+    scan; the sum is read at each round's last sample.
     """
     samples = np.asarray(samples, dtype=float)
     starts = np.asarray(starts)
     counts = np.diff(starts, axis=-1)
-    firsts = starts[..., :-1]
-    sums = np.zeros(counts.shape)
-    for k in range(int(counts.max(initial=0))):
-        has = counts > k
-        sums[has] += samples[firsts[has] + k]
+    offsets = np.arange(max(int(counts.max(initial=0)), 1))
+    has = offsets < counts[..., None]
+    padded = np.zeros(has.shape)
+    padded[has] = samples[(starts[..., :-1, None] + offsets)[has]]
+    running = np.add.accumulate(padded, axis=-1)
+    last = np.maximum(counts - 1, 0)[..., None]
+    # The scan starts from the first sample, not from 0.0; adding 0.0 turns
+    # the one difference, a sum of -0.0, into the 0.0 the rule gives.
+    sums = np.take_along_axis(running, last, axis=-1)[..., 0] + 0.0
     return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
 

@@ -43,7 +43,6 @@ from .pathloss import (
     estimate_distance,
     model_from_json_dict,
     predict_rssi,
-    ragged_means,
 )
 from .proximity import (
     STREAM_DTYPE,
@@ -144,7 +143,6 @@ class DistanceRow:
 
     particle_count: int
     distance_m: float
-    raw_error_m: float
     filtered_error_m: float
     mse: float
     std_m: float
@@ -221,15 +219,15 @@ def run_distance_experiment(
     repetitions: int = 3,
     keep_step_errors: bool = False,
 ) -> DistanceExperimentResult:
-    """Estimate each distance raw (full-capture average) and filtered.
+    """Estimate each distance with the particle filter.
 
-    Per distance: raw error is |distance from the averaged RSSI - truth|,
-    filtered error is |final filter mean - truth|; MSE and the deviation
-    of the final filter means are taken over the repetitions. The streams
-    are generated once; each config in turn runs the filters of every
-    (distance, repetition) as the rows of one ParticleBank, each with its
-    own child seed, through all of its readings as one round (one round per
-    reading with keep_step_errors). Rows and step errors come config by config.
+    Per distance: filtered error is |final filter mean - truth|; MSE and
+    the deviation of the final filter means are taken over the
+    repetitions. The streams are generated once; each config in turn runs
+    the filters of every (distance, repetition) as the rows of one
+    ParticleBank, each with its own child seed, through all of its readings
+    as one round (one round per reading with keep_step_errors). Rows and
+    step errors come config by config.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -251,7 +249,6 @@ def run_distance_experiment(
     bounds = np.cumsum([0] + [len(stream) for stream in streams])
     firsts, lengths = bounds[:-1], np.diff(bounds)
     readings = estimate_distance(scenario.model, rssi)
-    raw_errors = np.abs(estimate_distance(scenario.model, ragged_means(rssi, bounds)) - truths)
     if keep_step_errors:
         # one round per reading, so the means are recorded after every step
         starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
@@ -274,7 +271,6 @@ def run_distance_experiment(
                 DistanceRow(
                     particle_count=config.particle_count,
                     distance_m=float(d),
-                    raw_error_m=float(np.mean(raw_errors[cells])),
                     filtered_error_m=float(np.mean(filt_errors)),
                     mse=float(np.mean(np.square(filt_errors))),
                     std_m=float(np.std(finals[cells], ddof=1)) if repetitions > 1 else 0.0,

@@ -416,3 +416,136 @@ class TestParticleBank:
     def test_needs_a_seed(self):
         with pytest.raises(ValueError):
             ParticleBank(FilterConfig(), [])
+
+
+def reference_run(config, seeds, readings, starts):
+    """Each row as a lone filter, stepped in plain 1-D numpy.
+
+    One step: clamp, subtract, square, divide by -2 noise^2, exp, multiply,
+    sum, divide, N_eff, and below beta * N a multinomial resample from the
+    row's own default_rng(seed). Returns the means after every round, the
+    final particles and weights, and the number of resamples.
+    """
+    n, lo, hi = config.particle_count, config.state_min_m, config.state_max_m
+    means = np.empty((len(seeds), starts.shape[1] - 1))
+    particles, weights, resamples = [], [], 0
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(lo, hi, n)
+        w = np.full(n, 1.0 / n)
+        for r in range(starts.shape[1] - 1):
+            for z in readings[starts[b, r] : starts[b, r + 1]].tolist():
+                z = min(max(z, lo), hi)
+                w = w * np.exp(np.square(p - z) / (-2.0 * config.measurement_noise_m**2))
+                total = w.sum()
+                assert total > 0.0  # no collapse in these inputs
+                w = w / total
+                if 1.0 / np.square(w).sum() < config.beta * n:
+                    cumulative = np.cumsum(w)
+                    cumulative[-1] = 1.0
+                    p = p[np.searchsorted(cumulative, np.sort(rng.random(n)))]
+                    w = np.full(n, 1.0 / n)
+                    resamples += 1
+            means[b, r] = (w * p).sum() / w.sum()
+        particles.append(p)
+        weights.append(w)
+    return means, np.array(particles), np.array(weights), resamples
+
+
+def noisy_readings(rng, counts):
+    """Readings around one true distance per row, row after row, and their starts.
+
+    The noise carries some readings outside [0, 4], so the clamp is used.
+    """
+    truths = rng.uniform(0.3, 3.7, len(counts))
+    per_row = counts.sum(axis=1)
+    readings = np.repeat(truths, per_row) + rng.normal(0.0, 1.0, per_row.sum())
+    firsts = np.cumsum(per_row) - per_row
+    bounds = np.concatenate([np.zeros((len(counts), 1), dtype=int), np.cumsum(counts, axis=1)], 1)
+    return readings, firsts[:, None] + bounds
+
+
+class TestRunAgainstReference:
+    @pytest.mark.parametrize(
+        "rows, n, rounds, per_round",
+        [(75, 1000, 20, 1), (24, 200, 1, 120), (24, 2000, 1, 120)],
+        ids=["proximity-75x1000", "sweep-24x200", "sweep-24x2000"],
+    )
+    def test_even_rounds_bit_for_bit(self, rows, n, rounds, per_round):
+        config = FilterConfig(particle_count=n)
+        seeds = list(range(100, 100 + rows))
+        rng = np.random.default_rng(n + rows)
+        readings, starts = noisy_readings(rng, np.full((rows, rounds), per_round))
+        assert readings.min() < 0.0 and readings.max() > 4.0
+        bank = ParticleBank(config, seeds)
+        means = bank.run(readings, starts)
+        expected, particles, weights, resamples = reference_run(config, seeds, readings, starts)
+        assert resamples > 0
+        assert means.tobytes() == expected.tobytes()
+        assert bank.particles.tobytes() == particles.tobytes()
+        assert bank.weights.tobytes() == weights.tobytes()
+
+    def test_ragged_rounds_bit_for_bit(self):
+        # round 0 steps only some rows at every sub-step; round 2's first
+        # sub-step reaches every row and its second only two; round 3 is empty
+        counts = np.array(
+            [[2, 1, 2, 0, 1], [1, 1, 1, 0, 4], [0, 1, 1, 0, 0], [3, 1, 1, 0, 2], [1, 1, 3, 0, 1]]
+        )
+        config = FilterConfig(particle_count=300, measurement_noise_m=0.4)
+        seeds = [7, 8, 9, 10, 11]
+        readings, starts = noisy_readings(np.random.default_rng(40), counts)
+        bank = ParticleBank(config, seeds)
+        means = bank.run(readings, starts)
+        expected, particles, weights, resamples = reference_run(config, seeds, readings, starts)
+        assert resamples > 0
+        assert means.tobytes() == expected.tobytes()
+        assert bank.particles.tobytes() == particles.tobytes()
+        assert bank.weights.tobytes() == weights.tobytes()
+
+
+class TestRunChecks:
+    STARTS = np.array([[0, 2, 4], [4, 6, 8], [8, 10, 12]])
+
+    def bank(self):
+        return ParticleBank(FilterConfig(particle_count=50), [1, 2, 3])
+
+    def test_nonfinite_reading_names_its_row_before_any_step(self):
+        bank = self.bank()
+        particles, weights = bank.particles.copy(), bank.weights.copy()
+        readings = np.full(12, 2.0)
+        readings[9] = math.nan
+        with pytest.raises(ValueError, match=r"^filter row 2: measurement must be finite, got nan$"):
+            bank.run(readings, self.STARTS)
+        assert np.array_equal(bank.particles, particles)
+        assert np.array_equal(bank.weights, weights)
+
+    def test_a_reading_no_row_reads_is_not_checked(self):
+        readings = np.append(np.full(12, 2.0), math.inf)
+        assert self.bank().run(readings, self.STARTS).shape == (3, 2)
+
+    def test_out_of_range_readings_step_as_their_clamped_values(self):
+        readings = np.random.default_rng(41).uniform(-3.0, 7.0, 12)
+        clamped, raw = self.bank(), self.bank()
+        assert raw.run(readings, self.STARTS).tobytes() == clamped.run(
+            np.clip(readings, 0.0, 4.0), self.STARTS
+        ).tobytes()
+        assert raw.particles.tobytes() == clamped.particles.tobytes()
+        assert raw.weights.tobytes() == clamped.weights.tobytes()
+
+    def test_callers_ufunc_buffer_size_is_restored(self):
+        bank = self.bank()
+        readings = np.full(12, 2.0)
+        caller = np.setbufsize(4096)
+        try:
+            bank.run(readings, self.STARTS)
+            assert np.getbufsize() == 4096
+            bank.update([1.0, 2.0, 3.0])
+            assert np.getbufsize() == 4096
+            with pytest.raises(IndexError):
+                bank.update([1.0], [7])
+            assert np.getbufsize() == 4096
+            with pytest.raises(IndexError):
+                bank.run(readings, [[0, 2], [2, 4], [4, 40]])
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)

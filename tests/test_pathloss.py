@@ -35,6 +35,12 @@ class TestAverageRssi:
         # a compensated sum, as Python 3.12's sum() takes, gives 1/3 here
         assert pl.average_rssi([1e16, 1.0, -1e16]) == 0.0
 
+    def test_long_list_sums_left_to_right_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        values = rng.normal(-70.0, 8.0, 100_000).tolist()
+        expected = functools.reduce(operator.add, values) / len(values)
+        assert pl.average_rssi(values) == expected
+
 
 class TestRaggedMeans:
     def test_equals_a_left_to_right_sum_per_round(self):
@@ -57,6 +63,16 @@ class TestRaggedMeans:
                     assert means[b, r] == functools.reduce(operator.add, window) / len(window)
                 else:
                     assert math.isnan(means[b, r])
+
+    def test_a_zero_sum_is_positive_as_when_summed_from_zero(self):
+        means = pl.ragged_means([-0.0, -0.0, -0.0, 2.0, -2.0], [0, 2, 3, 5])
+        assert means.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(means).any()
+
+    def test_rows_without_samples_are_nan(self):
+        means = pl.ragged_means([], [[0, 0, 0], [0, 0, 0]])
+        assert means.shape == (2, 2)
+        assert np.isnan(means).all()
 
 
 class TestPredictAndInvert:
