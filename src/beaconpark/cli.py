@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 
@@ -70,6 +69,8 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
 
 def _load_scenario_file(path: str, kind: str, seed_override: int | None):
     """Parse a scenario file whose experiment is of `kind`; --seed replaces its seed."""
+    from dataclasses import replace
+
     from .simulate import load_scenario
 
     try:
@@ -126,6 +127,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from dataclasses import replace
+
     from .simulate import run_distance_experiment, write_distance_csv
 
     scenario, experiment, config = _load_scenario_file(args.scenario, "distance", args.seed)
@@ -161,6 +164,7 @@ def cmd_serve(args) -> int:
     from .parking import JournalError, SpotState, service_from_files
     from .server import ParkingTCPServer, SimulatedClock, SystemClock, parse_bind_address
 
+    host, port = parse_bind_address(args.bind)  # before anything is written
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "serve", args.seed or 0, None)
     journal_path = args.journal or os.path.join(args.out_dir, "parking.journal")
@@ -186,7 +190,6 @@ def cmd_serve(args) -> int:
         if args.clock == "simulated"
         else SystemClock()
     )
-    host, port = parse_bind_address(args.bind)
     server = ParkingTCPServer((host, port), service, clock)
     actual_host, actual_port = server.server_address[:2]
     print(f"serving on {actual_host}:{actual_port} (journal: {journal_path})", flush=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 FRAME_TYPE_UID = 0x00
 FRAME_TYPE_URL = 0x10
@@ -92,21 +92,20 @@ class SpotIdError(ValueError):
 _SPOT_ID_RE = re.compile(r"^([A-Z])([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True, order=True)
-class SpotId:
+class SpotId(namedtuple("SpotId", "lot number")):
     """Parking spot name: one uppercase lot letter plus a positive number.
 
     Ordering is (lot, number), so A2 < A10 < B1.
     """
 
-    lot: str
-    number: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.lot) != 1 or not "A" <= self.lot <= "Z":
-            raise SpotIdError(f"lot must be a single uppercase letter, got {self.lot!r}")
-        if self.number < 1:
-            raise SpotIdError(f"spot number must be positive, got {self.number}")
+    def __new__(cls, lot: str, number: int):
+        if len(lot) != 1 or not "A" <= lot <= "Z":
+            raise SpotIdError(f"lot must be a single uppercase letter, got {lot!r}")
+        if number < 1:
+            raise SpotIdError(f"spot number must be positive, got {number}")
+        return super().__new__(cls, lot, number)
 
     def __str__(self) -> str:
         return f"{self.lot}{self.number}"
@@ -124,44 +123,37 @@ def _check_tx_power(tx_power_dbm: int) -> None:
         raise FrameError(f"tx power {tx_power_dbm} outside signed byte range")
 
 
-@dataclass(frozen=True)
-class UidFrame:
+class UidFrame(namedtuple("UidFrame", "namespace instance tx_power_dbm")):
     """UID frame: opaque 10-byte namespace and 6-byte instance identifiers."""
 
-    namespace: bytes
-    instance: bytes
-    tx_power_dbm: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "namespace", bytes(self.namespace))
-        object.__setattr__(self, "instance", bytes(self.instance))
-        if len(self.namespace) != 10:
-            raise FrameError(f"namespace must be 10 bytes, got {len(self.namespace)}")
-        if len(self.instance) != 6:
-            raise FrameError(f"instance must be 6 bytes, got {len(self.instance)}")
-        _check_tx_power(self.tx_power_dbm)
+    def __new__(cls, namespace: bytes, instance: bytes, tx_power_dbm: int):
+        namespace, instance = bytes(namespace), bytes(instance)
+        if len(namespace) != 10:
+            raise FrameError(f"namespace must be 10 bytes, got {len(namespace)}")
+        if len(instance) != 6:
+            raise FrameError(f"instance must be 6 bytes, got {len(instance)}")
+        _check_tx_power(tx_power_dbm)
+        return super().__new__(cls, namespace, instance, tx_power_dbm)
 
 
-@dataclass(frozen=True)
-class UrlFrame:
+class UrlFrame(namedtuple("UrlFrame", "scheme_prefix encoded_body tx_power_dbm")):
     """URL frame holding the compressed body; see encode_url/decode_url."""
 
-    scheme_prefix: int
-    encoded_body: bytes
-    tx_power_dbm: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "encoded_body", bytes(self.encoded_body))
-        if not 0 <= self.scheme_prefix < len(URL_SCHEMES):
-            raise FrameError(f"URL scheme code {self.scheme_prefix} out of range")
-        if len(self.encoded_body) > MAX_URL_BODY_BYTES:
-            raise FrameError(
-                f"URL body is {len(self.encoded_body)} bytes, max {MAX_URL_BODY_BYTES}"
-            )
-        for b in self.encoded_body:
+    def __new__(cls, scheme_prefix: int, encoded_body: bytes, tx_power_dbm: int):
+        encoded_body = bytes(encoded_body)
+        if not 0 <= scheme_prefix < len(URL_SCHEMES):
+            raise FrameError(f"URL scheme code {scheme_prefix} out of range")
+        if len(encoded_body) > MAX_URL_BODY_BYTES:
+            raise FrameError(f"URL body is {len(encoded_body)} bytes, max {MAX_URL_BODY_BYTES}")
+        for b in encoded_body:
             if b > 0x0D and not 0x21 <= b <= 0x7E:
                 raise FrameError(f"invalid URL body byte 0x{b:02x}")
-        _check_tx_power(self.tx_power_dbm)
+        _check_tx_power(tx_power_dbm)
+        return super().__new__(cls, scheme_prefix, encoded_body, tx_power_dbm)
 
     @classmethod
     def from_url(cls, url: str, tx_power_dbm: int) -> "UrlFrame":
@@ -172,25 +164,21 @@ class UrlFrame:
         return decode_url(self.scheme_prefix, self.encoded_body)
 
 
-@dataclass(frozen=True)
-class TlmFrame:
+class TlmFrame(namedtuple("TlmFrame", "battery_mv temperature_c adv_count uptime_decisec")):
     """TLM telemetry frame: battery, temperature, counters."""
 
-    battery_mv: int
-    temperature_c: float
-    adv_count: int
-    uptime_decisec: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.battery_mv <= 0xFFFF:
-            raise FrameError(f"battery {self.battery_mv} mV outside u16 range")
-        if not 0 <= self.adv_count <= 0xFFFFFFFF:
-            raise FrameError(f"adv count {self.adv_count} outside u32 range")
-        if not 0 <= self.uptime_decisec <= 0xFFFFFFFF:
-            raise FrameError(f"uptime {self.uptime_decisec} outside u32 range")
-        fixed = round(self.temperature_c * 256)
-        if not -32768 <= fixed <= 32767:
-            raise FrameError(f"temperature {self.temperature_c} outside s8.8 range")
+    def __new__(cls, battery_mv: int, temperature_c: float, adv_count: int, uptime_decisec: int):
+        if not 0 <= battery_mv <= 0xFFFF:
+            raise FrameError(f"battery {battery_mv} mV outside u16 range")
+        if not 0 <= adv_count <= 0xFFFFFFFF:
+            raise FrameError(f"adv count {adv_count} outside u32 range")
+        if not 0 <= uptime_decisec <= 0xFFFFFFFF:
+            raise FrameError(f"uptime {uptime_decisec} outside u32 range")
+        if not -32768 <= round(temperature_c * 256) <= 32767:
+            raise FrameError(f"temperature {temperature_c} outside s8.8 range")
+        return super().__new__(cls, battery_mv, temperature_c, adv_count, uptime_decisec)
 
 
 BeaconFrame = UidFrame | UrlFrame | TlmFrame

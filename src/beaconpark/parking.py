@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -47,8 +46,6 @@ from .eddystone import (
 from .jsonfields import read_object
 
 MS_PER_MINUTE = 60_000
-
-logger = logging.getLogger(__name__)
 
 
 class ParkingError(Exception):
@@ -120,42 +117,51 @@ class PaymentStub:
         return card_token != self.CHARGE_FAIL_TOKEN
 
 
-@dataclass(frozen=True)
-class UserProfile:
-    user_id: str
-    vehicle_plate: str
-    card_token: str
+UserProfile = namedtuple("UserProfile", "user_id vehicle_plate card_token")
 
 
-@dataclass
-class Session:
+class _Record:
+    """A dataclass's equality and repr, over the subclass's __slots__; unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> list:
+        return [getattr(self, key) for key in self.__slots__]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Session(_Record):
     """One timed, billed use of a spot.
 
     `charged` is None while the session is open; closing it records
     whether the payment went through.
     """
 
-    session_id: str
-    user: UserProfile
-    start_ms: int
-    end_ms: int | None = None
-    max_minutes: int | None = None
-    cost_cents: int | None = None
-    charged: bool | None = None
+    __slots__ = ("session_id", "user", "start_ms", "end_ms", "max_minutes", "cost_cents", "charged")
+
+    def __init__(self, session_id: str, user: UserProfile, start_ms: int, end_ms: int | None = None,
+                 max_minutes: int | None = None, cost_cents: int | None = None,
+                 charged: bool | None = None):
+        self.session_id, self.user, self.start_ms, self.end_ms = session_id, user, start_ms, end_ms
+        self.max_minutes, self.cost_cents, self.charged = max_minutes, cost_cents, charged
 
 
-@dataclass
-class Spot:
-    id: SpotId
-    namespace: bytes
-    instance: bytes
-    url: str
-    rate_cents_per_hour: int
-    session: Session | None = None
+class Spot(_Record):
+    __slots__ = ("id", "namespace", "instance", "url", "rate_cents_per_hour", "session")
 
-    def __post_init__(self):
-        self.namespace = bytes(self.namespace)
-        self.instance = bytes(self.instance)
+    def __init__(self, id: SpotId, namespace: bytes, instance: bytes, url: str,
+                 rate_cents_per_hour: int, session: Session | None = None):
+        self.id, self.namespace, self.instance = id, bytes(namespace), bytes(instance)
+        self.url, self.rate_cents_per_hour, self.session = url, rate_cents_per_hour, session
         for key, size in (("namespace", 10), ("instance", 6)):  # the UidFrame sizes
             length = len(getattr(self, key))
             if length != size:
@@ -564,7 +570,11 @@ class FileJournal:
             finally:
                 os.close(dir_fd)
         except OSError as exc:
-            logger.warning("journal %s: compaction failed, journal kept whole: %s", self.path, exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "journal %s: compaction failed, journal kept whole: %s", self.path, exc
+            )
         finally:
             if fh is not None:
                 fh.close()
@@ -601,7 +611,9 @@ def _truncate_torn_tail(path) -> None:
         data = fh.read()
         keep = data.rfind(b"\n") + 1
         if keep < len(data):
-            logger.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "journal %s: dropping a torn last line of %d bytes", path, len(data) - keep
             )
             fh.truncate(keep)

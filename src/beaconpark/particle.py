@@ -120,14 +120,27 @@ class ParticleBank:
         """Reweight each of `rows` by its measurement, then resample if degenerate.
 
         `rows` are increasing row indices, one per measurement; None means
-        every row. Returns two boolean arrays aligned with the measurements:
-        which rows resampled, and which collapsed and were reinitialized.
+        every row. A row outside the bank raises IndexError, and rows that
+        do not increase ValueError, before any row steps. Returns two
+        boolean arrays aligned with the measurements: which rows resampled,
+        and which collapsed and were reinitialized.
         """
         z = np.asarray(measurements_m, dtype=float)
         whole = rows is None or len(rows) == len(self._rows)
         rows = self._rows if rows is None else np.asarray(rows)
         if z.shape != rows.shape:
             raise ValueError(f"{z.size} measurements for {rows.size} filter rows")
+        if rows is not self._rows:
+            outside = (rows < 0) | (rows >= len(self._rows))
+            if outside.any():
+                row = rows[np.argmax(outside)]
+                raise IndexError(f"filter row {row} outside a bank of {len(self._rows)} rows")
+            repeated = np.flatnonzero(np.diff(rows) <= 0)
+            if repeated.size:
+                i = repeated[0] + 1
+                raise ValueError(
+                    f"filter row {rows[i]} follows row {rows[i - 1]}: rows must increase"
+                )
         finite = np.isfinite(z)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -146,13 +159,27 @@ class ParticleBank:
         round r; the last column is one past the row's last reading.
         Sub-step k of a round updates, in one step, the rows that have a
         k-th reading in it; a row with none keeps its state. The means are
-        taken after each round.
+        taken after each round. A start outside `readings` raises
+        IndexError, and starts that decrease ValueError, before any step.
         """
         readings = np.asarray(readings, dtype=float)
         starts = np.asarray(starts)
         n_rows = len(self._rows)
         if starts.ndim != 2 or starts.shape[0] != n_rows:
             raise ValueError(f"starts of shape {starts.shape} for {n_rows} filter rows")
+        outside = (starts < 0) | (starts > len(readings))
+        if outside.any():
+            b, c = np.argwhere(outside)[0].tolist()
+            raise IndexError(
+                f"filter row {b}: starts[{b}, {c}] = {starts[b, c]} is outside 0..{len(readings)}"
+            )
+        counts = np.diff(starts, axis=1)
+        if (counts < 0).any():
+            b, r = np.argwhere(counts < 0)[0].tolist()
+            raise ValueError(
+                f"filter row {b}, round {r}:"
+                f" starts decrease from {starts[b, r]} to {starts[b, r + 1]}"
+            )
         # Every check and clamp happens here, once; a non-finite reading is
         # an error only if some row reads it.
         for i in np.flatnonzero(~np.isfinite(readings)).tolist():
@@ -162,7 +189,6 @@ class ParticleBank:
                     f"filter row {owners[0]}: measurement must be finite, got {readings[i]}"
                 )
         z = self._clamp(readings)
-        counts = np.diff(starts, axis=1)
         most = counts.max(axis=0)
         even = (counts == most).all(axis=0)
         means = np.empty(counts.shape)

@@ -169,4 +169,6 @@ def parse_bind_address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise ValueError(f"bind address must be host:port, got {text!r}")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"bind port must be an integer in 0-65535, got {text!r}")
     return host or "127.0.0.1", int(port)

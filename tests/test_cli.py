@@ -41,9 +41,13 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
+@pytest.mark.parametrize("module", ["scipy", "numpy", "dataclasses", "inspect", "logging"])
 def test_cli_import_leaves_module_unloaded(module):
-    proc = run_python(f"import sys, beaconpark.cli; print({module!r} in sys.modules)")
+    """`serve` imports cli, parking and server; none of them loads `module`."""
+    proc = run_python(
+        "import sys, beaconpark.cli, beaconpark.parking, beaconpark.server;"
+        f" print({module!r} in sys.modules)"
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -479,6 +483,16 @@ def send_lines(port, lines):
 
 
 class TestServeCommand:
+    @pytest.fixture
+    def never_serve(self, monkeypatch):
+        """A lot that loads ends the command with exit 1 here instead of serving forever."""
+        from beaconpark import server
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("the lot loaded")
+
+        monkeypatch.setattr(server.ParkingTCPServer, "serve_forever", refuse)
+
     def test_serve_register_restart_restores(self, tmp_path):
         lot_path = SCENARIOS_DIR / "demo_lot.json"
         args = [
@@ -671,14 +685,13 @@ class TestServeCommand:
             "int-id", "short-namespace", "non-hex-namespace", "short-instance", "list-spot",
         ],
     )
-    def test_malformed_lot_spot_is_input_error(self, tmp_path, capsys, edit, reason):
+    def test_malformed_lot_spot_is_input_error(self, tmp_path, capsys, never_serve, edit, reason):
         lot = json.loads((SCENARIOS_DIR / "demo_lot.json").read_text())
         lot["spots"][0] = edit(lot["spots"][0])
         lot_path = tmp_path / "lot.json"
         lot_path.write_text(json.dumps(lot))
-        # a lot that loads fails on the bind address below instead of serving forever
         assert main(
-            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "no-port"]
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "127.0.0.1:0"]
         ) == 2
         assert f"invalid lot config: {reason}" in capsys.readouterr().err
 
@@ -691,12 +704,11 @@ class TestServeCommand:
         ],
         ids=["list", "no-spots", "spots-object"],
     )
-    def test_malformed_lot_is_input_error(self, tmp_path, capsys, lot, reason):
+    def test_malformed_lot_is_input_error(self, tmp_path, capsys, never_serve, lot, reason):
         lot_path = tmp_path / "lot.json"
         lot_path.write_text(json.dumps(lot))
-        # a lot that loads fails on the bind address below instead of serving forever
         assert main(
-            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "no-port"]
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot_path), "--bind", "127.0.0.1:0"]
         ) == 2
         assert f"invalid lot config: {reason}" in capsys.readouterr().err
 
@@ -731,6 +743,24 @@ class TestServeCommand:
         ) == 2
         err = capsys.readouterr().err
         assert f"invalid journal: {journal} line 2: {reason}" in err
+
+    @pytest.mark.parametrize(
+        "bind, reason",
+        [
+            ("127.0.0.1:99999", "bind port must be an integer in 0-65535, got '127.0.0.1:99999'"),
+            ("127.0.0.1:abc", "bind port must be an integer in 0-65535, got '127.0.0.1:abc'"),
+            ("no-port", "bind address must be host:port, got 'no-port'"),
+        ],
+        ids=["port-out-of-range", "port-not-integer", "no-port"],
+    )
+    def test_bad_bind_address_is_input_error_before_any_file(self, tmp_path, capsys, bind, reason):
+        out_dir, journal = tmp_path / "out", tmp_path / "lot.journal"
+        assert main(
+            ["--out-dir", str(out_dir), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
+             "--journal", str(journal), "--bind", bind]
+        ) == 2
+        assert capsys.readouterr().err == f"ERR {reason}\n"
+        assert not journal.exists() and not out_dir.exists()
 
     def test_missing_lot_config_is_input_error(self, tmp_path):
         assert main(

@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -257,3 +258,47 @@ class TestSpotId:
         frame = ed.UidFrame(bytes(10), b"A\x00\x00\x00\x00\x00", -65)
         with pytest.raises(ed.SpotIdError):
             ed.spot_id_from_uid(frame)
+
+
+class TestValueTypes:
+    """SpotId and the frames keep the value semantics of frozen dataclasses."""
+
+    VALUES = [
+        (ed.SpotId("B", 12), "SpotId(lot='B', number=12)"),
+        (ed.UidFrame(bytes(10), b"A\x00\x00\x00\x00\x01", -65),
+         "UidFrame(namespace=b'\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00',"
+         " instance=b'A\\x00\\x00\\x00\\x00\\x01', tx_power_dbm=-65)"),
+        (ed.UrlFrame(3, b"park\x00", -20),
+         "UrlFrame(scheme_prefix=3, encoded_body=b'park\\x00', tx_power_dbm=-20)"),
+        (ed.TlmFrame(2995, -10.25, 1234, 99999),
+         "TlmFrame(battery_mv=2995, temperature_c=-10.25, adv_count=1234, uptime_decisec=99999)"),
+    ]
+
+    @pytest.mark.parametrize("value, text", VALUES, ids=lambda v: type(v).__name__)
+    def test_repr_equality_hash_and_copies(self, value, text):
+        assert repr(value) == text
+        twin = type(value)(*[getattr(value, name) for name in value._fields])
+        assert twin == value and twin is not value
+        assert hash(twin) == hash(value)
+        assert copy.deepcopy(value) == value
+
+    @pytest.mark.parametrize("value", [v for v, _ in VALUES], ids=lambda v: type(v).__name__)
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], value[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_bytes_fields_are_coerced(self):
+        frame = ed.UidFrame(bytearray(10), memoryview(bytes(6)), tx_power_dbm=-60)
+        assert type(frame.namespace) is bytes and type(frame.instance) is bytes
+        assert type(ed.UrlFrame(0, bytearray(b"x"), -60).encoded_body) is bytes
+
+    def test_keyword_construction_is_checked(self):
+        assert ed.SpotId(lot="C", number=4) == ed.SpotId("C", 4)
+        with pytest.raises(ed.SpotIdError, match="^spot number must be positive, got 0$"):
+            ed.SpotId(lot="C", number=0)
+        with pytest.raises(ed.SpotIdError, match="^lot must be a single uppercase letter, got 'c'"):
+            ed.SpotId("c", 1)
+        with pytest.raises(ed.FrameError, match="^tx power 128 outside signed byte range$"):
+            ed.UidFrame(bytes(10), bytes(6), tx_power_dbm=128)

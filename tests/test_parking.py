@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -107,8 +106,30 @@ class TestRegistry:
         ids=["namespace", "instance"],
     )
     def test_beacon_bytes_of_wrong_size_are_refused(self, field, value, reason):
+        spot_id = SpotId.parse("A1")
+        fields = {"namespace": bytes(10), "instance": uid_instance_for_spot(spot_id), field: value}
         with pytest.raises(ValueError, match=f"^{reason}$"):
-            dataclasses.replace(make_spot("A1"), **{field: value})
+            pk.Spot(id=spot_id, url="https://park.example/A1", rate_cents_per_hour=200, **fields)
+
+    def test_spot_and_session_compare_and_print_by_value(self):
+        spot, twin = make_spot("A1"), make_spot("A1")
+        assert spot == twin and spot != make_spot("A1", rate=300) and spot != "A1"
+        session = pk.Session("S1", USER, start_ms=5, max_minutes=30)
+        assert session == pk.Session(session_id="S1", user=USER, start_ms=5, max_minutes=30)
+        assert session != pk.Session("S1", USER, start_ms=5)
+        spot.session = session
+        assert spot != twin
+        assert repr(session) == (
+            "Session(session_id='S1', user=UserProfile(user_id='u1', vehicle_plate='PLATE1',"
+            " card_token='tok-1'), start_ms=5, end_ms=None, max_minutes=30, cost_cents=None,"
+            " charged=None)"
+        )
+        assert repr(twin).startswith("Spot(id=SpotId(lot='A', number=1), namespace=b'\\x00")
+        for record in (spot, session):
+            with pytest.raises(TypeError):
+                hash(record)
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
     @pytest.mark.parametrize("max_minutes", [-5, 1.5, "60", True])
     def test_time_limit_must_be_a_non_negative_int(self, max_minutes):

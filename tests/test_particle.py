@@ -532,6 +532,51 @@ class TestRunChecks:
         assert raw.particles.tobytes() == clamped.particles.tobytes()
         assert raw.weights.tobytes() == clamped.weights.tobytes()
 
+    @pytest.mark.parametrize(
+        "measurements, rows, error, message",
+        [
+            ([1.0], [-1], IndexError, "filter row -1 outside a bank of 3 rows"),
+            ([1.0, 2.0], [1, 3], IndexError, "filter row 3 outside a bank of 3 rows"),
+            ([1.0, 3.0], [0, 0], ValueError, "filter row 0 follows row 0: rows must increase"),
+            ([1.0, 3.0, 2.0], [2, 1, 0], ValueError,
+             "filter row 1 follows row 2: rows must increase"),
+        ],
+        ids=["negative", "past-the-end", "repeated", "decreasing"],
+    )
+    def test_update_refuses_bad_rows_before_any_step(self, measurements, rows, error, message):
+        bank = self.bank()
+        particles, weights = bank.particles.copy(), bank.weights.copy()
+        with pytest.raises(error) as refused:
+            bank.update(measurements, rows)
+        assert str(refused.value) == message
+        assert np.array_equal(bank.particles, particles)
+        assert np.array_equal(bank.weights, weights)
+
+    @pytest.mark.parametrize(
+        "starts, error, message",
+        [
+            ([[0, 2], [2, 4], [4, 40]], IndexError,
+             "filter row 2: starts[2, 1] = 40 is outside 0..12"),
+            ([[0, 2], [-1, 4], [4, 6]], IndexError,
+             "filter row 1: starts[1, 0] = -1 is outside 0..12"),
+            ([[0, 2, 4], [4, 6, 8], [8, 12, 10]], ValueError,
+             "filter row 2, round 1: starts decrease from 12 to 10"),
+        ],
+        ids=["past-the-end", "negative", "decreasing"],
+    )
+    def test_run_refuses_bad_starts_before_any_step(self, starts, error, message):
+        bank = self.bank()
+        particles, weights = bank.particles.copy(), bank.weights.copy()
+        with pytest.raises(error) as refused:
+            bank.run(np.full(12, 2.0), starts)
+        assert str(refused.value) == message
+        assert np.array_equal(bank.particles, particles)
+        assert np.array_equal(bank.weights, weights)
+
+    def test_a_row_may_end_with_the_readings(self):
+        starts = [[0, 2, 4], [4, 6, 8], [8, 12, 12]]
+        assert self.bank().run(np.full(12, 2.0), starts).shape == (3, 2)
+
     def test_callers_ufunc_buffer_size_is_restored(self):
         bank = self.bank()
         readings = np.full(12, 2.0)

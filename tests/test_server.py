@@ -297,3 +297,12 @@ class TestBindAddress:
     def test_missing_port_rejected(self):
         with pytest.raises(ValueError):
             parse_bind_address("localhost")
+
+    @pytest.mark.parametrize(
+        "text", ["h:65536", "h:-1", "h:abc", "h:", "h: 80", "h:+80", "h:8_0", "h:٣"]
+    )
+    def test_port_outside_0_to_65535_is_refused_naming_the_text(self, text):
+        with pytest.raises(ValueError) as refused:
+            parse_bind_address(text)
+        assert str(refused.value) == f"bind port must be an integer in 0-65535, got {text!r}"
+        assert parse_bind_address("h:65535") == ("h", 65535)
