@@ -18,31 +18,44 @@ numpy Generator per row, each seeded with that filter's own child seed.
 The experiments step every filter of a proximity grid (all beacons of all
 cells), or of a distance sweep at one particle count, as one bank, through
 rounds of ragged readings (ParticleBank.run). A bank steps in place:
-besides `particles` and `weights` it owns one (B, N) work buffer, so a
-step allocates no (B, N) temporaries. DistanceParticleFilter is a one-row
+besides `particles` and `weights` it owns one (B, N) work buffer, which
+holds the gains, so a step allocates no (B, N) temporaries. DistanceParticleFilter is a one-row
 bank; a bank row evolves bit for bit as that lone filter.
 
-A step makes nine passes over the (B, N) rows it reaches: subtract each
-row's measurement, square, divide by -2 noise^2, exp, multiply into the
-weights, row sum, divide by the row sums, then square and row-sum again
-for N_eff. Two of them broadcast one value per row (`particles - z[:, None]`
-and `weights / total[:, None]`). While two or more rows fit in numpy's
+A step makes eight passes over the (B, N) rows it reaches: subtract each
+row's measurement, square, multiply by the precomputed -0.5 / noise^2,
+exp, multiply into the weights, row sum, multiply by the row reciprocals
+1 / total, and one row dot w . w for N_eff. No pass divides: on numpy
+2.4.6 at 75 x 1000 a division costs about twice a multiply (51 us against
+21 us by the scalar, 55 us against 24 us by the row totals). The one
+exception is a row whose total is positive but subnormal, whose
+reciprocal may overflow: it divides, on a slow path taken only when some
+total is subnormal, zero or not finite (a collapse). The row dots, N_eff
+and the numerator of `means`, are each one einsum pass that writes no
+(B, N) temporary (25 us against 38 us for square then row sum); the
+normalizing total and the denominator of `means` stay pairwise row sums.
+einsum gives a row of up to 8192 particles the same bits whatever rows
+surround it, but sums a lone longer row in chunks; such long rows take
+their dots as a product into the work buffer and a pairwise row sum.
+
+Two passes broadcast one value per row (`particles - z[:, None]` and
+`weights * (1 / total)[:, None]`). While two or more rows fit in numpy's
 ufunc buffer (8192 elements by default), numpy's iterator copies the
-broadcast operand into that buffer, chunk by chunk, and those two passes
-then cost 2-4 times the same operation against a scalar: on numpy 2.4.6
-at 75 x 1000, 75 us and 87 us where the scalar forms take 22 us and
-54 us. So `run` and `update` step with the buffer set to 16 elements
-(_STEP_BUFSIZE), where the copy disappears (27 us and 62 us), and restore
-the caller's size on the way out. Elementwise IEEE results do not depend
-on the chunking, and the contiguous row sums and cumsums give the same
-bits at either size. `run` also checks and clamps all readings once, not
-once per step, and a round in which every row has the same number of
-readings steps the whole bank from one gather.
+broadcast operand into that buffer, chunk by chunk, and those passes then
+cost about three times their arithmetic: 63-70 us and 66-69 us at
+75 x 1000, against 20 us and 24 us with the buffer at 16 elements
+(_STEP_BUFSIZE). So `run` and `update` step with that buffer size and
+restore the caller's size on the way out. Elementwise IEEE results do not
+depend on the chunking, and the row sums, cumsums and einsum row dots
+give the same bits at either size. `run` also checks and clamps all
+readings once, not once per step, and a round in which every row has the
+same number of readings steps the whole bank from one gather.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +63,14 @@ import numpy as np
 
 # ufunc buffer size, in elements, while a bank steps (see the module docstring).
 _STEP_BUFSIZE = 16
+
+# The smallest positive normal float: a row total below it may have no finite
+# reciprocal, so that row normalizes by division.
+_SMALLEST_NORMAL = sys.float_info.min
+
+# einsum takes a row of up to this many elements in one pass, whatever the rows
+# around it, but sums a lone longer row in chunks of this size (numpy 2.4).
+_EINSUM_ROW_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -92,14 +113,15 @@ class ParticleBank:
     Row b draws from its own Generator, seeded with seeds[b]. `update`
     reweights, normalizes and measures N_eff of the rows it reaches as
     whole-array operations; a row that resamples or reinitializes then
-    does so alone, with its own Generator. Row-wise sums add each row
-    exactly as a 1-D sum does, so every row evolves bit for bit as a lone
-    filter given the same seed and measurements.
+    does so alone, with its own Generator. Row-wise sums and row dots
+    add each row exactly as they add a lone row, so every row evolves bit
+    for bit as a lone filter given the same seed and measurements.
 
     The bank owns a third (B, N) array, `_work`, free between operations.
     A step of every row computes the gains in it and multiplies them into
     `weights` in place; a step of some rows computes their new weights in
-    its first len(rows) rows. The N_eff squares and `means` use it too.
+    its first len(rows) rows. Only rows longer than _EINSUM_ROW_MAX use it
+    for the products of N_eff and `means`.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -108,6 +130,7 @@ class ParticleBank:
         self.config = config
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._threshold = config.beta * config.particle_count
+        self._gain_scale = -0.5 / config.measurement_noise_m**2
         self._rows = np.arange(len(seeds))
         shape = (len(seeds), config.particle_count)
         self.particles = np.empty(shape)
@@ -221,15 +244,14 @@ class ParticleBank:
 
     def means(self) -> np.ndarray:
         """Weighted mean particle of every row."""
-        weighted = np.multiply(self.weights, self.particles, out=self._work)
-        return weighted.sum(axis=1) / self.weights.sum(axis=1)
+        weighted = self._row_dots(self.weights, self.particles, self._work)
+        return weighted / self.weights.sum(axis=1)
 
     def _clamp(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
     def _step(self, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         """update() on finite, clamped measurements: every row if `rows` is None."""
-        cfg = self.config
         whole = rows is None
         if whole:
             gains = np.subtract(self.particles, z[:, None], out=self._work)
@@ -237,36 +259,61 @@ class ParticleBank:
             gains = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
             gains -= z[:, None]
         np.square(gains, out=gains)
-        gains /= -2.0 * cfg.measurement_noise_m**2
+        gains *= self._gain_scale
         np.exp(gains, out=gains)
         weights = self.weights if whole else gains  # a partial step's rows are copied back below
         weights *= gains if whole else self.weights[rows]
         total = weights.sum(axis=1)
-        collapsed = ~(np.isfinite(total) & (total > 0.0))
-        if collapsed.any():
-            # Reinitialized below; uniform until then, so no row divides by zero.
-            weights[collapsed] = 1.0
-            total[collapsed] = cfg.particle_count
-        weights /= total[:, None]
+        # the ufunc reductions skip the Python wrappers of total.min() and .max()
+        fast = _SMALLEST_NORMAL <= np.minimum.reduce(total) and np.maximum.reduce(total) < math.inf
+        if fast:
+            weights *= (1.0 / total)[:, None]
+            collapsed = np.zeros(len(total), dtype=bool)
+        else:
+            collapsed = self._normalize_slowly(weights, total)
         if not whole:
             self.weights[rows] = weights
-        neff = self._effective(weights, gains)  # the gains are spent: square into their buffer
-        resampled = ~collapsed & (neff < self._threshold)
+        # the gains are spent: a long row's squares may go into their buffer
+        resampled = self._effective(weights, gains) < self._threshold
         rows = self._rows if whole else rows
-        for row in rows[collapsed].tolist():
-            self._reinitialize(row)
+        if not fast:
+            resampled &= ~collapsed
+            for row in rows[collapsed].tolist():
+                self._reinitialize(row)
         for row in rows[resampled].tolist():
             self._resample(row)
         return resampled, collapsed
 
-    @staticmethod
-    def _effective(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """1 / sum(w^2) per row, squaring into `out`, a free buffer or `weights` itself."""
-        return 1.0 / np.square(weights, out=out).sum(axis=1)
+    def _normalize_slowly(self, weights: np.ndarray, total: np.ndarray) -> np.ndarray:
+        """Normalize rows that include a collapsed or subnormal total; return the collapsed."""
+        collapsed = ~(np.isfinite(total) & (total > 0.0))
+        # Reinitialized by the caller; uniform until then, so no row divides by zero.
+        weights[collapsed] = 1.0
+        total[collapsed] = self.config.particle_count
+        # The reciprocal of a subnormal total can overflow: those rows divide.
+        small = total < _SMALLEST_NORMAL
+        weights *= (1.0 / np.where(small, 1.0, total))[:, None]
+        weights[small] /= total[small, None]
+        return collapsed
+
+    def _effective(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """1 / sum(w^2) per row; `out` is a free buffer or `weights` itself."""
+        return 1.0 / self._row_dots(weights, weights, out)
+
+    def _row_dots(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """sum(a * b) per row, each row's bits independent of the rows around it.
+
+        One einsum pass; a row longer than _EINSUM_ROW_MAX multiplies into
+        `out` instead and sums pairwise, as a lone einsum row would not match.
+        """
+        if self.config.particle_count <= _EINSUM_ROW_MAX:
+            return np.einsum("ij,ij->i", a, b)
+        return np.multiply(a, b, out=out).sum(axis=1)
 
     def _resample(self, row: int) -> None:
         n = self.config.particle_count
-        u = np.sort(self._rngs[row].random(n))
+        u = self._rngs[row].random(n)
+        u.sort()
         cumulative = np.cumsum(self.weights[row])
         cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
         self.particles[row] = self.particles[row][np.searchsorted(cumulative, u)]

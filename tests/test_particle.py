@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 import numpy as np
 import pytest
@@ -403,6 +404,30 @@ class TestParticleBank:
         assert np.all(bank.weights[0] == 1.0 / 8)
         assert np.all((bank.particles[0] >= 0.0) & (bank.particles[0] <= 4.0))
 
+    def test_subnormal_total_divides_without_warning(self):
+        # noise 0.05 m: row 1's particles 1.9 m from the reading have gains
+        # near 1e-313, so its weight total is positive but subnormal and has
+        # no finite reciprocal; rows 0 and 2 normalize as usual
+        cfg = FilterConfig(particle_count=64, measurement_noise_m=0.05)
+        seeds = [41, 42, 43]
+        bank = ParticleBank(cfg, seeds)
+        far = np.linspace(2.0, 2.002, 64)
+        bank.particles[1] = far
+        lone = ParticleBank(cfg, seeds[1:2])
+        lone.particles[0] = far
+        weights = np.full(64, 1.0 / 64) * np.exp(np.square(far - 0.1) * (-0.5 / 0.05**2))
+        assert 0.0 < weights.sum() < sys.float_info.min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resampled, reinitialized = bank.update([2.0, 0.1, 3.0])
+            lone.update([0.1])
+        assert not resampled[1] and not reinitialized[1]
+        assert np.array_equal(bank.particles[1], far)
+        assert bank.weights[1].tobytes() == (weights / weights.sum()).tobytes()
+        assert bank.weights[1].sum() == pytest.approx(1.0, rel=1e-6)
+        assert bank.weights[1].tobytes() == lone.weights[0].tobytes()
+        assert bank.means()[1] == lone.means()[0]
+
     def test_maybe_resample_touches_only_its_row(self):
         bank, _ = self.bank_and_filters()
         bank.weights[2] = 0.0
@@ -421,12 +446,15 @@ class TestParticleBank:
 def reference_run(config, seeds, readings, starts):
     """Each row as a lone filter, stepped in plain 1-D numpy.
 
-    One step: clamp, subtract, square, divide by -2 noise^2, exp, multiply,
-    sum, divide, N_eff, and below beta * N a multinomial resample from the
-    row's own default_rng(seed). Returns the means after every round, the
+    One step: clamp, subtract, square, multiply by -0.5 / noise^2, exp,
+    multiply, sum, multiply by 1 / sum, N_eff as 1 / (w . w), and below
+    beta * N a multinomial resample from the row's own default_rng(seed).
+    The dots are einsum's ("i,i->"), whose bits np.dot does not share. The
+    mean is (w . p) / sum(w). Returns the means after every round, the
     final particles and weights, and the number of resamples.
     """
     n, lo, hi = config.particle_count, config.state_min_m, config.state_max_m
+    scale = -0.5 / config.measurement_noise_m**2
     means = np.empty((len(seeds), starts.shape[1] - 1))
     particles, weights, resamples = [], [], 0
     for b, seed in enumerate(seeds):
@@ -436,17 +464,17 @@ def reference_run(config, seeds, readings, starts):
         for r in range(starts.shape[1] - 1):
             for z in readings[starts[b, r] : starts[b, r + 1]].tolist():
                 z = min(max(z, lo), hi)
-                w = w * np.exp(np.square(p - z) / (-2.0 * config.measurement_noise_m**2))
+                w = w * np.exp(np.square(p - z) * scale)
                 total = w.sum()
-                assert total > 0.0  # no collapse in these inputs
-                w = w / total
-                if 1.0 / np.square(w).sum() < config.beta * n:
+                assert total >= sys.float_info.min  # no collapse, no subnormal total
+                w = w * (1.0 / total)
+                if 1.0 / np.einsum("i,i->", w, w) < config.beta * n:
                     cumulative = np.cumsum(w)
                     cumulative[-1] = 1.0
                     p = p[np.searchsorted(cumulative, np.sort(rng.random(n)))]
                     w = np.full(n, 1.0 / n)
                     resamples += 1
-            means[b, r] = (w * p).sum() / w.sum()
+            means[b, r] = np.einsum("i,i->", w, p) / w.sum()
         particles.append(p)
         weights.append(w)
     return means, np.array(particles), np.array(weights), resamples
@@ -501,6 +529,39 @@ class TestRunAgainstReference:
         assert means.tobytes() == expected.tobytes()
         assert bank.particles.tobytes() == particles.tobytes()
         assert bank.weights.tobytes() == weights.tobytes()
+
+
+class TestRowIndependence:
+    """A row's bits do not depend on how many rows its bank holds, or where it sits.
+
+    N = 257 puts the rows of a bank at addresses that are not 64-byte
+    aligned; N = 10000 rows are longer than einsum's one-pass limit.
+    """
+
+    @pytest.mark.parametrize("n", [200, 257, 1000, 2000, 10000])
+    def test_a_row_is_the_same_in_banks_of_1_24_and_75_rows(self, n):
+        config = FilterConfig(particle_count=n)
+        rounds = 30
+        rng = np.random.default_rng(n)
+        own = np.clip(2.7 + rng.normal(0.0, 0.8, rounds), -0.5, 4.5)
+        states = []
+        for rows, at in [(1, 0), (24, 23), (75, 40)]:
+            seeds = [1000 + b for b in range(rows)]
+            seeds[at] = 7
+            readings = rng.uniform(-0.5, 4.5, (rows, rounds))
+            readings[at] = own
+            starts = np.arange(rows)[:, None] * rounds + np.arange(rounds + 1)
+            bank = ParticleBank(config, seeds)
+            means = bank.run(readings.ravel(), starts)
+            states.append(
+                [
+                    means[at].tobytes(),
+                    bank.particles[at].tobytes(),
+                    bank.weights[at].tobytes(),
+                    bank.effective_particles()[at],
+                ]
+            )
+        assert states[0] == states[1] == states[2]
 
 
 class TestRunChecks:
