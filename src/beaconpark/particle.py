@@ -19,8 +19,9 @@ The experiments step every filter of a proximity grid (all beacons of all
 cells), or of a distance sweep at one particle count, as one bank, through
 rounds of ragged readings (ParticleBank.run). A bank steps in place:
 besides `particles` and `weights` it owns one (B, N) work buffer, which
-holds the gains, so a step allocates no (B, N) temporaries. DistanceParticleFilter is a one-row
-bank; a bank row evolves bit for bit as that lone filter.
+holds the gains, so a step allocates no (B, N) temporaries.
+DistanceParticleFilter is a one-row bank; a bank row evolves bit for bit
+as that lone filter.
 
 A step makes eight passes over the (B, N) rows it reaches: subtract each
 row's measurement, square, multiply by the precomputed -0.5 / noise^2,
