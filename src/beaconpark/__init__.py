@@ -18,15 +18,13 @@ _EXPORTS = {
         "BeaconFrame", "SpotId", "TlmFrame", "UidFrame", "UrlFrame", "decode_frame",
         "decode_url", "encode_frame", "encode_url", "spot_id_from_uid",
     ),
-    "particle": ("DistanceEstimate", "DistanceParticleFilter", "FilterConfig", "ParticleBank"),
+    "particle": ("FilterConfig", "ParticleBank"),
     "pathloss": (
         "INDOOR_MODEL", "OUTDOOR_MODEL", "CalibrationDataset", "FitResult", "PathLossModel",
-        "average_rssi", "estimate_distance", "fit_model", "predict_rssi",
+        "estimate_distance", "fit_model", "predict_rssi",
     ),
     "parking": ("ParkingService", "PaymentStub", "Session", "Spot", "SpotState", "UserProfile"),
-    "proximity": (
-        "STREAM_DTYPE", "BeaconLayout", "PredictionTally", "raw_baseline", "run_identification",
-    ),
+    "proximity": ("STREAM_DTYPE", "BeaconLayout", "PredictionTally", "raw_baseline"),
     "simulate": (
         "INDOOR_NOISE_SIGMA_DB", "OUTDOOR_NOISE_SIGMA_DB", "ExperimentSpec", "Scenario",
         "calibrate_noise_sigma", "generate_stream", "raw_accuracy", "run_distance_experiment",

@@ -10,18 +10,18 @@ particle count 1/sum(w^2) drops below beta * N.
 Measurements are distances in meters (convert RSSI with
 pathloss.estimate_distance first); values outside the state range are
 clamped to it before weighting, which keeps a stray spike from zeroing
-every weight. If the weights still collapse to zero, the filter
-reinitializes uniformly and reports it.
+every weight. If the weights still collapse to zero, or their total
+overflows, the filter reinitializes uniformly and reports it.
 
-ParticleBank is the one implementation: B filters as (B, N) arrays, one
-numpy Generator per row, each seeded with that filter's own child seed.
-The experiments step every filter of a proximity grid (all beacons of all
-cells), or of a distance sweep at one particle count, as one bank, through
-rounds of ragged readings (ParticleBank.run). A bank steps in place:
-besides `particles` and `weights` it owns one (B, N) work buffer, which
-holds the gains, so a step allocates no (B, N) temporaries.
-DistanceParticleFilter is a one-row bank; a bank row evolves bit for bit
-as that lone filter.
+ParticleBank is the filter API: B filters as (B, N) arrays, one numpy
+Generator per row, each seeded with that filter's own child seed. One
+filter is a one-row bank, and a row of a B-row bank evolves bit for bit as
+the one-row bank of its seed. The experiments step every filter of a
+proximity grid (all beacons of all cells), or of a distance sweep at one
+particle count, as one bank, through rounds of ragged readings
+(ParticleBank.run). A bank steps in place: besides `particles` and
+`weights` it owns one (B, N) work buffer, which holds the gains, so a step
+allocates no (B, N) temporaries.
 
 A step makes eight passes over the (B, N) rows it reaches: subtract each
 row's measurement, square, multiply by the precomputed -0.5 / noise^2,
@@ -95,34 +95,22 @@ class FilterConfig:
             raise ValueError("state range is empty")
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    mean_m: float
-    std_m: float
-    effective_particles: float
-
-
-@dataclass(frozen=True)
-class UpdateOutcome:
-    resampled: bool
-    reinitialized: bool
-
-
 class ParticleBank:
     """B filters of one config, held as (B, N) `particles` and `weights`.
 
-    Row b draws from its own Generator, seeded with seeds[b]. `update`
+    Row b draws from its own Generator, seeded with seeds[b]. A step
     reweights, normalizes and measures N_eff of the rows it reaches as
     whole-array operations; a row that resamples or reinitializes then
     does so alone, with its own Generator. Row-wise sums and row dots
     add each row exactly as they add a lone row, so every row evolves bit
-    for bit as a lone filter given the same seed and measurements.
+    for bit as a one-row bank given the same seed and measurements.
 
     The bank owns a third (B, N) array, `_work`, free between operations.
     A step of every row computes the gains in it and multiplies them into
-    `weights` in place; a step of some rows computes their new weights in
-    its first len(rows) rows. Only rows longer than _EINSUM_ROW_MAX use it
-    for the products of N_eff and `means`.
+    `weights` in place; a sub-step of `run` that reaches only some rows
+    computes their new weights in its first len(rows) rows. Only rows
+    longer than _EINSUM_ROW_MAX use it for the products of N_eff and
+    `means`.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -140,38 +128,24 @@ class ParticleBank:
         for row in range(len(seeds)):
             self._reinitialize(row)
 
-    def update(self, measurements_m, rows=None) -> tuple[np.ndarray, np.ndarray]:
-        """Reweight each of `rows` by its measurement, then resample if degenerate.
+    def update(self, measurements_m) -> tuple[np.ndarray, np.ndarray]:
+        """Reweight every row by its own measurement, then resample if degenerate.
 
-        `rows` are increasing row indices, one per measurement; None means
-        every row. A row outside the bank raises IndexError, and rows that
-        do not increase ValueError, before any row steps. Returns two
-        boolean arrays aligned with the measurements: which rows resampled,
-        and which collapsed and were reinitialized.
+        Takes one measurement per row; a non-finite one raises ValueError
+        before any row steps. Returns two boolean arrays, one entry per
+        row: which rows resampled, and which collapsed and were
+        reinitialized.
         """
         z = np.asarray(measurements_m, dtype=float)
-        whole = rows is None or len(rows) == len(self._rows)
-        rows = self._rows if rows is None else np.asarray(rows)
-        if z.shape != rows.shape:
-            raise ValueError(f"{z.size} measurements for {rows.size} filter rows")
-        if rows is not self._rows:
-            outside = (rows < 0) | (rows >= len(self._rows))
-            if outside.any():
-                row = rows[np.argmax(outside)]
-                raise IndexError(f"filter row {row} outside a bank of {len(self._rows)} rows")
-            repeated = np.flatnonzero(np.diff(rows) <= 0)
-            if repeated.size:
-                i = repeated[0] + 1
-                raise ValueError(
-                    f"filter row {rows[i]} follows row {rows[i - 1]}: rows must increase"
-                )
+        if z.shape != self._rows.shape:
+            raise ValueError(f"{z.size} measurements for {len(self._rows)} filter rows")
         finite = np.isfinite(z)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise ValueError(f"filter row {rows[bad]}: measurement must be finite, got {z[bad]}")
+            raise ValueError(f"filter row {bad}: measurement must be finite, got {z[bad]}")
         bufsize = np.setbufsize(_STEP_BUFSIZE)
         try:
-            return self._step(self._clamp(z), None if whole else rows)
+            return self._step(self._clamp(z), None)
         finally:
             np.setbufsize(bufsize)
 
@@ -238,6 +212,8 @@ class ParticleBank:
 
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
+        if not 0 <= row < len(self._rows):
+            raise IndexError(f"filter row {row} outside a bank of {len(self._rows)} rows")
         if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
             return False
         self._resample(row)
@@ -252,7 +228,7 @@ class ParticleBank:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
     def _step(self, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        """update() on finite, clamped measurements: every row if `rows` is None."""
+        """Step finite, clamped measurements into every row, or into the increasing `rows`."""
         whole = rows is None
         if whole:
             gains = np.subtract(self.particles, z[:, None], out=self._work)
@@ -264,7 +240,8 @@ class ParticleBank:
         np.exp(gains, out=gains)
         weights = self.weights if whole else gains  # a partial step's rows are copied back below
         weights *= gains if whole else self.weights[rows]
-        total = weights.sum(axis=1)
+        with np.errstate(over="ignore"):  # a total past the largest float is a collapse
+            total = weights.sum(axis=1)
         # the ufunc reductions skip the Python wrappers of total.min() and .max()
         fast = _SMALLEST_NORMAL <= np.minimum.reduce(total) and np.maximum.reduce(total) < math.inf
         if fast:
@@ -328,45 +305,35 @@ class ParticleBank:
         self.weights[row] = 1.0 / cfg.particle_count
 
 
-class DistanceParticleFilter:
-    """Weighted particle set estimating one beacon's distance: a one-row bank.
+@dataclass(frozen=True)
+class DistanceEstimate:
+    mean_m: float
+    std_m: float
+    effective_particles: float
 
-    `particles` and `weights` are row 0 of the bank; assigning to them
-    writes into that row.
+
+@dataclass(frozen=True)
+class UpdateOutcome:
+    resampled: bool
+    reinitialized: bool
+
+
+class DistanceParticleFilter:
+    """One filter as a one-row bank, with a weighted standard deviation.
+
+    Nothing in beaconpark calls it: the benchmark's tracer (bench/tracing.py)
+    binds it by name, and it goes, with the two records above, once the
+    tracer wraps ParticleBank instead (ROADMAP item 1).
     """
 
     def __init__(self, config: FilterConfig, seed: int):
         self.config = config
         self.bank = ParticleBank(config, [seed])
 
-    @property
-    def particles(self) -> np.ndarray:
-        return self.bank.particles[0]
-
-    @particles.setter
-    def particles(self, values) -> None:
-        self.bank.particles[0] = values
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.bank.weights[0]
-
-    @weights.setter
-    def weights(self, values) -> None:
-        self.bank.weights[0] = values
-
     def update(self, measurement_m: float) -> UpdateOutcome:
         """Reweight by one measurement, then resample if degenerate."""
         resampled, reinitialized = self.bank.update([measurement_m])
         return UpdateOutcome(resampled=bool(resampled[0]), reinitialized=bool(reinitialized[0]))
-
-    def effective_particles(self) -> float:
-        """1 / sum(w^2): N for uniform weights, 1 for a point mass."""
-        return float(self.bank.effective_particles()[0])
-
-    def maybe_resample(self) -> bool:
-        """Multinomial resample when N_eff falls below beta * N."""
-        return self.bank.maybe_resample(0)
 
     def estimate(self) -> DistanceEstimate:
         """Weighted mean and weighted standard deviation of the particles.
@@ -374,7 +341,7 @@ class DistanceParticleFilter:
         The deviation is measured about the weighted mean and divides by
         (N'-1)/N' * sum(w), N' being the number of non-zero weights.
         """
-        weights, particles = self.weights, self.particles
+        weights, particles = self.bank.weights[0], self.bank.particles[0]
         mean = float(self.bank.means()[0])
         nonzero = int(np.count_nonzero(weights))
         if nonzero < 2:
@@ -382,6 +349,5 @@ class DistanceParticleFilter:
         else:
             spread = float(np.sum(weights * (particles - mean) ** 2))
             std = math.sqrt(spread / ((nonzero - 1) / nonzero * float(weights.sum())))
-        return DistanceEstimate(
-            mean_m=mean, std_m=std, effective_particles=self.effective_particles()
-        )
+        effective = float(self.bank.effective_particles()[0])
+        return DistanceEstimate(mean_m=mean, std_m=std, effective_particles=effective)

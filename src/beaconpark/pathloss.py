@@ -127,7 +127,11 @@ def ragged_means(samples, starts) -> np.ndarray:
 
 
 def average_rssi(samples: Sequence[float]) -> float:
-    """Arithmetic mean of raw RSSI readings, summed left to right (ragged_means)."""
+    """Arithmetic mean of raw RSSI readings: ragged_means on one round.
+
+    Nothing in beaconpark calls it: the benchmark's tracer (bench/tracing.py)
+    binds it by name, and it goes with that wrap (ROADMAP item 1).
+    """
     if len(samples) == 0:
         raise ValueError("cannot average an empty RSSI list")
     return float(ragged_means(samples, [0, len(samples)])[0])
@@ -283,8 +287,7 @@ def fit_result_to_json_dict(fit: FitResult) -> dict:
     }
 
 
-def model_from_json_dict(obj: dict) -> PathLossModel:
-    """The model of a fit result (the intervals are not read) or of a scenario."""
-    fit_only = {"n_ci95": list, "C_ci95": list, "residual_std": float}
-    fit = read_object(obj, "model", {"n": float, "C": float, "d0": float, **fit_only}, ("n", "C"))
-    return PathLossModel(fit["n"], fit["C"], fit.get("d0", REFERENCE_DISTANCE_M))
+def model_from_json_dict(obj) -> PathLossModel:
+    """The model of a JSON object holding `n` and `C`, and optionally `d0`, and no other key."""
+    fields = read_object(obj, "model", {"n": float, "C": float, "d0": float}, ("n", "C"))
+    return PathLossModel(fields["n"], fields["C"], fields.get("d0", REFERENCE_DISTANCE_M))

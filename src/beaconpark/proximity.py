@@ -12,7 +12,8 @@ against the geometric ground truth.
 `identify_cells` scores many layouts at once: the filters of every beacon
 of every cell are the rows of one particle.ParticleBank, stepped one
 sample per beacon at a time, round by round up to the longest cell's
-last round (ParticleBank.run). `run_identification` is its one-cell case.
+last round (ParticleBank.run). A single cell is identified as
+identify_cells([(layout, streams, seed)], model, config)[0].
 """
 
 from __future__ import annotations
@@ -156,9 +157,11 @@ def run_identification(
     config: FilterConfig,
     seed: int,
 ) -> PredictionTally:
-    """Filtered identification of one cell: one particle filter per beacon.
+    """identify_cells on the one cell (layout, streams, seed).
 
-    Each filter's child seed is derived from `seed`; see identify_cells.
+    Nothing in beaconpark calls it: the benchmark's tracer (bench/tracing.py)
+    binds it by name, and it goes once the tracer wraps identify_cells
+    instead (ROADMAP item 1).
     """
     return identify_cells([(layout, streams, seed)], model, config)[0]
 

@@ -418,8 +418,7 @@ def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec, FilterConfi
         raise ValueError("scenario needs an 'experiment' object")
     exp = read_object(values.pop("experiment"), "experiment", SPEC_KINDS, ("kind", "grid"))
     settings = read_object(values.pop("filter", {}), "filter", FILTER_KINDS)
-    model = read_object(values.pop("model"), "model", {"n": float, "C": float, "d0": float})
-    scenario = Scenario(model=model_from_json_dict(model), **values)
+    scenario = Scenario(model=model_from_json_dict(values.pop("model")), **values)
     return scenario, ExperimentSpec(**exp), FilterConfig(**settings)
 
 

@@ -36,7 +36,7 @@ from beaconpark.eddystone import (
     render_frame,
     uid_instance_for_spot,
 )
-from beaconpark.particle import DistanceParticleFilter, FilterConfig
+from beaconpark.particle import FilterConfig, ParticleBank
 from beaconpark.pathloss import (
     INDOOR_MODEL,
     OUTDOOR_MODEL,
@@ -112,13 +112,15 @@ def _truncated_posterior_mean(z: float, k: int, config: FilterConfig) -> float:
 
 def test_criterion_3_filter_convergence():
     updates = 60
+    truths = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    config = FilterConfig(particle_count=1000, beta=0.5, measurement_noise_m=1.2)
+    # filter i, seeded SEED + i, reads truths[i] 60 times: row i of one bank,
+    # in one round of 60 readings per row
+    bank = ParticleBank(config, [SEED + i for i in range(len(truths))])
+    starts = updates * np.arange(len(truths))[:, None] + np.array([0, updates])
+    means = bank.run(np.repeat(truths, updates), starts)[:, 0]
     errors = {}
-    for i, true_d in enumerate([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]):
-        config = FilterConfig(particle_count=1000, beta=0.5, measurement_noise_m=1.2)
-        flt = DistanceParticleFilter(config, SEED + i)
-        for _ in range(updates):
-            flt.update(true_d)
-        mean = flt.estimate().mean_m
+    for true_d, mean in zip(truths, means.tolist()):
         posterior = _truncated_posterior_mean(true_d, updates, config)
         errors[true_d] = (abs(mean - true_d), abs(mean - posterior))
     failing = {d: e for d, (_, e) in errors.items() if e >= 0.05}
@@ -138,37 +140,48 @@ def test_criterion_3_filter_convergence():
 
 def test_criterion_4_resampling_correctness():
     # (a)+(b): weight normalization after every operation, N_eff == N after
-    # every resample, across 1e5 random update sequences
+    # every resample, across 1e5 random update sequences. Each sequence draws
+    # its particle count, filter seed, update count and readings in turn; the
+    # filters that share a particle count and an update count are the rows of
+    # one bank, and each update steps every row of it.
     rng = np.random.default_rng(SEED)
     sequences = 100_000
+    groups = {}
+    for _ in range(sequences):
+        n = int(rng.integers(2, 48))
+        seed = int(rng.integers(0, 2**32))
+        readings = [float(rng.uniform(-1.0, 5.0)) for _ in range(int(rng.integers(1, 5)))]
+        seeds, rows = groups.setdefault((n, len(readings)), ([], []))
+        seeds.append(seed)
+        rows.append(readings)
     updates_total = 0
     resamples = 0
     worst_sum = 0.0
     worst_neff_gap = 0.0
-    for i in range(sequences):
-        n = int(rng.integers(2, 48))
-        flt = DistanceParticleFilter(FilterConfig(particle_count=n), int(rng.integers(0, 2**32)))
-        worst_sum = max(worst_sum, abs(float(flt.weights.sum()) - 1.0))
-        for _ in range(int(rng.integers(1, 5))):
-            outcome = flt.update(float(rng.uniform(-1.0, 5.0)))
-            updates_total += 1
-            worst_sum = max(worst_sum, abs(float(flt.weights.sum()) - 1.0))
-            if outcome.resampled:
-                resamples += 1
-                worst_neff_gap = max(worst_neff_gap, abs(flt.effective_particles() - n))
+    for (n, _), (seeds, rows) in groups.items():
+        bank = ParticleBank(FilterConfig(particle_count=n), seeds)
+        worst_sum = max(worst_sum, float(np.abs(bank.weights.sum(axis=1) - 1.0).max()))
+        for z in np.array(rows).T:
+            resampled, _ = bank.update(z)
+            updates_total += len(z)
+            worst_sum = max(worst_sum, float(np.abs(bank.weights.sum(axis=1) - 1.0).max()))
+            if resampled.any():
+                resamples += int(resampled.sum())
+                gaps = np.abs(bank.effective_particles()[resampled] - n)
+                worst_neff_gap = max(worst_neff_gap, float(gaps.max()))
     ab_ok = worst_sum <= 1e-9 and worst_neff_gap <= 1e-6 and resamples > 0
 
     # (c) chi-square of multinomial multiplicities against the weights
-    # (these weights push N_eff to ~1.92 < N*beta so the resample fires)
+    # (these weights push N_eff to ~1.92 < N*beta so the resample fires);
+    # filter i, seeded 5000 + i, is row i of one bank
     weights = np.array([0.7, 0.1, 0.1, 0.1])
-    counts = np.zeros(4)
-    for i in range(10_000):
-        flt = DistanceParticleFilter(FilterConfig(particle_count=4), 5000 + i)
-        flt.particles = np.array([1.0, 2.0, 3.0, 4.0])
-        flt.weights = weights.copy()
-        assert flt.maybe_resample()
-        for j, value in enumerate([1.0, 2.0, 3.0, 4.0]):
-            counts[j] += int(np.sum(flt.particles == value))
+    values = [1.0, 2.0, 3.0, 4.0]
+    filters = 10_000
+    bank = ParticleBank(FilterConfig(particle_count=4), [5000 + i for i in range(filters)])
+    bank.particles[:] = values
+    bank.weights[:] = weights
+    assert all(bank.maybe_resample(row) for row in range(filters))
+    counts = np.array([np.sum(bank.particles == value) for value in values], dtype=float)
     expected = weights * counts.sum()
     chi2_stat = float(np.sum((counts - expected) ** 2 / expected))
     chi2_crit = float(stats.chi2.ppf(0.99, df=3))

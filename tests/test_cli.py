@@ -58,7 +58,7 @@ def test_readme_library_example_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("DistanceEstimate(mean_m=")
+    assert proc.stdout == "1.729 m\n"
 
 
 @pytest.mark.parametrize("installed", [True, False])

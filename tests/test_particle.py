@@ -11,8 +11,9 @@ from beaconpark.particle import (
 )
 
 
-def small_filter(n=4, seed=0, **kw):
-    return DistanceParticleFilter(FilterConfig(particle_count=n, **kw), seed)
+def lone(seed, n=1000, **kw):
+    """One filter: a one-row bank."""
+    return ParticleBank(FilterConfig(particle_count=n, **kw), [seed])
 
 
 class TestConfig:
@@ -40,311 +41,304 @@ class TestConfig:
 
 class TestInit:
     def test_same_seed_same_particles(self):
-        cfg = FilterConfig()
-        a = DistanceParticleFilter(cfg, 1234)
-        b = DistanceParticleFilter(cfg, 1234)
-        assert np.array_equal(a.particles, b.particles)
+        assert np.array_equal(lone(1234).particles, lone(1234).particles)
 
     def test_initial_weights_are_uniform(self):
-        flt = DistanceParticleFilter(FilterConfig(), 1)
-        assert np.all(flt.weights == 1.0 / 1000)
-        assert flt.effective_particles() == pytest.approx(1000.0, abs=1e-6)
+        bank = lone(1)
+        assert np.all(bank.weights == 1.0 / 1000)
+        assert bank.effective_particles()[0] == pytest.approx(1000.0, abs=1e-6)
 
     def test_particles_inside_state_range(self):
-        flt = DistanceParticleFilter(FilterConfig(), 2)
-        assert np.all(flt.particles >= 0.0)
-        assert np.all(flt.particles <= 4.0)
+        bank = lone(2)
+        assert np.all(bank.particles >= 0.0)
+        assert np.all(bank.particles <= 4.0)
 
 
 class TestUpdate:
     def test_particle_at_measurement_keeps_relative_weight(self):
-        flt = small_filter(n=2)
-        flt.particles = np.array([2.0, 3.2])
-        flt.weights = np.array([0.5, 0.5])
-        flt.update(2.0)
+        bank = lone(0, n=2)
+        bank.particles[0] = [2.0, 3.2]
+        bank.weights[0] = [0.5, 0.5]
+        bank.update([2.0])
         # gain 1 at zero distance, e^-0.5 at 1.2 m with noise 1.2
-        assert flt.weights[1] / flt.weights[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert bank.weights[0, 1] / bank.weights[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_gain_value_at_one_point_two_meters(self):
         assert math.exp(-0.5 * 1.2**2 / 1.2**2) == pytest.approx(0.60653065971, abs=1e-9)
 
     def test_weights_sum_to_one_after_updates(self):
-        flt = DistanceParticleFilter(FilterConfig(), 7)
+        bank = lone(7)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            flt.update(float(rng.uniform(0.0, 4.0)))
-            assert abs(float(flt.weights.sum()) - 1.0) <= 1e-9
+            bank.update([rng.uniform(0.0, 4.0)])
+            assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
 
     def test_out_of_range_measurement_clamped(self):
-        flt = DistanceParticleFilter(FilterConfig(), 8)
-        flt.update(100.0)  # clamps to 4.0 instead of zeroing all gains
-        assert abs(float(flt.weights.sum()) - 1.0) <= 1e-9
-        assert flt.estimate().mean_m > 2.0
+        bank = lone(8)
+        bank.update([100.0])  # clamps to 4.0 instead of zeroing all gains
+        assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
+        assert bank.means()[0] > 2.0
 
     def test_nonfinite_measurement_rejected(self):
-        flt = DistanceParticleFilter(FilterConfig(), 8)
         with pytest.raises(ValueError):
-            flt.update(float("nan"))
+            lone(8).update([float("nan")])
 
     def test_total_collapse_reinitializes_with_flag(self):
-        flt = small_filter(n=2, measurement_noise_m=1e-3)
-        flt.particles = np.array([3.9, 4.0])
-        flt.weights = np.array([0.5, 0.5])
-        outcome = flt.update(0.0)
-        assert outcome.reinitialized
-        assert abs(float(flt.weights.sum()) - 1.0) <= 1e-9
-        assert np.all((flt.particles >= 0.0) & (flt.particles <= 4.0))
+        bank = lone(0, n=2, measurement_noise_m=1e-3)
+        bank.particles[0] = [3.9, 4.0]
+        bank.weights[0] = [0.5, 0.5]
+        _, reinitialized = bank.update([0.0])
+        assert reinitialized[0]
+        assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
+        assert np.all((bank.particles >= 0.0) & (bank.particles <= 4.0))
 
 
 class TestEffectiveParticles:
     def test_uniform_weights(self):
-        flt = DistanceParticleFilter(FilterConfig(), 1)
-        assert flt.effective_particles() == pytest.approx(1000.0, abs=1e-6)
+        assert lone(1).effective_particles()[0] == pytest.approx(1000.0, abs=1e-6)
 
     def test_point_mass(self):
-        flt = small_filter()
-        flt.weights = np.array([1.0, 0.0, 0.0, 0.0])
-        assert flt.effective_particles() == pytest.approx(1.0, abs=1e-12)
+        bank = lone(0, n=4)
+        bank.weights[0] = [1.0, 0.0, 0.0, 0.0]
+        assert bank.effective_particles()[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_and_half(self):
-        flt = small_filter()
-        flt.weights = np.array([0.5, 0.5, 0.0, 0.0])
-        assert flt.effective_particles() == pytest.approx(2.0, abs=1e-12)
+        bank = lone(0, n=4)
+        bank.weights[0] = [0.5, 0.5, 0.0, 0.0]
+        assert bank.effective_particles()[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_bounds_over_random_updates(self):
-        flt = DistanceParticleFilter(FilterConfig(), 9)
+        bank = lone(9)
         rng = np.random.default_rng(10)
-        n = flt.config.particle_count
         for _ in range(300):
-            flt.update(float(rng.uniform(0.0, 4.0)))
-            assert 1.0 <= flt.effective_particles() <= n + 1e-6
+            bank.update([rng.uniform(0.0, 4.0)])
+            assert 1.0 <= bank.effective_particles()[0] <= 1000 + 1e-6
 
 
 class TestResampling:
     def test_uniform_weights_do_not_resample(self):
-        flt = DistanceParticleFilter(FilterConfig(), 3)
-        assert flt.maybe_resample() is False
+        assert lone(3).maybe_resample(0) is False
 
     def test_point_mass_resamples_to_that_particle(self):
-        flt = DistanceParticleFilter(FilterConfig(), 4)
-        weights = np.zeros(1000)
-        weights[137] = 1.0
-        flt.weights = weights
-        target = flt.particles[137]
-        assert flt.maybe_resample() is True
-        assert np.all(flt.particles == target)
-        assert np.all(flt.weights == 1.0 / 1000)
+        bank = lone(4)
+        bank.weights[0] = 0.0
+        bank.weights[0, 137] = 1.0
+        target = bank.particles[0, 137]
+        assert bank.maybe_resample(0) is True
+        assert np.all(bank.particles == target)
+        assert np.all(bank.weights == 1.0 / 1000)
 
     def test_resample_restores_effective_count(self):
-        flt = DistanceParticleFilter(FilterConfig(), 5)
+        bank = lone(5)
         rng = np.random.default_rng(6)
-        resampled = 0
+        resamples = 0
         for _ in range(200):
-            outcome = flt.update(float(rng.uniform(0.5, 3.5)))
-            if outcome.resampled:
-                resampled += 1
-                assert flt.effective_particles() == pytest.approx(
-                    flt.config.particle_count, abs=1e-6
-                )
-        assert resampled > 0
+            resampled, _ = bank.update([rng.uniform(0.5, 3.5)])
+            if resampled[0]:
+                resamples += 1
+                assert bank.effective_particles()[0] == pytest.approx(1000, abs=1e-6)
+        assert resamples > 0
 
     def test_multiplicities_track_weights(self):
-        # expected copies of particle 0 = N * w0 = 4 * 0.7 = 2.8
-        total = 0
+        # expected copies of particle 0 = N * w0 = 4 * 0.7 = 2.8; filter i,
+        # seeded i, is row i of one bank
         runs = 10_000
-        for seed in range(runs):
-            flt = small_filter(seed=seed)
-            flt.particles = np.array([10.0, 20.0, 30.0, 40.0])
-            flt.weights = np.array([0.7, 0.1, 0.1, 0.1])
-            assert flt.maybe_resample() is True
-            total += int(np.sum(flt.particles == 10.0))
-        mean_copies = total / runs
+        bank = ParticleBank(FilterConfig(particle_count=4), range(runs))
+        bank.particles[:] = [10.0, 20.0, 30.0, 40.0]
+        bank.weights[:] = [0.7, 0.1, 0.1, 0.1]
+        assert all(bank.maybe_resample(row) for row in range(runs))
+        mean_copies = int(np.sum(bank.particles == 10.0)) / runs
         # binomial std of the mean is sqrt(4*0.7*0.3/runs) ~ 0.0092
         assert mean_copies == pytest.approx(2.8, abs=0.05)
 
 
 class TestEstimate:
     def test_uniform_weights_reduce_to_arithmetic_mean(self):
-        flt = DistanceParticleFilter(FilterConfig(), 11)
-        est = flt.estimate()
-        assert est.mean_m == pytest.approx(float(np.mean(flt.particles)), rel=1e-12)
+        bank = lone(11)
+        assert bank.means()[0] == pytest.approx(float(np.mean(bank.particles)), rel=1e-12)
 
     def test_point_mass(self):
-        flt = small_filter()
-        flt.particles = np.array([1.0, 2.5, 3.0, 3.5])
-        flt.weights = np.array([0.0, 1.0, 0.0, 0.0])
-        est = flt.estimate()
-        assert est.mean_m == 2.5
-        assert est.std_m == 0.0
-        assert est.effective_particles == pytest.approx(1.0)
+        bank = lone(0, n=4)
+        bank.particles[0] = [1.0, 2.5, 3.0, 3.5]
+        bank.weights[0] = [0.0, 1.0, 0.0, 0.0]
+        assert bank.means()[0] == 2.5
+        assert bank.effective_particles()[0] == pytest.approx(1.0)
 
     def test_weighted_mean_example(self):
-        flt = small_filter(n=2)
-        flt.particles = np.array([1.0, 3.0])
-        flt.weights = np.array([0.75, 0.25])
-        assert flt.estimate().mean_m == pytest.approx(1.5, abs=1e-12)
+        bank = lone(0, n=2)
+        bank.particles[0] = [1.0, 3.0]
+        bank.weights[0] = [0.75, 0.25]
+        assert bank.means()[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mean_invariant_under_joint_permutation(self):
-        flt = small_filter(n=6, seed=21)
-        flt.weights = np.array([0.3, 0.1, 0.2, 0.15, 0.05, 0.2])
-        before = flt.estimate().mean_m
+        bank = lone(21, n=6)
+        bank.weights[0] = [0.3, 0.1, 0.2, 0.15, 0.05, 0.2]
+        before = bank.means()[0]
         perm = np.array([4, 2, 0, 5, 1, 3])
-        flt.particles = flt.particles[perm]
-        flt.weights = flt.weights[perm]
-        assert flt.estimate().mean_m == pytest.approx(before, rel=1e-12)
+        bank.particles[0] = bank.particles[0, perm]
+        bank.weights[0] = bank.weights[0, perm]
+        assert bank.means()[0] == pytest.approx(before, rel=1e-12)
 
     def test_std_matches_hand_formula(self):
-        flt = small_filter()
-        particles = np.array([1.0, 2.0, 3.0, 4.0])
-        weights = np.array([0.4, 0.3, 0.2, 0.1])
-        flt.particles = particles
-        flt.weights = weights
+        # DistanceParticleFilter, which the benchmark's tracer binds by name,
+        # steps as a one-row bank and adds this weighted std to its estimate
+        cfg = FilterConfig(particle_count=64, measurement_noise_m=0.3)
+        flt, bank = DistanceParticleFilter(cfg, 5), ParticleBank(cfg, [5])
+        rng = np.random.default_rng(6)
+        resamples = 0
+        for z in rng.uniform(-0.5, 4.5, 100).tolist():
+            outcome = flt.update(z)
+            resampled, reinitialized = bank.update([z])
+            assert (outcome.resampled, outcome.reinitialized) == (resampled[0], reinitialized[0])
+            resamples += outcome.resampled
+            est = flt.estimate()
+            w, p = bank.weights[0], bank.particles[0]
+            assert np.array_equal(flt.bank.particles, bank.particles)
+            assert (est.mean_m, est.effective_particles) == (
+                bank.means()[0], bank.effective_particles()[0]
+            )
+            nonzero = np.count_nonzero(w)
+            spread = np.sum(w * (p - est.mean_m) ** 2)
+            expected = math.sqrt(spread / ((nonzero - 1) / nonzero * w.sum()))
+            assert est.std_m == pytest.approx(expected, rel=1e-12)
+        assert resamples > 0
+        small = DistanceParticleFilter(FilterConfig(particle_count=4), 0)
+        small.bank.particles[0] = particles = np.array([1.0, 2.0, 3.0, 4.0])
+        small.bank.weights[0] = weights = np.array([0.4, 0.3, 0.2, 0.1])
         mean = float(np.sum(weights * particles))
         spread = float(np.sum(weights * (particles - mean) ** 2))
-        expected = math.sqrt(spread / (3 / 4))
-        assert flt.estimate().std_m == pytest.approx(expected, rel=1e-12)
+        assert small.estimate().std_m == pytest.approx(math.sqrt(spread / (3 / 4)), rel=1e-12)
+        small.bank.weights[0] = [0.0, 1.0, 0.0, 0.0]
+        assert small.estimate().std_m == 0.0
 
     def test_estimate_stays_inside_state_range(self):
-        flt = DistanceParticleFilter(FilterConfig(), 12)
+        bank = lone(12)
         rng = np.random.default_rng(13)
         for _ in range(100):
-            flt.update(float(rng.uniform(-2.0, 8.0)))
-            est = flt.estimate()
-            assert 0.0 <= est.mean_m <= 4.0
-            assert est.std_m >= 0.0
+            bank.update([rng.uniform(-2.0, 8.0)])
+            assert 0.0 <= bank.means()[0] <= 4.0
 
 
 class TestConvergenceAndDeterminism:
     def test_constant_measurement_converges(self):
-        flt = DistanceParticleFilter(FilterConfig(), 271)
+        bank = lone(271)
         for _ in range(60):
-            flt.update(1.0)
-        assert abs(flt.estimate().mean_m - 1.0) < 0.05
+            bank.update([1.0])
+        assert abs(bank.means()[0] - 1.0) < 0.05
 
     def test_interior_grid_converges(self):
-        for i, z in enumerate([0.5, 1.5, 2.5, 3.5]):
-            flt = DistanceParticleFilter(FilterConfig(), 500 + i)
-            for _ in range(60):
-                flt.update(z)
-            assert abs(flt.estimate().mean_m - z) < 0.05
+        # filter i, seeded 500 + i, reads z[i]: row i of one bank
+        z = np.array([0.5, 1.5, 2.5, 3.5])
+        bank = ParticleBank(FilterConfig(), [500 + i for i in range(len(z))])
+        for _ in range(60):
+            bank.update(z)
+        assert np.all(np.abs(bank.means() - z) < 0.05)
 
     def test_error_shrinks_in_expectation(self):
         # averaged over seeds, |mean - z| keeps falling until it reaches the
-        # converged noise floor
+        # converged noise floor; the ten seeds are the rows of one bank
         for z in (0.5, 2.0, 3.5):
-            checkpoint_errors = {2: [], 10: [], 60: []}
-            for seed in range(10):
-                flt = DistanceParticleFilter(FilterConfig(), 900 + seed)
-                for step in range(1, 61):
-                    flt.update(z)
-                    if step in checkpoint_errors:
-                        checkpoint_errors[step].append(abs(flt.estimate().mean_m - z))
-            avg = {k: sum(v) / len(v) for k, v in checkpoint_errors.items()}
+            bank = ParticleBank(FilterConfig(), [900 + seed for seed in range(10)])
+            avg = {}
+            for step in range(1, 61):
+                bank.update(np.full(10, z))
+                if step in (2, 10, 60):
+                    avg[step] = float(np.mean(np.abs(bank.means() - z)))
             assert avg[60] <= avg[10] <= avg[2]
             assert avg[60] < 0.05
 
     def test_bit_identical_given_seed_and_measurements(self):
         rng = np.random.default_rng(14)
-        measurements = [float(z) for z in rng.uniform(0.0, 4.0, 150)]
+        measurements = rng.uniform(0.0, 4.0, 150).tolist()
         runs = []
         for _ in range(2):
-            flt = DistanceParticleFilter(FilterConfig(), 777)
-            estimates = []
+            bank = lone(777)
+            means = []
             for z in measurements:
-                flt.update(z)
-                estimates.append(flt.estimate())
-            runs.append(estimates)
+                bank.update([z])
+                means.append(bank.means()[0])
+            runs.append(means)
         assert runs[0] == runs[1]
 
 
 class TestParticleBank:
     SEEDS = (31, 32, 33, 34)
 
-    def bank_and_filters(self, **kw):
+    def bank_and_lone(self, **kw):
+        """A bank of SEEDS and, for each seed, its one-row bank."""
         cfg = FilterConfig(particle_count=64, **kw)
-        bank = ParticleBank(cfg, self.SEEDS)
-        filters = [DistanceParticleFilter(cfg, s) for s in self.SEEDS]
-        return bank, filters
+        return ParticleBank(cfg, self.SEEDS), [ParticleBank(cfg, [s]) for s in self.SEEDS]
 
-    def assert_same_state(self, bank, filters):
-        assert np.array_equal(bank.particles, np.stack([f.particles for f in filters]))
-        assert np.array_equal(bank.weights, np.stack([f.weights for f in filters]))
-        assert bank.means().tolist() == [f.estimate().mean_m for f in filters]
+    def assert_same_state(self, bank, lone_banks):
+        assert np.array_equal(bank.particles, np.concatenate([b.particles for b in lone_banks]))
+        assert np.array_equal(bank.weights, np.concatenate([b.weights for b in lone_banks]))
+        assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
 
     def test_rows_are_bit_identical_to_lone_filters(self):
         # noise 0.05 m: a particle 4 m from the reading has gain exp(-3200) == 0
-        bank, filters = self.bank_and_filters(measurement_noise_m=0.05)
-        self.assert_same_state(bank, filters)
+        bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.05)
+        self.assert_same_state(bank, lone_banks)
         # row 1 is a point mass and reads its own particle, so its first update
         # resamples; row 2 sits at 4 m and reads 0 m, so its first update
         # collapses and reinitializes
         point_mass = np.zeros(64)
         point_mass[5] = 1.0
-        bank.weights[1] = point_mass
-        filters[1].weights = point_mass
-        bank.particles[2] = 4.0
-        filters[2].particles = np.full(64, 4.0)
+        bank.weights[1] = lone_banks[1].weights[0] = point_mass
+        bank.particles[2] = lone_banks[2].particles[0] = 4.0
         rng = np.random.default_rng(35)
-        # readings per row and round: zero, one or several, ragged across rows;
-        # the second round gives every row a reading, so the whole bank steps
-        rounds = [[[], [float(bank.particles[1, 5])], [0.0], [1.0, 2.0, 3.0]]]
-        rounds += [[rng.uniform(-0.5, 4.5, c).tolist() for c in (1, 1, 2, 1)]]
-        rounds += [
-            [rng.uniform(-0.5, 4.5, c).tolist() for c in rng.integers(0, 4, 4)]
-            for _ in range(30)
-        ]
-        first = {}
-        for readings in rounds:
-            for k in range(max(map(len, readings))):
-                rows = [row for row, values in enumerate(readings) if len(values) > k]
-                z = [readings[row][k] for row in rows]
-                resampled, reinitialized = bank.update(z, rows)
-                for i, row in enumerate(rows):
-                    expected = filters[row].update(z[i])
-                    assert (resampled[i], reinitialized[i]) == (
-                        expected.resampled,
-                        expected.reinitialized,
-                    )
-                    first.setdefault(row, expected)
-            self.assert_same_state(bank, filters)
-        assert first[1].resampled and first[2].reinitialized
+        steps = [[1.0, float(bank.particles[1, 5]), 0.0, 3.0]]
+        steps += rng.uniform(-0.5, 4.5, (40, 4)).tolist()
+        for i, z in enumerate(steps):
+            resampled, reinitialized = bank.update(z)
+            expected = [b.update([value]) for b, value in zip(lone_banks, z)]
+            assert resampled.tolist() == [r[0] for r, _ in expected]
+            assert reinitialized.tolist() == [r[0] for _, r in expected]
+            if i == 0:
+                assert resampled[1] and reinitialized[2]
+            self.assert_same_state(bank, lone_banks)
 
     def test_whole_and_partial_steps_alternate_bit_for_bit(self):
-        # a whole-bank step computes its gains in the work buffer, a partial
-        # step fills the buffer's first rows; means() and N_eff reuse it in
-        # between, so a stale buffer would show up in the next step
-        bank, filters = self.bank_and_filters(measurement_noise_m=0.3)
+        # a whole-bank step computes its gains in the work buffer, a sub-step
+        # of `run` that reaches some rows fills the buffer's first rows;
+        # means() and N_eff reuse it in between, so a stale buffer would show
+        # up in the next step
+        bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.3)
         rng = np.random.default_rng(37)
         for step in range(60):
             rows = list(range(4)) if step % 2 == 0 else sorted(rng.choice(4, 1 + step % 3, False))
             z = rng.uniform(-0.5, 4.5, len(rows))
             before = bank.weights
-            bank.update(z, None if len(rows) == 4 else rows)
+            if len(rows) == 4:
+                bank.update(z)
+            else:  # one round in which only `rows` have a reading
+                has = np.isin(np.arange(4), rows)
+                ends = np.cumsum(has)
+                bank.run(z, np.stack([ends - has, ends], axis=1))
             assert bank.weights is before
             for row, value in zip(rows, z.tolist()):
-                filters[row].update(value)
+                lone_banks[row].update([value])
             assert bank.effective_particles().tolist() == [
-                f.effective_particles() for f in filters
+                b.effective_particles()[0] for b in lone_banks
             ]
-            self.assert_same_state(bank, filters)
+            self.assert_same_state(bank, lone_banks)
 
     def test_means_equal_estimate_means_bit_for_bit(self):
-        bank, filters = self.bank_and_filters()
+        bank, lone_banks = self.bank_and_lone()
         rng = np.random.default_rng(36)
         for _ in range(50):
             z = rng.uniform(0.0, 4.0, len(self.SEEDS))
             bank.update(z)
-            for row, f in enumerate(filters):
-                f.update(float(z[row]))
+            for row, b in enumerate(lone_banks):
+                b.update(z[row : row + 1])
         means = bank.means()
-        for row, f in enumerate(filters):
-            assert means[row] == f.estimate().mean_m
+        for row, b in enumerate(lone_banks):
+            assert means[row] == b.means()[0]
 
     def test_run_rounds_match_lone_filters_bit_for_bit(self):
         # each row takes 0, 1 or 3 readings per round, ragged across rows;
         # round 1 gives every row a reading, so its first sub-step is
         # whole-bank, and round 2 gives no row any
-        bank, filters = self.bank_and_filters(measurement_noise_m=0.3)
+        bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.3)
         rng = np.random.default_rng(38)
         counts = rng.choice([0, 1, 3], size=(4, 12))
         counts[:, :3] = [[0, 1, 0], [1, 3, 0], [3, 1, 0], [0, 3, 0]]
@@ -356,15 +350,14 @@ class TestParticleBank:
         means = bank.run(readings, starts)
         assert means.shape == (4, 12)
         for r in range(12):
-            for row, f in enumerate(filters):
+            for row, b in enumerate(lone_banks):
                 for z in readings[starts[row, r] : starts[row, r + 1]].tolist():
-                    f.update(z)
-            assert means[:, r].tolist() == [f.estimate().mean_m for f in filters]
-        self.assert_same_state(bank, filters)
+                    b.update([z])
+            assert means[:, r].tolist() == [b.means()[0] for b in lone_banks]
+        self.assert_same_state(bank, lone_banks)
 
     def test_run_one_reading_rounds_equal_single_reading_steps(self):
-        ran, _ = self.bank_and_filters()
-        stepped, _ = self.bank_and_filters()
+        ran, lone_banks = self.bank_and_lone()
         lengths = np.array([5, 0, 9, 3])
         readings = np.random.default_rng(39).uniform(0.0, 4.0, lengths.sum())
         firsts = np.cumsum(lengths) - lengths
@@ -373,24 +366,23 @@ class TestParticleBank:
         assert means.shape == (4, lengths.max())
         for k in range(lengths.max()):
             for row in np.flatnonzero(lengths > k).tolist():
-                stepped.update([readings[firsts[row] + k]], [row])
-            assert means[:, k].tolist() == stepped.means().tolist()
-        assert np.array_equal(ran.particles, stepped.particles)
-        assert np.array_equal(ran.weights, stepped.weights)
+                lone_banks[row].update([readings[firsts[row] + k]])
+            assert means[:, k].tolist() == [b.means()[0] for b in lone_banks]
+        self.assert_same_state(ran, lone_banks)
 
     def test_nonfinite_measurement_names_row_and_value(self):
-        bank, _ = self.bank_and_filters()
+        bank, _ = self.bank_and_lone()
         before = bank.weights.copy()
         with pytest.raises(ValueError, match=r"filter row 3: .* got nan"):
-            bank.update([1.0, float("nan")], [0, 3])
+            bank.update([1.0, 2.0, 3.0, float("nan")])
         with pytest.raises(ValueError, match=r"filter row 1: .* got inf"):
             bank.update([1.0, float("inf"), 2.0, 3.0])
         assert np.array_equal(bank.weights, before)
 
     def test_measurements_must_match_rows(self):
-        bank, _ = self.bank_and_filters()
-        with pytest.raises(ValueError, match="2 measurements for 3 filter rows"):
-            bank.update([1.0, 2.0], [0, 1, 2])
+        bank, _ = self.bank_and_lone()
+        with pytest.raises(ValueError, match="2 measurements for 4 filter rows"):
+            bank.update([1.0, 2.0])
 
     def test_collapsed_row_reinitializes_without_warning(self):
         bank = ParticleBank(FilterConfig(particle_count=8, measurement_noise_m=1e-3), [1, 2])
@@ -428,8 +420,25 @@ class TestParticleBank:
         assert bank.weights[1].tobytes() == lone.weights[0].tobytes()
         assert bank.means()[1] == lone.means()[0]
 
+    def test_overflowing_total_reinitializes_its_row_alone(self):
+        # row 1's weights sum past the largest float: a collapse, so the row
+        # reinitializes, and rows 0 and 2 step as in a bank without it
+        cfg = FilterConfig(particle_count=8)
+        planted, plain = ParticleBank(cfg, [1, 2, 3]), ParticleBank(cfg, [1, 2, 3])
+        planted.weights[1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resampled, reinitialized = planted.update([1.0, 2.0, 3.0])
+        plain.update([1.0, 2.0, 3.0])
+        assert reinitialized.tolist() == [False, True, False]
+        assert not resampled[1]
+        assert np.all(planted.weights[1] == 1.0 / 8)
+        for row in (0, 2):
+            assert planted.particles[row].tobytes() == plain.particles[row].tobytes()
+            assert planted.weights[row].tobytes() == plain.weights[row].tobytes()
+
     def test_maybe_resample_touches_only_its_row(self):
-        bank, _ = self.bank_and_filters()
+        bank, _ = self.bank_and_lone()
         bank.weights[2] = 0.0
         bank.weights[2, 7] = 1.0
         before = bank.particles.copy()
@@ -593,23 +602,15 @@ class TestRunChecks:
         assert raw.particles.tobytes() == clamped.particles.tobytes()
         assert raw.weights.tobytes() == clamped.weights.tobytes()
 
-    @pytest.mark.parametrize(
-        "measurements, rows, error, message",
-        [
-            ([1.0], [-1], IndexError, "filter row -1 outside a bank of 3 rows"),
-            ([1.0, 2.0], [1, 3], IndexError, "filter row 3 outside a bank of 3 rows"),
-            ([1.0, 3.0], [0, 0], ValueError, "filter row 0 follows row 0: rows must increase"),
-            ([1.0, 3.0, 2.0], [2, 1, 0], ValueError,
-             "filter row 1 follows row 2: rows must increase"),
-        ],
-        ids=["negative", "past-the-end", "repeated", "decreasing"],
-    )
-    def test_update_refuses_bad_rows_before_any_step(self, measurements, rows, error, message):
+    @pytest.mark.parametrize("row", [-2, -1, 3])
+    def test_maybe_resample_refuses_a_row_outside_the_bank(self, row):
         bank = self.bank()
+        bank.weights[:] = 0.0
+        bank.weights[:, 0] = 1.0  # every row of the bank would resample
         particles, weights = bank.particles.copy(), bank.weights.copy()
-        with pytest.raises(error) as refused:
-            bank.update(measurements, rows)
-        assert str(refused.value) == message
+        with pytest.raises(IndexError) as refused:
+            bank.maybe_resample(row)
+        assert str(refused.value) == f"filter row {row} outside a bank of 3 rows"
         assert np.array_equal(bank.particles, particles)
         assert np.array_equal(bank.weights, weights)
 
@@ -647,8 +648,8 @@ class TestRunChecks:
             assert np.getbufsize() == 4096
             bank.update([1.0, 2.0, 3.0])
             assert np.getbufsize() == 4096
-            with pytest.raises(IndexError):
-                bank.update([1.0], [7])
+            with pytest.raises(ValueError):
+                bank.update([1.0])
             assert np.getbufsize() == 4096
             with pytest.raises(IndexError):
                 bank.run(readings, [[0, 2], [2, 4], [4, 40]])

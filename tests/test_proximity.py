@@ -17,6 +17,7 @@ from beaconpark.pathloss import (
 from beaconpark.proximity import (
     STREAM_DTYPE,
     BeaconLayout,
+    identify_cells,
     raw_baseline,
     run_identification,
 )
@@ -127,29 +128,39 @@ def noiseless_streams(x=2.0, y=0.5, duration_s=30.0, seed=0, sigma=0.0, drop=0.0
     return layout, streams
 
 
+def identify_one(layout, streams, seed):
+    """Filtered identification of one cell, at the default filter config."""
+    return identify_cells([(layout, streams, seed)], INDOOR_MODEL, FilterConfig())[0]
+
+
 class TestRunIdentification:
+    def test_run_identification_is_identify_cells_on_one_cell(self):
+        # bound by name by the benchmark's tracer
+        layout, streams = noiseless_streams(sigma=6.0, seed=5)
+        config = FilterConfig(particle_count=200)
+        assert run_identification(layout, streams, OUTDOOR_MODEL, config, 8) == identify_cells(
+            [(layout, streams, 8)], OUTDOOR_MODEL, config
+        )[0]
+
     def test_noiseless_accuracy_is_perfect(self):
         layout, streams = noiseless_streams()
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 1)
+        tally = identify_one(layout, streams, 1)
         assert tally.accuracy == 1.0
         assert tally.counts[B1] == tally.total == 30
 
     def test_tally_conservation_with_noise(self):
         layout, streams = noiseless_streams(sigma=6.0, seed=5)
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 2)
+        tally = identify_one(layout, streams, 2)
         assert sum(tally.counts.values()) == tally.total == 30
 
     def test_deterministic_given_seeds(self):
         layout, streams = noiseless_streams(sigma=5.0, seed=9)
-        tallies = [
-            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 3)
-            for _ in range(2)
-        ]
+        tallies = [identify_one(layout, streams, 3) for _ in range(2)]
         assert tallies[0].counts == tallies[1].counts
 
     def test_missing_rounds_reuse_filter_state(self):
         layout, streams = noiseless_streams(drop=0.4, seed=11, duration_s=60.0)
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 4)
+        tally = identify_one(layout, streams, 4)
         # one prediction per one-second round up to the last received sample
         last_ts = max(int(stream["timestamp_ms"][-1]) for stream in streams.values())
         assert tally.total == last_ts // 1000 + 1
@@ -159,12 +170,12 @@ class TestRunIdentification:
         layout, streams = noiseless_streams()
         streams[SpotId("Z", 9)] = streams[A1]
         with pytest.raises(ValueError):
-            run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 5)
+            identify_one(layout, streams, 5)
 
     def test_empty_streams_rejected(self):
         layout, _ = noiseless_streams()
         with pytest.raises(ValueError):
-            run_identification(layout, {A1: stream()}, INDOOR_MODEL, FilterConfig(), 6)
+            identify_one(layout, {A1: stream()}, 6)
 
     def test_malformed_streams_rejected(self):
         layout, streams = noiseless_streams()
@@ -176,16 +187,14 @@ class TestRunIdentification:
         }
         for bad_stream in bad.values():
             with pytest.raises(ValueError):
-                run_identification(
-                    layout, {**streams, A1: bad_stream}, INDOOR_MODEL, FilterConfig(), 6
-                )
+                identify_one(layout, {**streams, A1: bad_stream}, 6)
             with pytest.raises(ValueError):
                 raw_baseline({**streams, A1: bad_stream}, INDOOR_MODEL, layout)
 
     def test_missing_stream_filter_keeps_its_prior(self):
         layout, streams = noiseless_streams()
         del streams[C1]
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 7)
+        tally = identify_one(layout, streams, 7)
         assert tally.total == 30
         assert tally.counts[B1] == 30
 
@@ -194,7 +203,7 @@ class TestRunIdentification:
         layout, streams = noiseless_streams(
             x=2.0, y=0.5, duration_s=116.0, sigma=INDOOR_NOISE_SIGMA_DB, seed=116
         )
-        tally = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 116)
+        tally = identify_one(layout, streams, 116)
         assert tally.total == 116
         assert tally.counts[B1] == 116
         assert tally.accuracy == 1.0
@@ -216,7 +225,7 @@ class TestRawBaseline:
         layout, streams = noiseless_streams(x=2.0, y=1.0, sigma=INDOOR_NOISE_SIGMA_DB,
                                             seed=31, duration_s=120.0)
         raw = raw_baseline(streams, INDOOR_MODEL, layout)
-        filtered = run_identification(layout, streams, INDOOR_MODEL, FilterConfig(), 32)
+        filtered = identify_one(layout, streams, 32)
         assert filtered.accuracy >= raw.accuracy
 
     def test_rssi_sample_streams_are_time_ordered(self):

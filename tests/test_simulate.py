@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from beaconpark.eddystone import SpotId
-from beaconpark.particle import DistanceParticleFilter, FilterConfig
+from beaconpark.particle import FilterConfig, ParticleBank
 from beaconpark.pathloss import (
     INDOOR_MODEL,
     OUTDOOR_MODEL,
@@ -15,7 +15,7 @@ from beaconpark.pathloss import (
     fit_model,
     predict_rssi,
 )
-from beaconpark.proximity import STREAM_DTYPE, raw_baseline, run_identification
+from beaconpark.proximity import STREAM_DTYPE, identify_cells, raw_baseline
 from beaconpark.seeding import (
     TAG_DISTANCE_CELL,
     TAG_FILTER,
@@ -148,15 +148,13 @@ class TestDistanceExperiment:
                 cell_seed = derive_seed(scen.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
                 stream = sim.generate_stream(replace(scen, seed=cell_seed), B1, d)
                 lengths.add(len(stream))
-                flt = DistanceParticleFilter(
-                    FilterConfig(particle_count=100), derive_seed(cell_seed, TAG_FILTER)
-                )
+                lone = ParticleBank(config, [derive_seed(cell_seed, TAG_FILTER)])
                 for rssi in stream["rssi_dbm"].tolist():
                     z = estimate_distance(scen.model, rssi)
-                    flt.update(z)
+                    lone.update([z])
                     step_raw.append(abs(z - d))
-                    step_filtered.append(abs(flt.estimate().mean_m - d))
-                finals.append(flt.estimate().mean_m)
+                    step_filtered.append(abs(float(lone.means()[0]) - d))
+                finals.append(float(lone.means()[0]))
         assert len(lengths) > 1
         assert result.step_raw_errors_m == step_raw
         assert result.step_filtered_errors_m == step_filtered
@@ -239,9 +237,9 @@ class TestProximityExperiment:
             truth = layout.true_distances()
             streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
             cell_filter_seed = derive_seed(cell_seed, TAG_FILTER)
-            assert cell.filtered == run_identification(
-                layout, streams, scen.model, config, cell_filter_seed
-            )
+            assert cell.filtered == identify_cells(
+                [(layout, streams, cell_filter_seed)], scen.model, config
+            )[0]
             assert cell.raw == raw_baseline(streams, scen.model, layout)
 
     def test_csv_shape_and_percent_format(self, tmp_path):
