@@ -138,7 +138,7 @@ class ParticleBank:
         """
         z = np.asarray(measurements_m, dtype=float)
         if z.shape != self._rows.shape:
-            raise ValueError(f"{z.size} measurements for {len(self._rows)} filter rows")
+            raise ValueError(f"measurements of shape {z.shape} for {len(self._rows)} filter rows")
         finite = np.isfinite(z)
         if not finite.all():
             bad = int(np.argmin(finite))

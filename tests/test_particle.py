@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 import numpy as np
@@ -297,6 +298,44 @@ class TestParticleBank:
                 assert resampled[1] and reinitialized[2]
             self.assert_same_state(bank, lone_banks)
 
+    def test_ragged_rounds_are_bit_identical_to_lone_filters(self):
+        # the planted rows of the test above, now stepped by `run` in a first
+        # round that gives row 0 no reading: its first sub-step reaches rows
+        # 1, 2 and 3 only, and its last two row 3 alone
+        bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.05)
+        point_mass = np.zeros(64)
+        point_mass[5] = 1.0
+        bank.weights[1] = lone_banks[1].weights[0] = point_mass
+        bank.particles[2] = lone_banks[2].particles[0] = 4.0
+        row_0 = bank.particles[0].copy(), bank.weights[0].copy()
+        particle_5 = float(bank.particles[1, 5])
+        rng = np.random.default_rng(35)
+        # readings per row and round: zero, one or several, ragged across rows;
+        # the second round gives every row a reading, so its first sub-step
+        # steps the whole bank
+        rounds = [[[], [particle_5], [0.0], [1.0, 2.0, 3.0]]]
+        rounds += [[rng.uniform(-0.5, 4.5, c).tolist() for c in (1, 1, 2, 1)]]
+        rounds += [
+            [rng.uniform(-0.5, 4.5, c).tolist() for c in rng.integers(0, 4, 4)]
+            for _ in range(30)
+        ]
+        for r, readings in enumerate(rounds):
+            counts = np.array([len(values) for values in readings])
+            ends = np.cumsum(counts)
+            bank.run(sum(readings, []), np.stack([ends - counts, ends], axis=1))
+            flags = [[b.update([z]) for z in values] for b, values in zip(lone_banks, readings)]
+            self.assert_same_state(bank, lone_banks)
+            if r == 0:
+                # row 1 resampled and row 2 collapsed on their one reading
+                (resampled,), _ = flags[1][0]
+                _, (reinitialized,) = flags[2][0]
+                assert resampled and reinitialized
+                assert np.array_equal(bank.particles[0], row_0[0])
+                assert np.array_equal(bank.weights[0], row_0[1])
+                assert np.all(bank.particles[1] == particle_5)
+                assert np.all((bank.particles[2] >= 0.0) & (bank.particles[2] < 4.0))
+                assert np.all(bank.weights[1:3] == 1.0 / 64)
+
     def test_whole_and_partial_steps_alternate_bit_for_bit(self):
         # a whole-bank step computes its gains in the work buffer, a sub-step
         # of `run` that reaches some rows fills the buffer's first rows;
@@ -381,8 +420,12 @@ class TestParticleBank:
 
     def test_measurements_must_match_rows(self):
         bank, _ = self.bank_and_lone()
-        with pytest.raises(ValueError, match="2 measurements for 4 filter rows"):
-            bank.update([1.0, 2.0])
+        before = bank.weights.copy()
+        for shape in [(2,), (4, 1), ()]:
+            message = rf"measurements of shape {re.escape(str(shape))} for 4 filter rows"
+            with pytest.raises(ValueError, match=message):
+                bank.update(np.ones(shape))
+        assert np.array_equal(bank.weights, before)
 
     def test_collapsed_row_reinitializes_without_warning(self):
         bank = ParticleBank(FilterConfig(particle_count=8, measurement_noise_m=1e-3), [1, 2])
