@@ -27,8 +27,8 @@ _EXPORTS = {
     "proximity": ("STREAM_DTYPE", "BeaconLayout", "PredictionTally", "raw_baseline"),
     "simulate": (
         "INDOOR_NOISE_SIGMA_DB", "OUTDOOR_NOISE_SIGMA_DB", "ExperimentSpec", "Scenario",
-        "calibrate_noise_sigma", "generate_stream", "raw_accuracy", "run_distance_experiment",
-        "run_pathloss_experiment", "run_proximity_experiment", "three_beacon_layout",
+        "generate_stream", "run_distance_experiment", "run_pathloss_experiment",
+        "run_proximity_experiment", "three_beacon_layout",
     ),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -246,7 +246,7 @@ CALIBRATION_CSV_HEADER = ["distance_m", "rssi_dbm"]
 
 
 def read_calibration_csv(path) -> CalibrationDataset:
-    """Read `distance_m,rssi_dbm` rows (one sample per row)."""
+    """Read `distance_m,rssi_dbm` rows of finite numbers (one sample per row)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -259,21 +259,15 @@ def read_calibration_csv(path) -> CalibrationDataset:
             if len(row) != 2:
                 raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
             try:
-                pairs.append((float(row[0]), float(row[1])))
+                pair = (float(row[0]), float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, pair)):
+                raise ValueError(f"line {lineno}: values must be finite, got {row}")
+            pairs.append(pair)
     if not pairs:
         raise ValueError("calibration CSV contains no samples")
     return CalibrationDataset.from_pairs(pairs)
-
-
-def write_calibration_csv(path, data: CalibrationDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CALIBRATION_CSV_HEADER)
-        for d, samples in data.points:
-            for r in samples:
-                writer.writerow([f"{d:.6f}", f"{r:.6f}"])
 
 
 def fit_result_to_json_dict(fit: FitResult) -> dict:

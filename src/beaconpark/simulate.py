@@ -13,9 +13,10 @@ distance run, are stepped as the rows of one particle.ParticleBank, each
 row keeping its own seed; the bank steps in place, in one work buffer.
 
 Three experiment drivers mirror the calibration, distance-estimation,
-and proximity-identification procedures; noise defaults per environment
-are anchored by matching the exact raw proximity accuracy (raw_accuracy)
-at the (X=1 m, Y=0.5 m) three-beacon cell to the 77.8% reference value.
+and proximity-identification procedures. The noise defaults per
+environment match the exact raw proximity accuracy at the (X=1 m,
+Y=0.5 m) three-beacon cell to the 77.8% reference value; the tests hold
+that accuracy as their oracle and re-derive both defaults from it.
 
 A scenario file is the whole spec of a distance or proximity run: the
 environment (Scenario), the required `experiment` (its kind, grid and
@@ -26,9 +27,7 @@ the run, and any other key is refused.
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -61,14 +60,11 @@ from .seeding import (
     spot_key,
 )
 
-# Shadowing noise calibrated per environment with calibrate_noise_sigma()
-# (raw accuracy 77.8% at the X=1, Y=0.5 anchor cell, see module docstring).
+# Shadowing noise per environment: the sigma on a 2-10 dB grid whose exact
+# raw accuracy at the X=1, Y=0.5 anchor cell is closest to 77.8%.
+# tests/test_simulate.py::TestNoiseCalibration re-derives both values.
 INDOOR_NOISE_SIGMA_DB = 5.45
 OUTDOOR_NOISE_SIGMA_DB = 4.60
-
-RAW_ANCHOR_ACCURACY = 0.778
-ANCHOR_X_M = 1.0
-ANCHOR_Y_M = 0.5
 
 EXPERIMENT_KINDS = ("distance", "proximity")
 
@@ -314,46 +310,6 @@ def run_proximity_experiment(
         )
         for (x_m, y_m), (layout, streams, _), tally in zip(pairs, cells, filtered)
     ]
-
-
-def raw_accuracy(model: PathLossModel, x_m: float, y_m: float, sigma_db: float) -> float:
-    """Expected raw (single-sample) identification accuracy of a three-beacon cell.
-
-    B is identified when its sample is the largest. Given B's standardized
-    noise t, A and C each fall below it with probability Phi(t + m), where
-    m = (RSSI(Y) - RSSI(hypot(X, Y))) / sigma, so the accuracy is
-    E_t[Phi(t + m)^2], here by 64-node Gauss-Hermite quadrature.
-    """
-    if not sigma_db > 0:
-        raise ValueError(f"noise sigma must be positive, got {sigma_db}")
-    gap_db = predict_rssi(model, y_m) - predict_rssi(model, math.hypot(x_m, y_m))
-    shift = gap_db / (sigma_db * math.sqrt(2.0))
-    # Phi(t + m) = (1 + erf((t + m) / sqrt 2)) / 2
-    return sum(weight * (1.0 + math.erf(node + shift)) ** 2 for node, weight in _normal_rule())
-
-
-@functools.cache
-def _normal_rule() -> tuple[tuple[float, float], ...]:
-    """The 64-node Gauss-Hermite rule for E[f(t)], t ~ N(0, 1), as (t / sqrt 2, weight / 4)."""
-    from numpy.polynomial.hermite_e import hermegauss  # on neither experiment's import path
-
-    nodes, weights = hermegauss(64)
-    weights /= 4.0 * math.sqrt(2.0 * math.pi)
-    return tuple(zip((nodes / math.sqrt(2.0)).tolist(), weights.tolist()))
-
-
-def calibrate_noise_sigma(model: PathLossModel) -> float:
-    """One-dimensional sweep for the shadowing sigma of an environment.
-
-    Sweeps sigma over 2..10 dB in 0.05 dB steps and returns the first one
-    (min keeps the first of equal gaps) whose raw_accuracy at the anchor
-    cell is closest to RAW_ANCHOR_ACCURACY.
-    """
-
-    def gap(sigma: float) -> float:
-        return abs(raw_accuracy(model, ANCHOR_X_M, ANCHOR_Y_M, sigma) - RAW_ANCHOR_ACCURACY)
-
-    return round(min(np.arange(2.0, 10.0001, 0.05).tolist(), key=gap), 6)
 
 
 # --- file formats ---

@@ -2,10 +2,8 @@ import hashlib
 import importlib.metadata
 import json
 import math
-import os
 import re
 import signal
-import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +12,9 @@ import pytest
 
 from beaconpark import cli, simulate
 from beaconpark.cli import main
-from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL, write_calibration_csv
+from beaconpark.pathloss import INDOOR_MODEL, OUTDOOR_MODEL
 from beaconpark.simulate import Scenario, run_pathloss_experiment
+from helpers import python_env, read_served_port, send_lines, write_calibration_csv
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -25,13 +24,6 @@ def make_calibration_csv(path, model, duration_s=10.0, sigma=0.0, seed=0):
     distances = [round(0.2 * k, 10) for k in range(1, 21)]
     data = run_pathloss_experiment(scenario, distances)
     write_calibration_csv(path, data)
-
-
-def python_env() -> dict:
-    """The environment of a fresh interpreter that imports beaconpark from this checkout."""
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -152,6 +144,20 @@ class TestCalibrateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "rank-deficient" in err
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,-1e309", "inf,-65.0"])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, row):
+        # -1e309 overflows to -inf; the fit would fail on nan without naming the line
+        csv_path = tmp_path / "cal.csv"
+        csv_path.write_text(f"distance_m,rssi_dbm\n1.0,-65.0\n{row}\n2.0,-72.0\n")
+        code = main(
+            ["--out-dir", str(tmp_path), "calibrate",
+             "--input", str(csv_path), "--out", str(tmp_path / "fit.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3: values must be finite" in err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(
@@ -464,24 +470,6 @@ class TestProximityCommand:
         assert indoor.noise_sigma_db == 5.45
 
 
-def read_served_port(proc) -> int:
-    line = proc.stdout.readline()
-    match = re.search(r"serving on [^:]*:(\d+)", line)
-    assert match, f"no port in: {line!r}"
-    return int(match.group(1))
-
-
-def send_lines(port, lines):
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        fh = sock.makefile("rw", encoding="utf-8", newline="\n")
-        out = []
-        for line in lines:
-            fh.write(line + "\n")
-            fh.flush()
-            out.append(fh.readline().rstrip("\n"))
-        return out
-
-
 class TestServeCommand:
     @pytest.fixture
     def never_serve(self, monkeypatch):
@@ -531,9 +519,11 @@ class TestServeCommand:
 
     def test_serve_runs_without_numpy(self, tmp_path):
         # numpy cannot be imported: serve binds, answers, restarts on its
-        # journal and exits 0 on SIGINT without it
+        # journal and exits 0 on SIGINT without it. A test run started in the
+        # background inherits an ignored SIGINT, so the child restores Python's handler.
         script = (
-            "import sys; sys.modules['numpy'] = None\n"
+            "import signal, sys; sys.modules['numpy'] = None\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "from beaconpark.cli import main\n"
             f"sys.exit(main(['--out-dir', {str(tmp_path)!r}, 'serve', '--lot',"
             f" {str(SCENARIOS_DIR / 'demo_lot.json')!r}, '--bind', '127.0.0.1:0',"

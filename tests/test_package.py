@@ -13,7 +13,11 @@ def test_every_public_name_resolves_and_is_listed():
 
 
 @pytest.mark.parametrize(
-    "name", ["DistanceEstimate", "DistanceParticleFilter", "average_rssi", "run_identification"]
+    "name",
+    [
+        "DistanceEstimate", "DistanceParticleFilter", "average_rssi", "run_identification",
+        "raw_accuracy", "calibrate_noise_sigma",
+    ],
 )
 def test_retired_names_are_not_exported(name):
     assert name not in beaconpark.__all__

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from beaconpark import pathloss as pl
+from helpers import write_calibration_csv
 
 
 def one_round_mean(samples):
@@ -254,7 +255,7 @@ class TestDatasetAndFiles:
         data = synthetic_dataset(pl.INDOOR_MODEL, [0.5, 1.0, 2.0], noise_sigma=1.0,
                                  samples_per=4, seed=9)
         path = tmp_path / "cal.csv"
-        pl.write_calibration_csv(path, data)
+        write_calibration_csv(path, data)
         loaded = pl.read_calibration_csv(path)
         for (d1, s1), (d2, s2) in zip(data.points, loaded.points):
             assert d1 == pytest.approx(d2, abs=1e-9)

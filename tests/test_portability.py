@@ -1,0 +1,45 @@
+"""The golden digests hold at numpy's baseline CPU dispatch.
+
+numpy picks a SIMD kernel per CPU at run time, and some kernels (`np.exp`
+among them) give other last bits than the baseline's. This reruns
+`test_golden_outputs.py` in a child interpreter with every dispatch
+target disabled, so the result CSVs are checked on both kernel sets.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from helpers import ROOT, python_env
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__
+
+# The child first checks that numpy really left every dispatch target off.
+CHILD = """\
+import sys
+import numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+if on:
+    sys.exit(f"dispatch targets still on: {on}")
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_golden_digests_hold_at_the_baseline_dispatch():
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy build dispatches to no CPU target beyond its baseline")
+    env = dict(python_env(), NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "tests" / "test_golden_outputs.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
