@@ -50,12 +50,19 @@ def _file_sha256(path: str) -> str:
 
 
 def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | None) -> None:
-    """Record the command, its seed and scenario (path and sha256) and the versions it runs."""
+    """Record the command, its seed and scenario (path and sha256), the versions it runs
+    and, for a numpy command, the CPU targets beyond its baseline that numpy dispatches to."""
     versions = {"beaconpark": __version__, "python": sys.version.split()[0]}
+    dispatch = None
     if command in NUMPY_COMMANDS:
         import numpy
 
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
         versions["numpy"] = numpy.__version__
+        dispatch = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     manifest = {
         "command": command,
         "scenario_path": scenario_path,
@@ -63,6 +70,7 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
         "seed": seed,
         "output_dir": os.path.abspath(out_dir),
         "versions": versions,
+        "numpy_cpu_dispatch": dispatch,
     }
     write_atomically(os.path.join(out_dir, "manifest.json"), _write_json, manifest)
 
@@ -170,7 +178,7 @@ def cmd_serve(args) -> int:
     journal_path = args.journal or os.path.join(args.out_dir, "parking.journal")
     started = time.perf_counter()
     try:
-        service = service_from_files(args.lot, journal_path)
+        service = service_from_files(args.lot, journal_path, args.clock)
     except FileNotFoundError as exc:
         raise InputError(f"lot config not found: {args.lot}") from exc
     except JournalError as exc:
@@ -192,6 +200,10 @@ def cmd_serve(args) -> int:
     )
     server = ParkingTCPServer((host, port), service, clock)
     actual_host, actual_port = server.server_address[:2]
+    import signal
+
+    # SIGINT stops serve even when it was started with SIGINT ignored (a background job)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     print(f"serving on {actual_host}:{actual_port} (journal: {journal_path})", flush=True)
     try:
         server.serve_forever()

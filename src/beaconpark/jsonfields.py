@@ -11,7 +11,8 @@ of numpy.
 """
 
 _MAX = 1.7976931348623157e308  # the largest finite float
-_NAMES = {int: "int", float: "number", str: "str", bool: "bool", list: "list", type(None): "null"}
+_NAMES = {int: "int", float: "number", str: "str", bool: "bool", list: "list", dict: "object",
+          type(None): "null"}
 
 
 def read_object(obj, what: str, kinds: dict, required=()) -> dict:

@@ -6,24 +6,29 @@ charge fails; Illegal clears back to Available only through an explicit
 admin settle. Time never comes from the wall clock: every operation takes
 the current timestamp, so billing is reproducible.
 
-Every successful state change is journaled as a JSON-ready dict holding
-its outcome, not the command that caused it:
+The journal holds one record per spot, `{"spot": "A1", "session": ...}`:
+null for no session, else its id, user id, plate, card token, time limit,
+start time, and the end time and cost owed (null while it is open). An
+entry `{"op": "spot", ...record}` journals a spot's new state after a
+register, unregister, overstay expiry or settle. An entry `{"op":
+"snapshot", "clock", "sessions", "spots"}` names the clock the times come
+from ("system" or "simulated") and holds the session counter and the
+record of every spot with a session; it replaces the whole state, so any
+prefix of a journal replays to the state it recorded.
 
-* `register`: spot, user id, plate, card token, time limit and start time;
-* `unregister`, and one `expire` per force-closed overstay: spot, end
-  time, cost and whether the charge went through;
-* `settle`: spot;
-* `snapshot`: the session counter and every open or owed session, each
-  recorded with the `register` fields plus its id, end time and cost.
+Replay, which calls no payment method and journals nothing, applies a
+spot entry only as a step the service could take: Available may only open
+session `S<counter + 1>`, Occupied may go to null (paid) or to its own
+session closed with an end and a cost (unpaid), and Illegal only to null
+(settled). A paid close's cost, and whether a close was an unregister or
+an expiry, are not journaled: replay never needs them.
 
-Replaying a journal over the same lot configuration applies these
-outcomes and reconstructs the exact service state without calling the
-payment gateway or journaling anything; a snapshot replaces the whole
-state, so any prefix of a journal replays to the state it recorded.
-Once the entries written since the last snapshot reach the lot's spot
-count, the service journals a snapshot, and `FileJournal` replaces the
-file by that one line: a journal file never holds more than spots + 1
-lines, and a restart replays O(lot size) entries, not the history.
+Once as many entries as the lot has spots follow the last snapshot, the
+service journals one, and `FileJournal` replaces the file by that line: a
+journal never holds more than spots + 1 lines, and a restart replays
+O(lot size) entries. `service_from_files` starts an empty journal with a
+snapshot, and refuses one that does not start with a snapshot or names
+another clock, whose times would be read on the wrong clock.
 """
 
 from __future__ import annotations
@@ -36,13 +41,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Callable, Iterable
 
-from .eddystone import (
-    BeaconFrame,
-    SpotId,
-    UidFrame,
-    UrlFrame,
-    uid_instance_for_spot,
-)
+from .eddystone import BeaconFrame, SpotId, UidFrame, UrlFrame, uid_instance_for_spot
 from .jsonfields import read_object
 
 MS_PER_MINUTE = 60_000
@@ -205,15 +204,12 @@ class ParkingService:
 
     All mutating commands run under one lock, so concurrent callers see
     a total order (exactly one of two simultaneous registrations of the
-    same spot succeeds).
+    same spot succeeds). `clock` names the clock its times come from, as
+    its snapshots record it.
     """
 
-    def __init__(
-        self,
-        spots: Iterable[Spot],
-        payment: PaymentStub | None = None,
-        journal_sink: Callable[[dict], None] | None = None,
-    ):
+    def __init__(self, spots: Iterable[Spot], payment: PaymentStub | None = None,
+                 journal_sink: Callable[[dict], None] | None = None, clock: str = "system"):
         self._spots: dict[SpotId, Spot] = {}  # in spot-id order, which every listing keeps
         self._by_uid: dict[tuple[bytes, bytes], Spot] = {}
         self._by_url: dict[str, Spot] = {}
@@ -231,6 +227,7 @@ class ParkingService:
         if not self._spots:
             raise ValueError("lot has no spots")
         self.payment = payment or PaymentStub()
+        self.clock = clock
         self.events: list[dict] = []
         self._journal_sink = journal_sink
         self._session_seq = 0
@@ -242,10 +239,7 @@ class ParkingService:
 
     def list_spots(self) -> list[tuple[SpotId, SpotState, int]]:
         """Registry snapshot in stable spot-id order."""
-        return [
-            (spot.id, spot.state, spot.rate_cents_per_hour)
-            for spot in self._spots.values()
-        ]
+        return [(spot.id, spot.state, spot.rate_cents_per_hour) for spot in self._spots.values()]
 
     def latest_session_ms(self) -> int:
         """The latest start or end time among the sessions on the spots, 0 with none."""
@@ -277,13 +271,8 @@ class ParkingService:
 
     # -- commands --
 
-    def register(
-        self,
-        spot_id: SpotId,
-        user: UserProfile,
-        now_ms: int,
-        max_minutes: int | None = None,
-    ) -> Session:
+    def register(self, spot_id: SpotId, user: UserProfile, now_ms: int,
+                 max_minutes: int | None = None) -> Session:
         """Open a session; `max_minutes`, if given, is a non-negative int.
 
         A session that could not be billed at its limit is refused here,
@@ -294,9 +283,10 @@ class ParkingService:
             spot = self._spot_in(spot_id, SpotState.AVAILABLE)
             if not self.payment.validate_card(user.card_token):
                 raise CardDeclinedError(f"card validation refused for {user.user_id}")
-            session = self._open_session(spot, user, now_ms, max_minutes)
-            self._journal({"op": "register", **_session_fields(spot)})
-            return session
+            self._session_seq += 1
+            spot.session = Session(f"S{self._session_seq}", user, now_ms, max_minutes=max_minutes)
+            self._journal(spot)
+            return spot.session
 
     def unregister(self, spot_id: SpotId, now_ms: int) -> Session:
         """Close the session and charge it; a failed charge marks the
@@ -306,7 +296,7 @@ class ParkingService:
         lock: the spot's state may change again as soon as it is released.
         """
         with self._lock:
-            return self._close_session(spot_id, now_ms, "unregister")
+            return self._close_session(spot_id, now_ms)
 
     def expire_overstays(self, now_ms: int) -> list[SpotId]:
         """Force-close every occupied session past its time limit.
@@ -318,14 +308,11 @@ class ParkingService:
             expired = []
             for spot in self._spots.values():
                 session = spot.session
-                if (
-                    session is not None
-                    and session.end_ms is None  # Occupied
-                    and session.max_minutes is not None
-                    and now_ms > session.start_ms + session.max_minutes * MS_PER_MINUTE
-                ):
-                    cutoff = session.start_ms + session.max_minutes * MS_PER_MINUTE
-                    self._close_session(spot.id, cutoff, "expire")
+                if session is None or session.end_ms is not None or session.max_minutes is None:
+                    continue  # only an Occupied session with a limit expires
+                cutoff = session.start_ms + session.max_minutes * MS_PER_MINUTE
+                if now_ms > cutoff:
+                    self._close_session(spot.id, cutoff)
                     self._emit("overstay_expired", spot=str(spot.id))
                     expired.append(spot.id)
             return expired
@@ -333,8 +320,9 @@ class ParkingService:
     def settle(self, spot_id: SpotId) -> None:
         """Admin action clearing an illegally-parked spot."""
         with self._lock:
-            self._spot_in(spot_id, SpotState.ILLEGAL).session = None
-            self._journal({"op": "settle", "spot": str(spot_id)})
+            spot = self._spot_in(spot_id, SpotState.ILLEGAL)
+            spot.session = None
+            self._journal(spot)
             self._emit("settled", spot=str(spot_id))
 
     # -- internals --
@@ -346,79 +334,62 @@ class ParkingService:
             raise error(f"spot {spot_id} {reason}")
         return spot
 
-    def _open_session(self, spot: Spot, user: UserProfile, now_ms: int, max_minutes) -> Session:
-        self._session_seq += 1
-        spot.session = Session(
-            session_id=f"S{self._session_seq}",
-            user=user,
-            start_ms=now_ms,
-            max_minutes=max_minutes,
-        )
-        return spot.session
-
-    def _close_session(self, spot_id: SpotId, now_ms: int, op: str) -> Session:
+    def _close_session(self, spot_id: SpotId, now_ms: int) -> Session:
+        """Charge the session at `now_ms`: paid frees the spot, unpaid leaves it Illegal."""
         spot = self._spot_in(spot_id, SpotState.OCCUPIED)
         session = spot.session
-        cost = parking_cost_cents(
-            spot.rate_cents_per_hour, billable_minutes(session.start_ms, now_ms)
-        )
+        cost = parking_cost_cents(spot.rate_cents_per_hour, billable_minutes(session.start_ms, now_ms))
         charged = self.payment.charge(session.user.card_token, cost)
-        _apply_close(spot, now_ms, cost, charged)
-        if not charged:
-            self._emit(
-                "charge_failed", spot=str(spot_id), user_id=session.user.user_id, cost_cents=cost
-            )
-        self._journal(
-            {
-                "op": op, "spot": str(spot_id), "now_ms": now_ms,
-                "cost_cents": cost, "charged": charged,
-            }
-        )
+        session.end_ms, session.cost_cents, session.charged = now_ms, cost, charged
+        if charged:
+            spot.session = None
+        else:
+            user_id = session.user.user_id
+            self._emit("charge_failed", spot=str(spot_id), user_id=user_id, cost_cents=cost)
+        self._journal(spot)
         return session
 
     def _emit(self, event_type: str, **data) -> None:
         self.events.append({"type": event_type, **data})
 
-    def _journal(self, entry: dict) -> None:
-        """Hand `entry` to the sink, then a snapshot once as many entries as
-        the lot has spots have been handed over since the last one."""
+    def _journal(self, spot: Spot) -> None:
+        """Hand the sink `spot`'s new state, then a snapshot once as many
+        entries as the lot has spots have been handed over since the last one."""
         if self._journal_sink is None:
             return
-        self._journal_sink(entry)
+        self._journal_sink({"op": "spot", **_spot_record(spot)})
         self._since_snapshot += 1
         if self._since_snapshot >= len(self._spots):
             self._journal_sink(self.snapshot())
             self._since_snapshot = 0
 
     def snapshot(self) -> dict:
-        """The full registry state as a journal `snapshot` entry: every spot's session."""
+        """The full registry state as a journal `snapshot` entry."""
         return {
             "op": "snapshot",
+            "clock": self.clock,
             "sessions": self._session_seq,
-            "spots": [
-                {
-                    **_session_fields(spot),
-                    "session_id": spot.session.session_id,
-                    "end_ms": spot.session.end_ms,
-                    "cost_cents": spot.session.cost_cents,
-                }
-                for spot in self._spots.values()
-                if spot.session is not None
-            ],
+            "spots": [_spot_record(spot) for spot in self._spots.values() if spot.session is not None],
         }
 
-    def _restore(self, entry: dict) -> None:
-        """Replace the whole registry state by a snapshot entry's."""
-        restored: dict[SpotId, Session] = {}
-        for record in entry["spots"]:
-            spot_id, session = _decode_snapshot_session(record)
-            self.get_spot(spot_id)  # refuses a spot the lot does not have
-            if spot_id in restored:
-                raise ValueError(f"snapshot names spot {spot_id} twice")
-            restored[spot_id] = session
-        for spot in self._spots.values():
-            spot.session = restored.get(spot.id)
-        self._session_seq = entry["sessions"]
+    def _step(self, spot: Spot, session: Session | None) -> None:
+        """Move `spot` to `session` if the service could have, else raise ValueError."""
+        old, opens = spot.session, f"S{self._session_seq + 1}"
+        if old is None:  # Available: only the next session may open
+            legal = session is not None and session.end_ms is None and session.session_id == opens
+        elif session is None:  # paid, or settled
+            legal = True
+        else:  # Occupied to the same session, closed unpaid
+            legal = old.end_ms is None and session.end_ms is not None and (
+                session.session_id, session.user, session.start_ms, session.max_minutes
+            ) == (old.session_id, old.user, old.start_ms, old.max_minutes)
+        if not legal:
+            hint = f" (the next session is {opens})" if old is None else ""
+            raise ValueError(
+                f"spot {spot.id} cannot go from {_describe(old)} to {_describe(session)}{hint}")
+        if old is None:
+            self._session_seq += 1
+        spot.session = session
 
     # -- construction, journaling, replay --
 
@@ -439,14 +410,13 @@ class ParkingService:
         return cls(spots, **kwargs)
 
     def apply_journal_entry(self, entry: dict) -> None:
-        """Apply one journaled outcome (used during replay).
+        """Apply one journal entry (used during replay).
 
-        Replay calls no payment method, emits no event and journals
-        nothing. An entry holds exactly its op's fields, each of its
-        journaled type: a missing or unknown field raises ValueError, a
-        wrongly typed one TypeError, and an outcome the lot cannot take (a
-        close of a spot that is not Occupied, a snapshot naming an unknown
-        spot) a ParkingError or ValueError.
+        An entry holds exactly its op's fields, each of its journaled type:
+        a missing or unknown field raises ValueError, a wrongly typed one
+        TypeError. An illegal step, and a snapshot under another clock or
+        naming an unknown spot, one twice or one without a session, raise
+        ValueError or ParkingError.
         """
         op = entry.get("op") if type(entry) is dict else None
         if type(op) is str and op not in _ENTRY_KINDS:
@@ -454,79 +424,74 @@ class ParkingService:
         kinds = _ENTRY_KINDS[op] if type(op) is str else {"op": str}
         entry = read_object(entry, "journal entry", kinds, kinds)
         with self._lock:
-            if op == "snapshot":
-                self._restore(entry)
-            elif op == "register":
-                spot_id, user, now_ms, max_minutes = _decode_session_fields(entry)
-                self._open_session(
-                    self._spot_in(spot_id, SpotState.AVAILABLE), user, now_ms, max_minutes
-                )
-            elif op in ("unregister", "expire"):
-                spot = self._spot_in(SpotId.parse(entry["spot"]), SpotState.OCCUPIED)
-                _apply_close(spot, entry["now_ms"], entry["cost_cents"], entry["charged"])
-            else:  # settle
-                self._spot_in(SpotId.parse(entry["spot"]), SpotState.ILLEGAL).session = None
-            self._since_snapshot = 0 if op == "snapshot" else self._since_snapshot + 1
+            if op == "spot":
+                spot_id, session = _decode_spot_record(entry)
+                self._step(self.get_spot(spot_id), session)
+                self._since_snapshot += 1
+            else:  # a snapshot replaces the whole registry state
+                if entry["clock"] != self.clock:
+                    raise ValueError(f"journal written under the {entry['clock']} clock, "
+                                     f"served under the {self.clock} clock")
+                restored: dict[SpotId, Session] = {}
+                for record in entry["spots"]:
+                    record = read_object(record, "snapshot record", _RECORD_KINDS, _RECORD_KINDS)
+                    spot_id, session = _decode_spot_record(record)
+                    self.get_spot(spot_id)  # refuses a spot the lot does not have
+                    if session is None or spot_id in restored:
+                        problem = "without a session" if session is None else "twice"
+                        raise ValueError(f"snapshot lists spot {spot_id} {problem}")
+                    restored[spot_id] = session
+                for spot in self._spots.values():
+                    spot.session = restored.get(spot.id)
+                self._session_seq, self._since_snapshot = entry["sessions"], 0
             self.replayed_entries += 1
-
-
-def _apply_close(spot: Spot, end_ms: int, cost_cents: int, charged: bool) -> None:
-    """Record a close's outcome: a charged spot is free, an unpaid one Illegal."""
-    session = spot.session
-    session.end_ms, session.cost_cents, session.charged = end_ms, cost_cents, charged
-    if charged:
-        spot.session = None
 
 
 # A lot file's spot: the Spot fields, the beacon bytes as hex (`instance` optional).
 _SPOT_KINDS = {"id": str, "namespace": str, "instance": str, "url": str, "rate_cents_per_hour": int}
 _SPOT_REQUIRED = ("id", "namespace", "url", "rate_cents_per_hour")
 
-# -- the journal codec: the fields of each op's entry, each of one exact JSON type --
+# -- the journal codec: one spot record, each field of one exact JSON type --
 
 _INT_OR_NULL = (int, type(None))
-_SESSION_KINDS = {"spot": str, "user_id": str, "plate": str, "card": str, "now_ms": int,
-                  "max_minutes": _INT_OR_NULL}
-_CLOSE_KINDS = {"op": str, "spot": str, "now_ms": int, "cost_cents": int, "charged": bool}
-_ENTRY_KINDS = {
-    "register": {"op": str, **_SESSION_KINDS}, "unregister": _CLOSE_KINDS, "expire": _CLOSE_KINDS,
-    "settle": {"op": str, "spot": str}, "snapshot": {"op": str, "sessions": int, "spots": list},
-}
-_SESSION_RECORD_KINDS = {
-    **_SESSION_KINDS, "session_id": str, "end_ms": _INT_OR_NULL, "cost_cents": _INT_OR_NULL,
-}
+_SESSION_KINDS = {"id": str, "user_id": str, "plate": str, "card": str, "max_minutes": _INT_OR_NULL,
+                  "start_ms": int, "end_ms": _INT_OR_NULL, "cost_cents": _INT_OR_NULL}
+_RECORD_KINDS = {"spot": str, "session": (dict, type(None))}
+_ENTRY_KINDS = {"spot": {"op": str, **_RECORD_KINDS},
+                "snapshot": {"op": str, "clock": str, "sessions": int, "spots": list}}
 
 
-def _session_fields(spot: Spot) -> dict:
-    """The fields of a `register` entry for the session `spot` holds."""
+def _spot_record(spot: Spot) -> dict:
+    """`spot`'s journal record: its id and its session, or null for none."""
     session = spot.session
-    return {
-        "spot": str(spot.id),
-        "user_id": session.user.user_id,
-        "plate": session.user.vehicle_plate,
-        "card": session.user.card_token,
-        "max_minutes": session.max_minutes,
-        "now_ms": session.start_ms,
-    }
+    return {"spot": str(spot.id), "session": session and {
+        "id": session.session_id, "user_id": session.user.user_id,
+        "plate": session.user.vehicle_plate, "card": session.user.card_token,
+        "max_minutes": session.max_minutes, "start_ms": session.start_ms,
+        "end_ms": session.end_ms, "cost_cents": session.cost_cents,
+    }}
 
 
-def _decode_session_fields(entry: dict) -> tuple[SpotId, UserProfile, int, int | None]:
-    user = UserProfile(entry["user_id"], entry["plate"], entry["card"])
-    max_minutes = _check_max_minutes(entry["max_minutes"])
-    return SpotId.parse(entry["spot"]), user, entry["now_ms"], max_minutes
+def _describe(session: Session | None) -> str:
+    return "no session" if session is None else (
+        f"{'open' if session.end_ms is None else 'closed'} session {session.session_id}")
 
 
-def _decode_snapshot_session(record: dict) -> tuple[SpotId, Session]:
-    """A snapshot's session: `register` fields plus its id, and for an
-    Illegal spot the end time and the cost still owed (both null while open)."""
-    record = read_object(record, "snapshot session", _SESSION_RECORD_KINDS, _SESSION_RECORD_KINDS)
-    spot_id, user, start_ms, max_minutes = _decode_session_fields(record)
-    session_id, end_ms, cost_cents = record["session_id"], record["end_ms"], record["cost_cents"]
+def _decode_spot_record(record: dict) -> tuple[SpotId, Session | None]:
+    """The spot and session of a record whose two fields `read_object` has typed."""
+    spot_id, fields = SpotId.parse(record["spot"]), record["session"]
+    if fields is None:
+        return spot_id, None
+    fields = read_object(fields, "session", _SESSION_KINDS, _SESSION_KINDS)
+    end_ms, cost_cents = fields["end_ms"], fields["cost_cents"]
     if (end_ms is None) != (cost_cents is None):
-        raise ValueError(f"session {session_id} needs end_ms and cost_cents both set or both null")
-    charged = None if end_ms is None else False
-    session = Session(session_id, user, start_ms, end_ms, max_minutes, cost_cents, charged)
-    return spot_id, session
+        raise ValueError(f"session {fields['id']} needs end_ms and cost_cents both set or both null")
+    user = UserProfile(fields["user_id"], fields["plate"], fields["card"])
+    max_minutes = _check_max_minutes(fields["max_minutes"])
+    charged = None if end_ms is None else False  # a journaled close is an unpaid one
+    return spot_id, Session(
+        fields["id"], user, fields["start_ms"], end_ms, max_minutes, cost_cents, charged
+    )
 
 
 class FileJournal:
@@ -637,14 +602,29 @@ def replay_journal(service: ParkingService, entries: Iterable[dict], path=None) 
             raise JournalError(f"{where}: {exc}") from exc
 
 
-def service_from_files(lot_config_path, journal_path=None) -> ParkingService:
+def service_from_files(lot_config_path, journal_path=None, clock="system") -> ParkingService:
     """Restore a service: build from the lot config, replay the journal,
-    then attach the journal file for appending."""
+    then attach the journal file for appending.
+
+    `clock` names the clock the service's times come from. An empty journal
+    gets a snapshot that records it as its first line. A journal that does
+    not start with a snapshot, or whose snapshot names another clock,
+    raises JournalError.
+    """
     with open(lot_config_path) as fh:
-        service = ParkingService.from_config(json.load(fh))
+        service = ParkingService.from_config(json.load(fh), clock=clock)
     if journal_path is not None:
+        entries = []
         if os.path.exists(journal_path):
             _truncate_torn_tail(journal_path)
-            replay_journal(service, read_journal(journal_path), journal_path)
+            entries = read_journal(journal_path)
+        if not entries:
+            with open(journal_path, "w") as fh:
+                fh.write(json.dumps(service.snapshot()) + "\n")
+        elif type(entries[0]) is not dict or entries[0].get("op") != "snapshot":
+            lineno, _ = next(_journal_lines(journal_path))
+            raise JournalError(f"{journal_path} line {lineno}: not a snapshot, so the journal "
+                               f"names no clock (served under the {clock} clock)")
+        replay_journal(service, entries, journal_path)
         service._journal_sink = FileJournal(journal_path)
     return service

@@ -41,7 +41,7 @@ def test_traced_restart_counts_the_replay_and_the_register(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["OK S1", "OK A1:Occupied:200", "1 1"]
+    assert proc.stdout.splitlines() == ["OK S1", "OK A1:Occupied:200", "2 1"]
 
 
 def tiny_scenario(kind, grid, repetitions):

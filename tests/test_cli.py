@@ -73,6 +73,28 @@ def test_manifest_records_scipy_only_when_installed(tmp_path, monkeypatch, insta
     assert set(versions) == {"beaconpark", "python", "numpy"}
 
 
+def test_manifest_records_numpy_cpu_dispatch(tmp_path):
+    """The dispatch targets numpy's kernels use here, as `test_portability.py` reads them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    cli.write_manifest(str(tmp_path), "proximity", 3, None)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["numpy_cpu_dispatch"] == [n for n in __cpu_dispatch__ if __cpu_features__[n]]
+    cli.write_manifest(str(tmp_path), "serve", 3, None)
+    assert json.loads((tmp_path / "manifest.json").read_text())["numpy_cpu_dispatch"] is None
+    if __cpu_dispatch__:  # with every target disabled, numpy runs its baseline
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from beaconpark import cli;"
+             " cli.write_manifest(sys.argv[1], 'distance', 3, None)", str(tmp_path)],
+            env=dict(python_env(), NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__)),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "manifest.json").read_text())["numpy_cpu_dispatch"] == []
+
+
 def test_calibrate_runs_without_scipy(tmp_path):
     csv_path = tmp_path / "cal.csv"
     out_path = tmp_path / "fit.json"
@@ -519,11 +541,9 @@ class TestServeCommand:
 
     def test_serve_runs_without_numpy(self, tmp_path):
         # numpy cannot be imported: serve binds, answers, restarts on its
-        # journal and exits 0 on SIGINT without it. A test run started in the
-        # background inherits an ignored SIGINT, so the child restores Python's handler.
+        # journal and exits 0 on SIGINT without it.
         script = (
-            "import signal, sys; sys.modules['numpy'] = None\n"
-            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "import sys; sys.modules['numpy'] = None\n"
             "from beaconpark.cli import main\n"
             f"sys.exit(main(['--out-dir', {str(tmp_path)!r}, 'serve', '--lot',"
             f" {str(SCENARIOS_DIR / 'demo_lot.json')!r}, '--bind', '127.0.0.1:0',"
@@ -558,6 +578,58 @@ class TestServeCommand:
         versions = json.loads((tmp_path / "manifest.json").read_text())["versions"]
         assert set(versions) == {"beaconpark", "python"}
 
+    def test_sigint_stops_serve_started_with_sigint_ignored(self, tmp_path):
+        # as a background job of a non-interactive shell starts it
+        args = [
+            sys.executable, "-m", "beaconpark", "--out-dir", str(tmp_path),
+            "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"), "--bind", "127.0.0.1:0",
+        ]
+        proc = subprocess.Popen(
+            args, env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert send_lines(read_served_port(proc), ["STATUS A1"]) == ["OK Available 200"]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
+
+    def test_journal_restarts_only_under_its_own_clock(self, tmp_path, capsys, never_serve):
+        # B1 opened at simulated 0 ms and closed on the system clock was billed from 1970
+        journal = tmp_path / "lot.journal"
+        serve = [
+            "--out-dir", str(tmp_path), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
+            "--bind", "127.0.0.1:0", "--journal", str(journal),
+        ]
+        replies = []
+        for lines in (["REGISTER B1 u1 P tok"], ["TICK 3600", "UNREGISTER B1"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "beaconpark", *serve, "--clock", "simulated"],
+                env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            try:
+                replies.append(send_lines(read_served_port(proc), lines))
+            finally:
+                proc.terminate()
+                proc.wait(timeout=10)
+                proc.stdout.close()
+                proc.stderr.close()
+            if len(replies) == 1:  # the default system clock refuses the journal
+                written = journal.read_bytes()
+                assert main(serve) == 2
+                assert capsys.readouterr().err == (
+                    f"ERR invalid journal: {journal} line 1: journal written under the "
+                    "simulated clock, served under the system clock\n"
+                )
+                assert journal.read_bytes() == written
+        # under its own clock the journal resumes: B1 bills one hour at 150 cents
+        assert replies == [["OK S1"], ["OK", "OK 150"]]
+
     def test_negative_time_limit_does_not_stop_the_server(self, tmp_path):
         # A REGISTER whose limit ends before it starts could never be billed:
         # admitted, it made the next poll of the serve loop raise and exit.
@@ -580,7 +652,9 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
-        assert (tmp_path / "parking.journal").read_text() == ""
+        assert json.loads((tmp_path / "parking.journal").read_text()) == {
+            "op": "snapshot", "clock": "simulated", "sessions": 0, "spots": [],
+        }
 
     def test_restart_reports_what_it_restored(self, tmp_path):
         journal = tmp_path / "lot.journal"
@@ -604,7 +678,7 @@ class TestServeCommand:
             proc.stdout.close()
             proc.stderr.close()
         assert re.fullmatch(
-            rf"journal {re.escape(str(journal))}: replayed 3 entries, 2 live sessions, "
+            rf"journal {re.escape(str(journal))}: replayed 4 entries, 2 live sessions, "
             r"restored in \d+\.\d ms\n",
             restored,
         )
@@ -717,16 +791,18 @@ class TestServeCommand:
         "entry, reason",
         [
             ({"op": "teleport"}, "unknown journal op: teleport"),
-            ({"op": "register", "spot": "A1"}, "missing field 'user_id'"),
+            ({"op": "spot", "spot": "A1", "session": {"id": "S1"}}, "missing field 'user_id'"),
             ([1, 2], "journal entry must be a JSON object, got list"),
             ({"spot": "A1"}, "missing field 'op'"),
             ({"op": 5}, "field 'op' must be str, got 5"),
-            ({"op": "settle", "spot": "A1", "plate": "P"}, "unknown journal entry key 'plate'"),
+            ({"op": "spot", "spot": "A1", "session": None, "plate": "P"},
+             "unknown journal entry key 'plate'"),
         ],
     )
     def test_invalid_journal_entry_is_journal_error(self, tmp_path, capsys, entry, reason):
         journal = tmp_path / "lot.journal"
-        journal.write_text("\n" + json.dumps(entry) + "\n")  # the entry is on line 2
+        first = {"op": "snapshot", "clock": "system", "sessions": 0, "spots": []}
+        journal.write_text(json.dumps(first) + "\n" + json.dumps(entry) + "\n")  # entry: line 2
         assert main(
             ["--out-dir", str(tmp_path), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
              "--journal", str(journal), "--bind", "127.0.0.1:0"]

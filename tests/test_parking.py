@@ -389,8 +389,13 @@ class TestStateMachineFuzz:
             json.loads(json.dumps(entry))
 
 
-SNAPSHOT_SESSION = {"spot": "A1", "user_id": "u", "plate": "P", "card": "tok", "max_minutes": None,
-                    "now_ms": 0, "session_id": "S1", "end_ms": None, "cost_cents": None}
+OPEN_S1 = {"id": "S1", "user_id": "u", "plate": "P", "card": "tok", "max_minutes": None,
+           "start_ms": 0, "end_ms": None, "cost_cents": None}
+CLOSED_S1 = {**OPEN_S1, "end_ms": MIN_MS, "cost_cents": 4}
+
+
+def snapshot(sessions=0, spots=(), clock="system"):
+    return {"op": "snapshot", "clock": clock, "sessions": sessions, "spots": list(spots)}
 
 
 class TestFileJournal:
@@ -461,49 +466,119 @@ class TestFileJournal:
         lot_path = self.write_lot(tmp_path)
         journal_path = tmp_path / "lot.journal"
         entries = [
-            {"op": "register", "spot": "A1", "user_id": "u", "plate": "P",
-             "card": "tok", "max_minutes": None, "now_ms": 0},
-            {"op": "unregister", "spot": "A1", "now_ms": 1, "cost_cents": 4, "charged": True},
-            {"op": "settle", "spot": "A1"},  # A1 was charged, so it is not illegal
+            snapshot(),
+            {"op": "spot", "spot": "A1", "session": OPEN_S1},
+            {"op": "spot", "spot": "A1", "session": None},  # paid
+            {"op": "spot", "spot": "A1", "session": None},  # A1 was paid, so it is not illegal
         ]
-        lines = [json.dumps(entries[0]), "", *map(json.dumps, entries[1:])]
+        lines = [*map(json.dumps, entries[:2]), "", *map(json.dumps, entries[2:])]
         journal_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(pk.JournalError, match=r"lot\.journal line 4: spot A1 is not illegally"):
+        with pytest.raises(pk.JournalError, match=r"lot\.journal line 5: spot A1 cannot go from no"):
             pk.service_from_files(lot_path, journal_path)
-        with pytest.raises(pk.JournalError, match=r"^journal entry 3: spot A1"):
+        with pytest.raises(pk.JournalError, match=r"^journal entry 4: spot A1"):
             pk.replay_journal(pk.ParkingService([make_spot("A1")]), entries)
 
     @pytest.mark.parametrize(
         "entry, reason",
         [
-            ({"op": "expire", "spot": "A1", "now_ms": "soon", "cost_cents": 0, "charged": True},
-             "field 'now_ms' must be int, got 'soon'"),
-            ({"op": "unregister", "spot": "A1", "now_ms": 1.5, "cost_cents": 0, "charged": True},
-             "field 'now_ms' must be int"),
-            ({"op": "settle", "spot": 1}, "field 'spot' must be str, got 1"),
-            ({"op": "register", "spot": "A1", "user_id": "u", "plate": ["P"], "card": "tok",
-              "max_minutes": None, "now_ms": 0}, "field 'plate' must be str"),
-            ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
-              "max_minutes": -5, "now_ms": 0}, "max_minutes must be a non-negative integer"),
-            ({"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
-              "max_minutes": "60", "now_ms": 0},
+            ({"op": "spot", "spot": "A1", "session": {**OPEN_S1, "start_ms": "soon"}},
+             "field 'start_ms' must be int, got 'soon'"),
+            ({"op": "spot", "spot": "A1", "session": {**CLOSED_S1, "end_ms": 1.5}},
+             "field 'end_ms' must be int or null"),
+            ({"op": "spot", "spot": 1, "session": None}, "field 'spot' must be str, got 1"),
+            ({"op": "spot", "spot": "A1", "session": {**OPEN_S1, "plate": ["P"]}},
+             "field 'plate' must be str"),
+            ({"op": "spot", "spot": "A1", "session": {**OPEN_S1, "max_minutes": -5}},
+             "max_minutes must be a non-negative integer"),
+            ({"op": "spot", "spot": "A1", "session": {**OPEN_S1, "max_minutes": "60"}},
              "field 'max_minutes' must be int or null, got '60'"),
-            ({"op": "snapshot", "sessions": 1, "spots": [{**SNAPSHOT_SESSION, "spot": "Z9"}]},
-             "no such spot: Z9"),
-            ({"op": "snapshot", "sessions": "1", "spots": [SNAPSHOT_SESSION]},
+            (snapshot(1, [{"spot": "Z9", "session": OPEN_S1}]), "no such spot: Z9"),
+            (snapshot("1", [{"spot": "A1", "session": OPEN_S1}]),
              "field 'sessions' must be int, got '1'"),
-            ({"op": "unregister", "spot": "A1", "now_ms": 1, "cost_cents": 0, "charged": 1},
-             "field 'charged' must be bool, got 1"),
-            ({"op": "unregister", "spot": "A1", "now_ms": 1}, "missing field 'cost_cents'"),
+            ({"op": "spot", "spot": "A1", "session": 5},
+             "field 'session' must be object or null, got 5"),
+            ({"op": "spot", "spot": "A1",
+              "session": {k: v for k, v in OPEN_S1.items() if k != "cost_cents"}},
+             "missing field 'cost_cents'"),
         ],
     )
     def test_wrongly_typed_entry_names_path_and_line(self, tmp_path, entry, reason):
         lot_path = self.write_lot(tmp_path)
         journal_path = tmp_path / "lot.journal"
-        journal_path.write_text("\n" + json.dumps(entry) + "\n")
+        journal_path.write_text(json.dumps(snapshot()) + "\n" + json.dumps(entry) + "\n")
         with pytest.raises(pk.JournalError) as info:
             pk.service_from_files(lot_path, journal_path)
         assert str(info.value).startswith(f"{journal_path} line 2: {reason}")
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [
+            ([snapshot(1), {"op": "spot", "spot": "A1", "session": {**OPEN_S1, "id": "S5"}}],
+             "line 2: spot A1 cannot go from no session to open session S5 "
+             "(the next session is S2)"),
+            ([snapshot(1, [{"spot": "A1", "session": OPEN_S1}]),
+              {"op": "spot", "spot": "A1", "session": {**CLOSED_S1, "id": "S2"}}],
+             "line 2: spot A1 cannot go from open session S1 to closed session S2"),
+            ([snapshot(1, [{"spot": "A1", "session": OPEN_S1}]),
+              {"op": "spot", "spot": "A1", "session": {**CLOSED_S1, "user_id": "u2"}}],
+             "line 2: spot A1 cannot go from open session S1 to closed session S1"),
+            ([snapshot(1, [{"spot": "A1", "session": CLOSED_S1}]),
+              {"op": "spot", "spot": "A1", "session": {**OPEN_S1, "id": "S2"}}],
+             "line 2: spot A1 cannot go from closed session S1 to open session S2"),
+            ([snapshot(), {"op": "spot", "spot": "A1", "session": None}],
+             "line 2: spot A1 cannot go from no session to no session (the next session is S1)"),
+            ([snapshot(1, [{"spot": "A1", "session": None}])],
+             "line 1: snapshot lists spot A1 without a session"),
+            ([snapshot(2, [{"spot": "A1", "session": OPEN_S1},
+                           {"spot": "A1", "session": {**OPEN_S1, "id": "S2"}}])],
+             "line 1: snapshot lists spot A1 twice"),
+            ([snapshot(1, [{"spot": "A1", "session": {**OPEN_S1, "end_ms": MIN_MS}}])],
+             "line 1: session S1 needs end_ms and cost_cents both set or both null"),
+        ],
+        ids=[
+            "register-S5-at-counter-1", "occupied-to-another-session", "occupied-to-another-user",
+            "illegal-to-a-new-session", "available-to-null", "snapshot-null-session",
+            "snapshot-spot-twice", "snapshot-end-without-cost",
+        ],
+    )
+    def test_illegal_step_names_path_and_line(self, tmp_path, entries, reason):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        journal_path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        with pytest.raises(pk.JournalError) as info:
+            pk.service_from_files(lot_path, journal_path)
+        assert str(info.value) == f"{journal_path} {reason}"
+
+    def test_a_journal_names_its_clock(self, tmp_path):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        service = pk.service_from_files(lot_path, journal_path)
+        assert journal_path.read_text() == json.dumps(snapshot(clock="system")) + "\n"
+        service.register(SpotId.parse("A1"), USER, now_ms=0)
+        service._journal_sink.close()
+        written = journal_path.read_bytes()
+        with pytest.raises(pk.JournalError) as info:
+            pk.service_from_files(lot_path, journal_path, "simulated")
+        assert str(info.value) == (
+            f"{journal_path} line 1: journal written under the system clock, "
+            "served under the simulated clock"
+        )
+        assert journal_path.read_bytes() == written
+        restored = pk.service_from_files(lot_path, journal_path)
+        assert restored.snapshot() == service.snapshot()
+        restored._journal_sink.close()
+
+    def test_a_journal_must_start_with_a_snapshot(self, tmp_path):
+        lot_path = self.write_lot(tmp_path)
+        journal_path = tmp_path / "lot.journal"
+        entry = {"op": "spot", "spot": "A1", "session": OPEN_S1}
+        journal_path.write_text("\n" + json.dumps(entry) + "\n")
+        with pytest.raises(pk.JournalError) as info:
+            pk.service_from_files(lot_path, journal_path, "simulated")
+        assert str(info.value) == (
+            f"{journal_path} line 2: not a snapshot, so the journal names no clock "
+            "(served under the simulated clock)"
+        )
 
     def test_instance_defaults_to_spot_convention(self, tmp_path):
         lot = {
@@ -616,9 +691,8 @@ class TestRestart:
     def test_snapshot_replaces_the_replayed_state(self):
         service = make_service(2)
         pk.replay_journal(service, [
-            {"op": "register", "spot": "A1", "user_id": "u", "plate": "P", "card": "tok",
-             "max_minutes": None, "now_ms": 0},
-            {"op": "snapshot", "sessions": 7, "spots": [{**SNAPSHOT_SESSION, "spot": "A2"}]},
+            {"op": "spot", "spot": "A1", "session": OPEN_S1},
+            snapshot(7, [{"spot": "A2", "session": OPEN_S1}]),
         ])
         assert [st.value for _, st, _ in service.list_spots()] == ["Available", "Occupied"]
         assert service.register(SpotId.parse("A1"), USER, now_ms=0).session_id == "S8"
@@ -644,13 +718,13 @@ class TestRestart:
             assert service.unregister(a2, now_ms=30 * MIN_MS).charged is False
         assert failures
         assert any(str(journal_path) in rec.getMessage() for rec in caplog.records)
-        assert len(journal_path.read_text().splitlines()) == 3
+        assert len(journal_path.read_text().splitlines()) == 4  # the first snapshot, 3 entries
         assert restart(lot, journal_path).snapshot() == service.snapshot()
 
         # the next try comes once as many entries as the lot has spots follow
         service.settle(a2)
         service.unregister(a1, now_ms=40 * MIN_MS)
-        assert len(journal_path.read_text().splitlines()) == 5
+        assert len(journal_path.read_text().splitlines()) == 6
         service.register(a2, USER2, now_ms=40 * MIN_MS)
         assert len(journal_path.read_text().splitlines()) == 1
         service._journal_sink.close()

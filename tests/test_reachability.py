@@ -3,9 +3,10 @@
 Every CLI command runs on the shipped inputs in a fresh interpreter under
 a profiler (`sys.setprofile`, and `threading.setprofile` for the server's
 connection threads): `proximity` indoor and outdoor, `distance` with and
-without `--sweep`, `calibrate` on a CSV written here, and a `serve`
-session that sends every verb, is stopped with SIGINT and restarts on its
-journal with the default clock, so that its open REGISTER replays.
+without `--sweep`, `calibrate` on a CSV written here, and a `serve
+--clock simulated` session that sends every verb, is stopped with SIGINT
+and restarts on its journal, so that its open REGISTER replays. A short
+session on a fresh journal with the default system clock follows.
 
 A `def` ran if a code object that ran has its file, its name and its first
 line; the code of a decorated function starts at its first decorator. The
@@ -77,12 +78,13 @@ SESSION = [
     ("TICK 3600", "OK"),  # A1 overstays its 60 minutes and is closed
 ]
 RESTART = [
-    # a handler reads the system clock: the serve loop's poll, which also reads
-    # it, may not run between this session and the SIGINT
     ("REGISTER A3 u4 P4 tok", "OK S4"),
     ("LIST", "OK A1:Available:200;A2:Available:200;A3:Occupied:200;"
              "B1:Occupied:150;B2:Available:150"),
 ]
+# a handler reads the system clock: the serve loop's poll, which also reads
+# it, may not run between this session and the SIGINT
+SYSTEM_CLOCK = [("REGISTER A1 u5 P5 tok", "OK S1")]
 
 LEDGER = re.compile(
     r"<!-- reachability ledger: begin -->\n(.*?)<!-- reachability ledger: end -->", re.S
@@ -177,15 +179,21 @@ def cli_runs(tmp_path_factory):
         first, served = serve_session(
             tmp_path, "serve", [*serve, "--clock", "simulated"], [line for line, _ in SESSION]
         )
-        again, restarted = serve_session(tmp_path, "restart", serve, [line for line, _ in RESTART])
+        again, restarted = serve_session(
+            tmp_path, "restart", [*serve, "--clock", "simulated"], [line for line, _ in RESTART]
+        )
+        system, on_system = serve_session(
+            tmp_path, "system", [*serve, "--journal", str(tmp_path / "system.journal")],
+            [line for line, _ in SYSTEM_CLOCK],
+        )
     finally:
         ran = finish_probe(tmp_path, "experiments", experiments)
-    return first + again, served | restarted | ran
+    return first + again + system, served | restarted | on_system | ran
 
 
 def test_the_serve_session_sends_every_verb(cli_runs):
     replies, _ = cli_runs
-    assert replies == [reply for _, reply in SESSION + RESTART]
+    assert replies == [reply for _, reply in SESSION + RESTART + SYSTEM_CLOCK]
     verbs = {line.split()[0] for line, _ in SESSION}
     assert verbs == {"LIST", "STATUS", "REGISTER", "UNREGISTER", "RESOLVE", "SETTLE", "TICK"}
 
