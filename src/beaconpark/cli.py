@@ -56,11 +56,8 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
     dispatch = None
     if command in NUMPY_COMMANDS:
         import numpy
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-        try:
-            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-        except ImportError:  # numpy 1.x
-            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
         versions["numpy"] = numpy.__version__
         dispatch = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     manifest = {
@@ -180,6 +177,9 @@ def cmd_serve(args) -> int:
     try:
         service = service_from_files(args.lot, journal_path, args.clock)
     except FileNotFoundError as exc:
+        if exc.filename != args.lot:  # the journal is opened for writing: its directory is missing
+            missing = os.path.dirname(exc.filename)
+            raise InputError(f"journal directory not found: {missing}") from exc
         raise InputError(f"lot config not found: {args.lot}") from exc
     except JournalError as exc:
         raise InputError(f"invalid journal: {exc}") from exc

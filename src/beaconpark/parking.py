@@ -37,7 +37,7 @@ import itertools
 import json
 import os
 import threading
-from collections import namedtuple
+from collections import deque, namedtuple
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -45,6 +45,8 @@ from .eddystone import BeaconFrame, SpotId, UidFrame, UrlFrame, uid_instance_for
 from .jsonfields import read_object
 
 MS_PER_MINUTE = 60_000
+# A service keeps its latest events only, so a long-running server holds a bounded number.
+EVENTS_HELD = 1000
 
 
 class ParkingError(Exception):
@@ -205,7 +207,8 @@ class ParkingService:
     All mutating commands run under one lock, so concurrent callers see
     a total order (exactly one of two simultaneous registrations of the
     same spot succeeds). `clock` names the clock its times come from, as
-    its snapshots record it.
+    its snapshots record it. `events` holds the latest EVENTS_HELD admin
+    events (charge failures, overstay expiries and settles), oldest first.
     """
 
     def __init__(self, spots: Iterable[Spot], payment: PaymentStub | None = None,
@@ -228,7 +231,7 @@ class ParkingService:
             raise ValueError("lot has no spots")
         self.payment = payment or PaymentStub()
         self.clock = clock
-        self.events: list[dict] = []
+        self.events: deque[dict] = deque(maxlen=EVENTS_HELD)
         self._journal_sink = journal_sink
         self._session_seq = 0
         self._since_snapshot = 0  # entries journaled since the last snapshot

@@ -49,8 +49,7 @@ cost about three times their arithmetic: 63-70 us and 66-69 us at
 restore the caller's size on the way out. Elementwise IEEE results do not
 depend on the chunking, and the row sums, cumsums and einsum row dots
 give the same bits at either size. `run` also checks and clamps all
-readings once, not once per step, and a round in which every row has the
-same number of readings steps the whole bank from one gather.
+readings once, not once per step.
 """
 
 from __future__ import annotations
@@ -187,20 +186,13 @@ class ParticleBank:
                     f"filter row {owners[0]}: measurement must be finite, got {readings[i]}"
                 )
         z = self._clamp(readings)
-        most = counts.max(axis=0)
-        even = (counts == most).all(axis=0)
         means = np.empty(counts.shape)
         bufsize = np.setbufsize(_STEP_BUFSIZE)
         try:
-            for r, (most_r, even_r) in enumerate(zip(most.tolist(), even.tolist())):
-                if even_r:
-                    # Every row has most_r readings: one gather, whole-bank steps.
-                    for z_k in z[starts[:, r] + np.arange(most_r)[:, None]]:
-                        self._step(z_k, None)
-                else:
-                    for k in range(most_r):
-                        rows = np.flatnonzero(counts[:, r] > k)
-                        self._step(z[starts[rows, r] + k], None if len(rows) == n_rows else rows)
+            for r, most_r in enumerate(counts.max(axis=0).tolist()):
+                for k in range(most_r):
+                    rows = np.flatnonzero(counts[:, r] > k)
+                    self._step(z[starts[rows, r] + k], None if len(rows) == n_rows else rows)
                 means[:, r] = self.means()
         finally:
             np.setbufsize(bufsize)

@@ -9,11 +9,12 @@ delivered samples in a round updates its filter, the spot with the
 smallest estimated distance is predicted, and the prediction is tallied
 against the geometric ground truth.
 
-`identify_cells` scores many layouts at once: the filters of every beacon
-of every cell are the rows of one particle.ParticleBank, stepped one
-sample per beacon at a time, round by round up to the longest cell's
-last round (ParticleBank.run). A single cell is identified as
-identify_cells([(layout, streams, seed)], model, config)[0].
+`identify_cells` scores many layouts at once: it checks and stacks the
+streams of every beacon of every cell once, as the rows of one grid, and
+tallies each cell from the grid's raw distance table (`raw_baseline`) and
+from the means of one particle.ParticleBank, stepped round by round up to
+the longest cell's last round (ParticleBank.run). A single cell's (raw,
+filtered) tallies are identify_cells([(layout, streams, seed)], model, config)[0].
 """
 
 from __future__ import annotations
@@ -157,29 +158,29 @@ def run_identification(
     config: FilterConfig,
     seed: int,
 ) -> PredictionTally:
-    """identify_cells on the one cell (layout, streams, seed).
+    """The filtered tally of identify_cells on the one cell (layout, streams, seed).
 
     Nothing in beaconpark calls it: the benchmark's tracer (bench/tracing.py)
     binds it by name, and it goes once the tracer wraps identify_cells
     instead (ROADMAP item 1).
     """
-    return identify_cells([(layout, streams, seed)], model, config)[0]
+    return identify_cells([(layout, streams, seed)], model, config)[0][1]
 
 
 def identify_cells(
     cells: Sequence[tuple[BeaconLayout, Mapping[SpotId, np.ndarray], int]],
     model: PathLossModel,
     config: FilterConfig,
-) -> list[PredictionTally]:
-    """Filtered identification of many cells, each a (layout, streams, seed).
+) -> list[tuple[PredictionTally, PredictionTally]]:
+    """The (raw, filtered) tallies of many cells, each a (layout, streams, seed).
 
-    Every beacon of every cell gets a filter row of one ParticleBank,
-    seeded with derive_seed(seed, TAG_FILTER, spot) from its cell's seed.
-    The bank runs one round per second (ParticleBank.run): a beacon with
-    no samples in a round, or whose cell has no more rounds, keeps its
-    previous state. Each cell is tallied over its own rounds, so every
-    row evolves, and every tally comes out, as when the cell is
-    identified alone.
+    Every beacon of every cell is a row of raw_baseline's table and a filter
+    row of one ParticleBank, seeded with derive_seed(seed, TAG_FILTER, spot)
+    from its cell's seed. The bank runs one round per second
+    (ParticleBank.run): a beacon with no samples in a round, or whose cell
+    has no more rounds, keeps its previous state. Each cell is tallied over
+    its own rounds, so every row evolves, and every tally comes out, as when
+    the cell is identified alone.
     """
     if not cells:
         return []
@@ -191,34 +192,31 @@ def identify_cells(
             seeds.append(derive_seed(seed, TAG_FILTER, spot_key(spot)))
             rows.append(streams.get(spot, _EMPTY_STREAM))
     rssi, starts = _stack_rounds(rows, max(n_rounds))
-    means = ParticleBank(config, seeds).run(estimate_distance(model, rssi), starts)
+    raw = raw_baseline(model, rssi, starts)
+    filtered = ParticleBank(config, seeds).run(estimate_distance(model, rssi), starts)
     tallies, first = [], 0
     for (layout, _, _), cell_spots, rounds in zip(cells, spots, n_rounds):
-        cell_means = means[first : first + len(cell_spots), :rounds]
-        tallies.append(_tally(layout, cell_spots, cell_means))
+        block = slice(first, first + len(cell_spots))
+        tallies.append(
+            tuple(_tally(layout, cell_spots, table[block, :rounds]) for table in (raw, filtered))
+        )
         first += len(cell_spots)
     return tallies
 
 
-def raw_baseline(
-    streams: Mapping[SpotId, np.ndarray],
-    model: PathLossModel,
-    layout: BeaconLayout,
-) -> PredictionTally:
-    """Unfiltered baseline: per-round average-RSSI distance estimates.
+def raw_baseline(model: PathLossModel, rssi: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Unfiltered baseline: the (rows, rounds) table of per-round average-RSSI distances.
 
-    The averaging window is the samples received in the round; a beacon
-    silent in a round keeps its last estimate, and one never heard is
-    infinitely far away until its first sample. Every round of every
-    beacon is averaged (pathloss.ragged_means) and inverted at once.
+    `rssi` and `starts` are laid out as ParticleBank.run takes them. The
+    averaging window is the samples received in the round; a beacon silent
+    in a round keeps its last estimate, and one never heard is infinitely
+    far away until its first sample. Every round of every row is averaged
+    (pathloss.ragged_means) and inverted at once.
     """
-    n_rounds = _check_streams(streams, layout)
-    spots = sorted(layout.spots())
-    rssi, starts = _stack_rounds([streams.get(spot, _EMPTY_STREAM) for spot in spots], n_rounds)
     heard = np.diff(starts, axis=1) > 0
     estimates = np.full(heard.shape, math.inf)
     estimates[heard] = estimate_distance(model, ragged_means(rssi, starts)[heard])
     # Round r reads the estimate of the beacon's last heard round up to r;
     # before its first one that is round 0, still at inf.
-    last_heard = np.maximum.accumulate(np.where(heard, np.arange(n_rounds), 0), axis=1)
-    return _tally(layout, spots, np.take_along_axis(estimates, last_heard, axis=1))
+    last_heard = np.maximum.accumulate(np.where(heard, np.arange(heard.shape[1]), 0), axis=1)
+    return np.take_along_axis(estimates, last_heard, axis=1)

@@ -48,7 +48,6 @@ from .proximity import (
     BeaconLayout,
     PredictionTally,
     identify_cells,
-    raw_baseline,
 )
 from .seeding import (
     TAG_DISTANCE_CELL,
@@ -283,10 +282,9 @@ def run_proximity_experiment(
     """Score raw and filtered identification over an (X, Y) grid.
 
     Each cell simulates the per-beacon streams of its three-beacon layout
-    at the geometric true distances. The raw baseline is tallied
-    per cell; the filtered mode identifies every cell in one grid-wide
-    particle bank (proximity.identify_cells), each cell's filters seeded
-    from the cell's own seed.
+    at the geometric true distances. Both modes score every cell in one
+    grid pass (proximity.identify_cells), each cell's filters seeded from
+    the cell's own seed.
     """
     cells = []
     for x_m, y_m in pairs:
@@ -300,15 +298,11 @@ def run_proximity_experiment(
             spot: generate_stream(cell, spot, truth[spot]) for spot in layout.spots()
         }
         cells.append((layout, streams, derive_seed(cell_seed, TAG_FILTER)))
-    filtered = identify_cells(cells, scenario.model, config)
     return [
-        ProximityCellResult(
-            x_m=float(x_m),
-            y_m=float(y_m),
-            raw=raw_baseline(streams, scenario.model, layout),
-            filtered=tally,
+        ProximityCellResult(x_m=float(x_m), y_m=float(y_m), raw=raw, filtered=filtered)
+        for (x_m, y_m), (raw, filtered) in zip(
+            pairs, identify_cells(cells, scenario.model, config)
         )
-        for (x_m, y_m), (layout, streams, _), tally in zip(pairs, cells, filtered)
     ]
 
 

@@ -75,10 +75,8 @@ def test_manifest_records_scipy_only_when_installed(tmp_path, monkeypatch, insta
 
 def test_manifest_records_numpy_cpu_dispatch(tmp_path):
     """The dispatch targets numpy's kernels use here, as `test_portability.py` reads them."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
     cli.write_manifest(str(tmp_path), "proximity", 3, None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["numpy_cpu_dispatch"] == [n for n in __cpu_dispatch__ if __cpu_features__[n]]
@@ -828,8 +826,17 @@ class TestServeCommand:
         assert capsys.readouterr().err == f"ERR {reason}\n"
         assert not journal.exists() and not out_dir.exists()
 
-    def test_missing_lot_config_is_input_error(self, tmp_path):
+    def test_missing_lot_config_is_input_error(self, tmp_path, capsys):
+        lot = tmp_path / "nope.json"
         assert main(
-            ["--out-dir", str(tmp_path), "serve", "--lot", str(tmp_path / "nope.json"),
-             "--bind", "127.0.0.1:0"]
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(lot), "--bind", "127.0.0.1:0"]
         ) == 2
+        assert capsys.readouterr().err == f"ERR lot config not found: {lot}\n"
+
+    def test_missing_journal_directory_is_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert main(
+            ["--out-dir", str(tmp_path), "serve", "--lot", str(SCENARIOS_DIR / "demo_lot.json"),
+             "--journal", str(missing / "x.journal"), "--bind", "127.0.0.1:0"]
+        ) == 2
+        assert capsys.readouterr().err == f"ERR journal directory not found: {missing}\n"

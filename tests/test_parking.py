@@ -203,6 +203,18 @@ class TestUnregister:
         alerts = [e for e in service.events if e["type"] == "charge_failed"]
         assert alerts and alerts[0]["spot"] == "A1"
 
+    def test_event_history_is_capped(self):
+        service = make_service(1)
+        spot = SpotId.parse("A1")
+        for minute in range(pk.EVENTS_HELD):  # a charge failure and a settle each
+            service.register(spot, CHARGE_FAIL, now_ms=minute * MIN_MS)
+            service.unregister(spot, now_ms=(minute + 1) * MIN_MS)
+            service.settle(spot)
+        assert len(service.events) == pk.EVENTS_HELD
+        assert service.events[0] == {"type": "charge_failed", "spot": "A1", "user_id": "u4",
+                                     "cost_cents": 4}
+        assert service.events[-1] == {"type": "settled", "spot": "A1"}
+
     def test_session_records_the_charge_outcome(self):
         service = make_service(2)
         paid = service.register(SpotId.parse("A1"), USER, now_ms=0)

@@ -10,22 +10,14 @@ import subprocess
 import sys
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from helpers import ROOT, python_env
-
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__
 
 # The child first checks that numpy really left every dispatch target off.
 CHILD = """\
 import sys
-import numpy
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
 if on:
     sys.exit(f"dispatch targets still on: {on}")

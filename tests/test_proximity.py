@@ -18,7 +18,6 @@ from beaconpark.proximity import (
     STREAM_DTYPE,
     BeaconLayout,
     identify_cells,
-    raw_baseline,
     run_identification,
 )
 from beaconpark.simulate import (
@@ -45,7 +44,7 @@ def raw_predictions(means_m):
         listener_offset=(0.0, 1.0),
     )
     streams = {spot: stream(predict_rssi(INDOOR_MODEL, d)) for spot, d in means_m.items()}
-    tally = raw_baseline(streams, INDOOR_MODEL, layout)
+    tally = raw_one(layout, streams)
     return [spot for spot, n in tally.counts.items() if n]
 
 
@@ -97,7 +96,7 @@ class TestPredictSpot:
     def test_empty_rejected(self):
         layout = three_beacon_layout(1.0, 0.5)
         with pytest.raises(ValueError):
-            raw_baseline({}, INDOOR_MODEL, layout)
+            raw_one(layout, {})
 
     def test_invariant_under_increasing_transforms(self):
         # Each model maps RSSI to distance by a different decreasing map,
@@ -109,8 +108,8 @@ class TestPredictSpot:
                 spot: stream(*[rng.uniform(-90.0, -50.0) for _ in range(30)])
                 for spot in (A1, B1, C1)
             }
-            indoor = raw_baseline(streams, INDOOR_MODEL, layout)
-            outdoor = raw_baseline(streams, OUTDOOR_MODEL, layout)
+            indoor = raw_one(layout, streams, INDOOR_MODEL)
+            outdoor = raw_one(layout, streams, OUTDOOR_MODEL)
             assert indoor.counts == outdoor.counts
 
 
@@ -130,7 +129,12 @@ def noiseless_streams(x=2.0, y=0.5, duration_s=30.0, seed=0, sigma=0.0, drop=0.0
 
 def identify_one(layout, streams, seed):
     """Filtered identification of one cell, at the default filter config."""
-    return identify_cells([(layout, streams, seed)], INDOOR_MODEL, FilterConfig())[0]
+    return identify_cells([(layout, streams, seed)], INDOOR_MODEL, FilterConfig())[0][1]
+
+
+def raw_one(layout, streams, model=INDOOR_MODEL):
+    """The raw baseline's tally of one cell (it does not depend on the filters)."""
+    return identify_cells([(layout, streams, 0)], model, FilterConfig())[0][0]
 
 
 class TestRunIdentification:
@@ -140,7 +144,7 @@ class TestRunIdentification:
         config = FilterConfig(particle_count=200)
         assert run_identification(layout, streams, OUTDOOR_MODEL, config, 8) == identify_cells(
             [(layout, streams, 8)], OUTDOOR_MODEL, config
-        )[0]
+        )[0][1]
 
     def test_noiseless_accuracy_is_perfect(self):
         layout, streams = noiseless_streams()
@@ -189,7 +193,7 @@ class TestRunIdentification:
             with pytest.raises(ValueError):
                 identify_one(layout, {**streams, A1: bad_stream}, 6)
             with pytest.raises(ValueError):
-                raw_baseline({**streams, A1: bad_stream}, INDOOR_MODEL, layout)
+                raw_one(layout, {**streams, A1: bad_stream})
 
     def test_missing_stream_filter_keeps_its_prior(self):
         layout, streams = noiseless_streams()
@@ -209,22 +213,43 @@ class TestRunIdentification:
         assert tally.accuracy == 1.0
 
 
+class TestGrid:
+    def test_cells_with_unequal_rounds_match_lone_cells(self):
+        # The middle cell's streams end after 8 rounds and one beacon of the
+        # last cell never transmits: the grid runs 40 rounds, and rows past
+        # their cell's last round are neither stepped nor tallied.
+        early = noiseless_streams(x=1.0, y=0.5, duration_s=8.0, sigma=5.0, seed=41)
+        silent = noiseless_streams(x=1.5, y=1.0, duration_s=25.0, sigma=5.0, seed=42)
+        silent[1][C1] = stream()
+        cells = [
+            (*noiseless_streams(x=2.0, y=1.0, duration_s=40.0, sigma=5.0, seed=40), 50),
+            (*early, 51),
+            (*silent, 52),
+        ]
+        config = FilterConfig(particle_count=200)
+        grid = identify_cells(cells, INDOOR_MODEL, config)
+        assert [(raw.total, filtered.total) for raw, filtered in grid] == [(40, 40), (8, 8), (25, 25)]
+        assert grid[2][0].counts[C1] == 0
+        for cell, tallies in zip(cells, grid):
+            assert tallies == identify_cells([cell], INDOOR_MODEL, config)[0]
+
+
 class TestRawBaseline:
     def test_noiseless_accuracy_is_perfect(self):
         layout, streams = noiseless_streams()
-        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        tally = raw_one(layout, streams)
         assert tally.accuracy == 1.0
 
     def test_never_heard_beacon_cannot_win(self):
         layout, streams = noiseless_streams()
         streams = {A1: streams[A1], B1: streams[B1], C1: stream()}
-        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        tally = raw_one(layout, streams)
         assert tally.counts[C1] == 0
 
     def test_filtered_beats_raw_under_noise(self):
         layout, streams = noiseless_streams(x=2.0, y=1.0, sigma=INDOOR_NOISE_SIGMA_DB,
                                             seed=31, duration_s=120.0)
-        raw = raw_baseline(streams, INDOOR_MODEL, layout)
+        raw = raw_one(layout, streams)
         filtered = identify_one(layout, streams, 32)
         assert filtered.accuracy >= raw.accuracy
 
@@ -243,7 +268,7 @@ class TestRawBaseline:
             B1: stream(-65.0, -65.0, -65.0, -65.0, interval_ms=400),
             C1: stream(-80.0),
         }
-        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        tally = raw_one(layout, streams)
         # rounds 0 and 1 (A silent in round 1 keeps its -60 dBm estimate)
         assert tally.total == 2
         assert tally.counts == {A1: 2, B1: 0, C1: 0}
@@ -255,7 +280,7 @@ class TestRawBaseline:
             B1: stream(-65.0, -65.0, -65.0),
             C1: stream(-80.0),
         }
-        tally = raw_baseline(streams, INDOOR_MODEL, layout)
+        tally = raw_one(layout, streams)
         # A leads in rounds 0 and 1 (carried forward), B in round 2
         assert tally.total == 3
         assert tally.counts == {A1: 2, B1: 1, C1: 0}
@@ -306,20 +331,20 @@ class TestRawBaselineArrayForm:
             C1: ragged_stream(rng, [0] * rng.randint(0, n_rounds)),  # never heard
         }
         seen = {}
-        tally = proximity._tally
+        table = proximity.raw_baseline
 
-        def capture(layout, spots, distances):
-            seen["distances"] = distances
-            return tally(layout, spots, distances)
+        def capture(model, rssi, starts):
+            seen["distances"] = table(model, rssi, starts)
+            return seen["distances"]
 
-        monkeypatch.setattr(proximity, "_tally", capture)
+        monkeypatch.setattr(proximity, "raw_baseline", capture)
         layout = three_beacon_layout(1.5, 1.0)
-        raw = raw_baseline(streams, model, layout)
+        raw = raw_one(layout, streams, model)
         expected = loop_raw_distances(streams, model, [A1, B1, C1])
         assert seen["distances"].shape == expected.shape
         assert seen["distances"].tobytes() == expected.tobytes()
         assert np.isinf(expected[2]).all()
-        assert raw == tally(layout, [A1, B1, C1], expected)
+        assert raw == proximity._tally(layout, [A1, B1, C1], expected)
 
 
 class TestGeometryOracle:

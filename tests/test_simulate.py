@@ -15,7 +15,7 @@ from beaconpark.pathloss import (
     fit_model,
     predict_rssi,
 )
-from beaconpark.proximity import STREAM_DTYPE, identify_cells, raw_baseline
+from beaconpark.proximity import STREAM_DTYPE, identify_cells
 from beaconpark.seeding import (
     TAG_DISTANCE_CELL,
     TAG_FILTER,
@@ -237,10 +237,11 @@ class TestProximityExperiment:
             truth = layout.true_distances()
             streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
             cell_filter_seed = derive_seed(cell_seed, TAG_FILTER)
-            assert cell.filtered == identify_cells(
+            raw, filtered = identify_cells(
                 [(layout, streams, cell_filter_seed)], scen.model, config
             )[0]
-            assert cell.raw == raw_baseline(streams, scen.model, layout)
+            assert cell.filtered == filtered
+            assert cell.raw == raw
 
     def test_csv_shape_and_percent_format(self, tmp_path):
         results = sim.run_proximity_experiment(
