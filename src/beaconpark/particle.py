@@ -23,7 +23,12 @@ particle count, as one bank, through rounds of ragged readings
 `weights` it owns one (B, N) work buffer, which holds the gains, so a step
 allocates no (B, N) temporaries.
 
-A step makes eight passes over the (B, N) rows it reaches: subtract each
+Every step steps every row. In a sub-step of `run` that has readings for
+only some rows, a row without one reads 0.0, and its gains and its weight
+total are set to 1.0 after the exp and the row sum: its weights keep their
+bits, it cannot collapse, and its resample flag is masked off.
+
+A step makes eight passes over the (B, N) arrays: subtract each
 row's measurement, square, multiply by the precomputed -0.5 / noise^2,
 exp, multiply into the weights, row sum, multiply by the row reciprocals
 1 / total, and one row dot w . w for N_eff. No pass divides: on numpy
@@ -88,28 +93,30 @@ class FilterConfig:
             raise ValueError(f"need at least 2 particles, got {self.particle_count}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.measurement_noise_m > 0:
-            raise ValueError("measurement noise must be positive")
-        if not self.state_min_m < self.state_max_m:
-            raise ValueError("state range is empty")
+        try:  # ParticleBank's gain scale; noise**2 may under- or overflow
+            scale = -0.5 / self.measurement_noise_m**2
+        except (ZeroDivisionError, OverflowError):
+            scale = math.nan
+        if not (self.measurement_noise_m > 0 and math.isfinite(scale)):
+            raise ValueError("measurement_noise_m must be positive, with finite -0.5 / noise**2")
+        if not 0.0 < self.state_max_m - self.state_min_m < math.inf:
+            raise ValueError("state_max_m - state_min_m must be positive and finite")
 
 
 class ParticleBank:
     """B filters of one config, held as (B, N) `particles` and `weights`.
 
     Row b draws from its own Generator, seeded with seeds[b]. A step
-    reweights, normalizes and measures N_eff of the rows it reaches as
-    whole-array operations; a row that resamples or reinitializes then
+    reweights, normalizes and measures N_eff of every row as whole-array
+    operations; a row that resamples or reinitializes then
     does so alone, with its own Generator. Row-wise sums and row dots
     add each row exactly as they add a lone row, so every row evolves bit
     for bit as a one-row bank given the same seed and measurements.
 
     The bank owns a third (B, N) array, `_work`, free between operations.
-    A step of every row computes the gains in it and multiplies them into
-    `weights` in place; a sub-step of `run` that reaches only some rows
-    computes their new weights in its first len(rows) rows. Only rows
-    longer than _EINSUM_ROW_MAX use it for the products of N_eff and
-    `means`.
+    A step computes the gains in it and multiplies them into `weights` in
+    place. Only rows longer than _EINSUM_ROW_MAX use it for the products
+    of N_eff and `means`.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -119,7 +126,6 @@ class ParticleBank:
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._threshold = config.beta * config.particle_count
         self._gain_scale = -0.5 / config.measurement_noise_m**2
-        self._rows = np.arange(len(seeds))
         shape = (len(seeds), config.particle_count)
         self.particles = np.empty(shape)
         self.weights = np.empty(shape)
@@ -136,8 +142,8 @@ class ParticleBank:
         reinitialized.
         """
         z = np.asarray(measurements_m, dtype=float)
-        if z.shape != self._rows.shape:
-            raise ValueError(f"measurements of shape {z.shape} for {len(self._rows)} filter rows")
+        if z.shape != (len(self._rngs),):
+            raise ValueError(f"measurements of shape {z.shape} for {len(self._rngs)} filter rows")
         finite = np.isfinite(z)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -154,16 +160,15 @@ class ParticleBank:
         `readings` holds every row's measurements, row after row.
         starts[b, r] is the index in `readings` of row b's first reading in
         round r; the last column is one past the row's last reading.
-        Sub-step k of a round updates, in one step, the rows that have a
-        k-th reading in it; a row with none keeps its state. The means are
+        Sub-step k of a round steps every row; a row without a k-th
+        reading in the round takes gain 1 and keeps its state. The means are
         taken after each round. A start outside `readings` raises
         IndexError, and starts that decrease ValueError, before any step.
         """
         readings = np.asarray(readings, dtype=float)
         starts = np.asarray(starts)
-        n_rows = len(self._rows)
-        if starts.ndim != 2 or starts.shape[0] != n_rows:
-            raise ValueError(f"starts of shape {starts.shape} for {n_rows} filter rows")
+        if starts.ndim != 2 or starts.shape[0] != len(self._rngs):
+            raise ValueError(f"starts of shape {starts.shape} for {len(self._rngs)} filter rows")
         outside = (starts < 0) | (starts > len(readings))
         if outside.any():
             b, c = np.argwhere(outside)[0].tolist()
@@ -185,14 +190,15 @@ class ParticleBank:
                 raise ValueError(
                     f"filter row {owners[0]}: measurement must be finite, got {readings[i]}"
                 )
-        z = self._clamp(readings)
+        z = np.append(self._clamp(readings), 0.0)  # z[-1] is read by rows without a reading
         means = np.empty(counts.shape)
         bufsize = np.setbufsize(_STEP_BUFSIZE)
         try:
             for r, most_r in enumerate(counts.max(axis=0).tolist()):
                 for k in range(most_r):
-                    rows = np.flatnonzero(counts[:, r] > k)
-                    self._step(z[starts[rows, r] + k], None if len(rows) == n_rows else rows)
+                    reads = counts[:, r] > k
+                    z_k = z[np.where(reads, starts[:, r] + k, -1)]
+                    self._step(z_k, None if reads.all() else reads)
                 means[:, r] = self.means()
         finally:
             np.setbufsize(bufsize)
@@ -204,8 +210,8 @@ class ParticleBank:
 
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
-        if not 0 <= row < len(self._rows):
-            raise IndexError(f"filter row {row} outside a bank of {len(self._rows)} rows")
+        if not 0 <= row < len(self._rngs):
+            raise IndexError(f"filter row {row} outside a bank of {len(self._rngs)} rows")
         if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
             return False
         self._resample(row)
@@ -219,51 +225,52 @@ class ParticleBank:
     def _clamp(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
-    def _step(self, z: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Step finite, clamped measurements into every row, or into the increasing `rows`."""
-        whole = rows is None
-        if whole:
-            gains = np.subtract(self.particles, z[:, None], out=self._work)
-        else:
-            gains = np.take(self.particles, rows, axis=0, out=self._work[: len(rows)])
-            gains -= z[:, None]
+    def _step(self, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
+        """Step finite, clamped measurements into every row, or into the rows of the mask `reads`.
+
+        A row outside `reads` takes gain 1 and normalizer 1: its weights keep
+        their bits, and it neither collapses nor resamples.
+        """
+        gains = np.subtract(self.particles, z[:, None], out=self._work)
         np.square(gains, out=gains)
         gains *= self._gain_scale
         np.exp(gains, out=gains)
-        weights = self.weights if whole else gains  # a partial step's rows are copied back below
-        weights *= gains if whole else self.weights[rows]
+        if reads is not None:
+            gains[~reads] = 1.0
+        self.weights *= gains
         with np.errstate(over="ignore"):  # a total past the largest float is a collapse
-            total = weights.sum(axis=1)
+            total = self.weights.sum(axis=1)
+        if reads is not None:
+            total[~reads] = 1.0
         # the ufunc reductions skip the Python wrappers of total.min() and .max()
         fast = _SMALLEST_NORMAL <= np.minimum.reduce(total) and np.maximum.reduce(total) < math.inf
         if fast:
-            weights *= (1.0 / total)[:, None]
+            self.weights *= (1.0 / total)[:, None]
             collapsed = np.zeros(len(total), dtype=bool)
         else:
-            collapsed = self._normalize_slowly(weights, total)
-        if not whole:
-            self.weights[rows] = weights
+            collapsed = self._normalize_slowly(total)
         # the gains are spent: a long row's squares may go into their buffer
-        resampled = self._effective(weights, gains) < self._threshold
-        rows = self._rows if whole else rows
+        resampled = self._effective(self.weights, gains) < self._threshold
+        if reads is not None:
+            resampled &= reads
         if not fast:
             resampled &= ~collapsed
-            for row in rows[collapsed].tolist():
+            for row in np.flatnonzero(collapsed).tolist():
                 self._reinitialize(row)
-        for row in rows[resampled].tolist():
+        for row in np.flatnonzero(resampled).tolist():
             self._resample(row)
         return resampled, collapsed
 
-    def _normalize_slowly(self, weights: np.ndarray, total: np.ndarray) -> np.ndarray:
+    def _normalize_slowly(self, total: np.ndarray) -> np.ndarray:
         """Normalize rows that include a collapsed or subnormal total; return the collapsed."""
         collapsed = ~(np.isfinite(total) & (total > 0.0))
         # Reinitialized by the caller; uniform until then, so no row divides by zero.
-        weights[collapsed] = 1.0
+        self.weights[collapsed] = 1.0
         total[collapsed] = self.config.particle_count
         # The reciprocal of a subnormal total can overflow: those rows divide.
         small = total < _SMALLEST_NORMAL
-        weights *= (1.0 / np.where(small, 1.0, total))[:, None]
-        weights[small] /= total[small, None]
+        self.weights *= (1.0 / np.where(small, 1.0, total))[:, None]
+        self.weights[small] /= total[small, None]
         return collapsed
 
     def _effective(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:

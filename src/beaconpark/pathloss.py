@@ -150,12 +150,25 @@ def estimate_distance(model: PathLossModel, rssi_dbm):
     """Exact algebraic inverse of predict_rssi: a float of a float, an array of an array.
 
     10**x is libm's `pow` per element (`math.pow`), as Python's `**`
-    computes it; numpy's vectorized power can differ in the last bit.
+    computes it; numpy's vectorized power can differ in the last bit. An
+    RSSI so low that its distance exceeds the largest float raises
+    ValueError naming the first such RSSI.
     """
-    exponents = (model.ref_rssi_dbm - np.asarray(rssi_dbm, dtype=float)) / (10.0 * model.exponent)
-    if exponents.ndim == 0:
-        return model.ref_distance_m * math.pow(10.0, float(exponents))
-    powers = np.fromiter(map(math.pow, repeat(10.0), exponents.ravel().tolist()), float)
+    rssi = np.asarray(rssi_dbm, dtype=float)
+    exponents = (model.ref_rssi_dbm - rssi) / (10.0 * model.exponent)
+    try:
+        if exponents.ndim == 0:
+            return model.ref_distance_m * math.pow(10.0, float(exponents))
+        powers = np.fromiter(map(math.pow, repeat(10.0), exponents.ravel().tolist()), float)
+    except OverflowError:
+        for value, exponent in zip(rssi.ravel().tolist(), exponents.ravel().tolist()):
+            try:
+                math.pow(10.0, exponent)
+            except OverflowError:
+                raise ValueError(
+                    f"RSSI {value} dBm inverts to a distance beyond the largest float"
+                ) from None
+        raise
     return model.ref_distance_m * powers.reshape(exponents.shape)
 
 

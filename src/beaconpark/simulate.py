@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -67,6 +68,9 @@ OUTDOOR_NOISE_SIGMA_DB = 4.60
 
 EXPERIMENT_KINDS = ("distance", "proximity")
 
+# The largest timestamp_ms a stream holds (STREAM_DTYPE stores int64).
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,8 +88,18 @@ class Scenario:
             raise ValueError("noise sigma must be >= 0")
         if self.tx_interval_ms <= 0:
             raise ValueError("transmission interval must be positive")
+        if self.tx_interval_ms > _INT64_MAX:
+            raise ValueError(
+                f"tx_interval_ms {self.tx_interval_ms} does not fit an int64 timestamp"
+            )
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
+        slots = self.duration_s * 1000 // self.tx_interval_ms  # as generate_stream counts them
+        if not (math.isfinite(slots) and (int(slots) - 1) * self.tx_interval_ms <= _INT64_MAX):
+            raise ValueError(
+                f"duration_s {self.duration_s} is too long at tx_interval_ms"
+                f" {self.tx_interval_ms}: the last slot's timestamp must fit an int64"
+            )
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
         if self.seed < 0:

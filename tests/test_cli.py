@@ -380,6 +380,36 @@ class TestDistanceCommand:
                 "missing field 'noise_sigma_db'",
             ),
             (lambda s: {**s, "experiment": {"grid": [1.0]}}, [], "missing field 'kind'"),
+            (
+                lambda s: {**s, "filter": {"measurement_noise_m": 1e-200}},
+                [],
+                "measurement_noise_m must be positive, with finite -0.5 / noise**2",
+            ),
+            (
+                lambda s: {**s, "filter": {"measurement_noise_m": 1e-160}},
+                [],
+                "measurement_noise_m must be positive, with finite -0.5 / noise**2",
+            ),
+            (
+                lambda s: {**s, "filter": {"state_min_m": -1e308, "state_max_m": 1e308}},
+                [],
+                "state_max_m - state_min_m must be positive and finite",
+            ),
+            (
+                lambda s: {**s, "duration_s": 1e308},
+                [],
+                "duration_s 1e+308 is too long at tx_interval_ms 1000: the last slot's timestamp",
+            ),
+            (
+                lambda s: {**s, "duration_s": 1e300},
+                [],
+                "duration_s 1e+300 is too long at tx_interval_ms 1000: the last slot's timestamp",
+            ),
+            (
+                lambda s: {**s, "tx_interval_ms": 10**30},
+                [],
+                f"tx_interval_ms {10**30} does not fit an int64 timestamp",
+            ),
         ],
         ids=[
             "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
@@ -390,6 +420,8 @@ class TestDistanceCommand:
             "bool-seed", "string-sigma", "string-duration", "string-grid-entry",
             "fractional-interval", "fractional-repetitions", "fractional-count",
             "missing-model", "missing-sigma", "missing-kind",
+            "underflowing-noise-square", "infinite-gain-scale", "infinite-state-width",
+            "overflowing-duration-ms", "too-many-slots", "interval-beyond-int64",
         ],
     )
     def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
@@ -400,6 +432,20 @@ class TestDistanceCommand:
             [*seed_args, "--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
         ) == 2
         assert f"invalid scenario: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_rssi_whose_distance_overflows_is_input_error(self, tmp_path, capsys):
+        # at 5000 dB of noise some RSSI falls below -7,537 dBm, past the largest distance
+        scenario_path = tmp_path / "s.json"
+        tiny_scenario(scenario_path, "distance", [1.0])
+        scenario = json.loads(scenario_path.read_text())
+        scenario_path.write_text(json.dumps({**scenario, "noise_sigma_db": 5000}))
+        assert main(["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]) == 2
+        assert re.search(
+            r"^ERR RSSI -[0-9.e+]+ dBm inverts to a distance beyond the largest float$",
+            capsys.readouterr().err,
+            re.M,
+        )
 
     @pytest.mark.parametrize(
         "edit, key",

@@ -26,6 +26,10 @@ class TestConfig:
             {"beta": 1.5},
             {"measurement_noise_m": 0.0},
             {"state_min_m": 2.0, "state_max_m": 2.0},
+            # -0.5 / noise**2: noise**2 underflows to 0, or the quotient to -inf
+            {"measurement_noise_m": 1e-200},
+            {"measurement_noise_m": 1e-160},
+            {"state_min_m": -1e308, "state_max_m": 1e308},
         ],
     )
     def test_invalid_configs_rejected(self, kw):
@@ -337,9 +341,9 @@ class TestParticleBank:
                 assert np.all(bank.weights[1:3] == 1.0 / 64)
 
     def test_whole_and_partial_steps_alternate_bit_for_bit(self):
-        # a whole-bank step computes its gains in the work buffer, a sub-step
-        # of `run` that reaches some rows fills the buffer's first rows;
-        # means() and N_eff reuse it in between, so a stale buffer would show
+        # every step computes its gains in the work buffer, and a sub-step of
+        # `run` in which some rows have no reading sets theirs to 1; means()
+        # and N_eff reuse the buffer in between, so a stale buffer would show
         # up in the next step
         bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.3)
         rng = np.random.default_rng(37)
@@ -479,6 +483,22 @@ class TestParticleBank:
         for row in (0, 2):
             assert planted.particles[row].tobytes() == plain.particles[row].tobytes()
             assert planted.weights[row].tobytes() == plain.weights[row].tobytes()
+
+    def test_a_row_without_a_reading_is_left_alone(self):
+        # one ragged round: row 0 reads nothing and holds weights whose total
+        # overflows; row 1's weights are zero, so it collapses and the step
+        # takes its slow path
+        bank, _ = self.bank_and_lone()
+        bank.weights[0] = 1e308
+        bank.weights[1] = 0.0
+        particles, weights = bank.particles[0].tobytes(), bank.weights[0].tobytes()
+        generator = bank._rngs[0].bit_generator.state
+        with np.errstate(over="ignore", invalid="ignore"):  # row 0's N_eff and mean overflow
+            bank.run([1.0, 2.0, 3.0], [[0, 0], [0, 1], [1, 2], [2, 3]])
+        assert bank.particles[0].tobytes() == particles
+        assert bank.weights[0].tobytes() == weights
+        assert bank._rngs[0].bit_generator.state == generator
+        assert np.all(bank.weights[1] == 1.0 / 64)
 
     def test_maybe_resample_touches_only_its_row(self):
         bank, _ = self.bank_and_lone()

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,37 @@ class TestPredictAndInvert:
             assert array.tobytes() == np.array(scalar).tobytes() == np.array(power).tobytes()
             assert type(scalar[0]) is float
             assert pl.estimate_distance(model, rssi[:100].reshape(4, 25)).shape == (4, 25)
+
+    def test_rssi_whose_distance_overflows_is_named(self):
+        # below C - 3082.5 n dBm, about -7,537 dBm indoors, 10**x passes the largest float
+        model = pl.INDOOR_MODEL
+        with pytest.raises(ValueError, match=r"^RSSI -8000\.0 dBm inverts to a distance beyond"):
+            pl.estimate_distance(model, -8000.0)
+        with pytest.raises(ValueError, match=r"^RSSI -9000\.0 dBm"):
+            pl.estimate_distance(model, np.array([[-70.0, -7000.0], [-9000.0, -8000.0]]))
+
+    def test_finite_results_at_the_overflow_edge_keep_the_bits_of_pow(self):
+        model = pl.INDOOR_MODEL
+
+        def power(r):
+            try:
+                return model.ref_distance_m * math.pow(
+                    10.0, (model.ref_rssi_dbm - r) / (10.0 * model.exponent)
+                )
+            except OverflowError:
+                return None
+
+        edge = np.linspace(-7538.0, -7537.0, 10_001).tolist()
+        finite = [r for r in edge if power(r) is not None]
+        assert 0 < len(finite) < len(edge)
+        expected = np.array([power(r) for r in finite])
+        assert pl.estimate_distance(model, np.array(finite)).tobytes() == expected.tobytes()
+        assert np.array([pl.estimate_distance(model, r) for r in finite]).tobytes() == (
+            expected.tobytes()
+        )
+        for r in (r for r in edge if power(r) is None):
+            with pytest.raises(ValueError, match=f"^RSSI {re.escape(str(r))} dBm"):
+                pl.estimate_distance(model, r)
 
     def test_monotonicity(self):
         distances = np.linspace(0.05, 50.0, 400)
