@@ -6,7 +6,8 @@ distance (replicate the distance-estimation experiment), proximity
 line-protocol server). distance and proximity run the grid and the
 repetitions of the scenario file's required `experiment`, whose kind
 must name the command. Every result directory gets a run manifest before
-any result file, and result files are written atomically. Each command
+any result file, and only once the run has succeeded; result files are
+written atomically. Each command
 imports the modules it runs: `serve` never loads numpy.
 
 Exit codes: 0 success, 1 runtime error, 2 input error.
@@ -113,12 +114,12 @@ def cmd_calibrate(args) -> int:
     if len(counts) > 1:
         print("warning: unequal sample counts per distance", file=sys.stderr)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_manifest(args.out_dir, "calibrate", args.seed or 0, None)
     try:
         fit = fit_model(dataset)
     except RankDeficientError as exc:
         raise InputError(f"rank-deficient: {exc}") from exc
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_manifest(args.out_dir, "calibrate", args.seed or 0, None)
     write_atomically(args.out, _write_json, fit_result_to_json_dict(fit))
     print(
         f"n={fit.model.exponent:.6f} ci95=({fit.exponent_ci95[0]:.6f}, {fit.exponent_ci95[1]:.6f})"
@@ -137,14 +138,13 @@ def cmd_distance(args) -> int:
     from .simulate import run_distance_experiment, write_distance_csv
 
     scenario, experiment, config = _load_scenario_file(args.scenario, "distance", args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_manifest(args.out_dir, "distance", scenario.seed, args.scenario)
-
     sweep = PARTICLE_SWEEP if args.sweep else (config.particle_count,)
     configs = [replace(config, particle_count=n_particles) for n_particles in sweep]
     rows = run_distance_experiment(
         scenario, experiment.grid, configs, repetitions=experiment.repetitions
     ).rows
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_manifest(args.out_dir, "distance", scenario.seed, args.scenario)
     out_path = os.path.join(args.out_dir, "distance_results.csv")
     write_atomically(out_path, write_distance_csv, rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
@@ -155,10 +155,9 @@ def cmd_proximity(args) -> int:
     from .simulate import run_proximity_experiment, write_proximity_csv
 
     scenario, experiment, config = _load_scenario_file(args.scenario, "proximity", args.seed)
+    results = run_proximity_experiment(scenario, experiment.grid, config)
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "proximity", scenario.seed, args.scenario)
-
-    results = run_proximity_experiment(scenario, experiment.grid, config)
     out_path = os.path.join(args.out_dir, "proximity_results.csv")
     write_atomically(out_path, write_proximity_csv, results)
     print(f"wrote {out_path} ({2 * len(results)} rows)")

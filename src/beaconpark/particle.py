@@ -19,42 +19,51 @@ filter is a one-row bank, and a row of a B-row bank evolves bit for bit as
 the one-row bank of its seed. The experiments step every filter of a
 proximity grid (all beacons of all cells), or of a distance sweep at one
 particle count, as one bank, through rounds of ragged readings
-(ParticleBank.run). A bank steps in place: besides `particles` and
-`weights` it owns one (B, N) work buffer, which holds the gains, so a step
-allocates no (B, N) temporaries.
+(ParticleBank.run).
+
+The bank steps runs, not particles. Particles never move between
+resamples, and a resample copies each chosen particle into adjacent slots,
+so a row soon holds a few hundred maximal runs of equal (particle, weight)
+among its N slots: sample impoverishment. The runs are 18.4% of the
+particle-steps of the shipped indoor proximity grid and 26.9% of those of
+its distance sweep. `run` and `update` split each row into its runs on
+entry, as values v, weights w and counts c, and write `particles` and
+`weights` back on exit, so those two arrays are the state between calls
+and may be set by hand. A step makes one pass over the runs of all rows
+for each of: the readings repeated over each row's runs, subtract, square,
+multiply by the precomputed -0.5 / noise^2, exp, multiply into w, c * w,
+the normalizers 1 / total repeated likewise, multiply into w, c * w, and
+times w; where every run of a block has count 1, c * w is w itself and is
+not formed. The count-weighted row sums (the total sum(c * w), N_eff as
+1 / sum((c * w) * w), and `means`' sum((c * w) * v) / sum(c * w)) are
+np.add.reduceat over each row's runs, which adds a row the same way
+wherever it lies, so a row's bits depend only on that row. `means`,
+`effective_particles` and `maybe_resample` take the same sums.
+
+A resample draws and sorts the row's N uniforms as before, then searches
+each run's cumulative mass among them: a run's count is the number of
+uniforms at or below its cumulative mass, less those at or below the run
+before it, which are the picks a search of each uniform in the cumulative
+masses makes. The picked runs become the new row's runs in place. A row
+never gains runs except by reinitializing, so a resample leaves count-0
+gap slots before a shortened row; a step closes the gaps once they pass a
+quarter of the live runs.
+
+The runs live in the bank's own memory: values in that of `particles`,
+weights in that of `weights`, and counts in a third (B, N) work buffer. A
+pass takes the rows in blocks that own at most _BLOCK slots, so its
+scratch arrays (the repeated readings, then the repeated normalizers)
+stay small beside the bank, and the rows are split and written back in
+blocks of about as many particles. No pass divides: 1 / total is taken
+per row. The one exception is a row whose total is positive but
+subnormal, whose reciprocal may overflow: it divides, on a slow path
+taken only when some total is subnormal, zero or not finite (a collapse).
 
 Every step steps every row. In a sub-step of `run` that has readings for
 only some rows, a row without one reads 0.0, and its gains and its weight
 total are set to 1.0 after the exp and the row sum: its weights keep their
-bits, it cannot collapse, and its resample flag is masked off.
-
-A step makes eight passes over the (B, N) arrays: subtract each
-row's measurement, square, multiply by the precomputed -0.5 / noise^2,
-exp, multiply into the weights, row sum, multiply by the row reciprocals
-1 / total, and one row dot w . w for N_eff. No pass divides: on numpy
-2.4.6 at 75 x 1000 a division costs about twice a multiply (51 us against
-21 us by the scalar, 55 us against 24 us by the row totals). The one
-exception is a row whose total is positive but subnormal, whose
-reciprocal may overflow: it divides, on a slow path taken only when some
-total is subnormal, zero or not finite (a collapse). The row dots, N_eff
-and the numerator of `means`, are each one einsum pass that writes no
-(B, N) temporary (25 us against 38 us for square then row sum); the
-normalizing total and the denominator of `means` stay pairwise row sums.
-einsum gives a row of up to 8192 particles the same bits whatever rows
-surround it, but sums a lone longer row in chunks; such long rows take
-their dots as a product into the work buffer and a pairwise row sum.
-
-Two passes broadcast one value per row (`particles - z[:, None]` and
-`weights * (1 / total)[:, None]`). While two or more rows fit in numpy's
-ufunc buffer (8192 elements by default), numpy's iterator copies the
-broadcast operand into that buffer, chunk by chunk, and those passes then
-cost about three times their arithmetic: 63-70 us and 66-69 us at
-75 x 1000, against 20 us and 24 us with the buffer at 16 elements
-(_STEP_BUFSIZE). So `run` and `update` step with that buffer size and
-restore the caller's size on the way out. Elementwise IEEE results do not
-depend on the chunking, and the row sums, cumsums and einsum row dots
-give the same bits at either size. `run` also checks and clamps all
-readings once, not once per step.
+bits, it cannot collapse, and its resample flag is masked off. `run` also
+checks and clamps all readings once, not once per step.
 """
 
 from __future__ import annotations
@@ -66,16 +75,18 @@ from typing import Sequence
 
 import numpy as np
 
-# ufunc buffer size, in elements, while a bank steps (see the module docstring).
-_STEP_BUFSIZE = 16
-
 # The smallest positive normal float: a row total below it may have no finite
 # reciprocal, so that row normalizes by division.
 _SMALLEST_NORMAL = sys.float_info.min
 
-# einsum takes a row of up to this many elements in one pass, whatever the rows
-# around it, but sums a lone longer row in chunks of this size (numpy 2.4).
-_EINSUM_ROW_MAX = 8192
+# A step compacts the runs once the gaps left by resamples exceed this share
+# of the live runs.
+_GAP_SHARE = 0.25
+
+# A pass over the runs takes the rows in blocks that own at most this many
+# slots, and `run` and `update` split the rows into runs, and write them back,
+# in blocks of about this many particles: the scratch arrays stay at 128 KB.
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -103,20 +114,100 @@ class FilterConfig:
             raise ValueError("state_max_m - state_min_m must be positive and finite")
 
 
+def _run_starts(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """True at the first particle of each maximal run of equal (particle, weight) of a row.
+
+    Works along the last axis, so it takes one row or a (B, N) bank.
+    """
+    starts = np.empty(particles.shape, dtype=bool)
+    starts[..., 0] = True
+    np.not_equal(particles[..., 1:], particles[..., :-1], out=starts[..., 1:])
+    starts[..., 1:] |= weights[..., 1:] != weights[..., :-1]
+    return starts
+
+
+def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join adjacent runs of equal value, all of one weight, into maximal runs."""
+    same = values[1:] == values[:-1]
+    if not same.any():
+        return values, counts
+    heads = np.flatnonzero(np.concatenate(([True], ~same)))
+    return values[heads], np.add.reduceat(counts, heads)
+
+
+class _Runs:
+    """The rows of a bank as runs, while `run` or `update` steps them.
+
+    Row b's runs fill the slots bounds[2b]:bounds[2b + 1] of the flat
+    arrays `values`, `weights` and `counts`, which are the memory of the
+    bank's `particles`, `weights` and work buffer (or new arrays, for
+    `means` and `effective_particles`). The rows lie in order,
+    and row b owns the slots from the end of row b - 1 (or slot 0) to its
+    own end. A resample that shortens a row moves its start up and leaves
+    count-0, weight-0 gap slots before it until the next compaction; `live`
+    counts the slots that are not gaps.
+    """
+
+    __slots__ = ("values", "weights", "counts", "bounds", "live", "_blocks")
+
+    @property
+    def span(self) -> int:
+        """Slots in use, gaps included: the end of the last row."""
+        return int(self.bounds[-1])
+
+    def moved(self) -> None:
+        """Note that `bounds` changed."""
+        self._blocks = None
+
+    def blocks(self) -> list[tuple[slice, slice, np.ndarray, np.ndarray, bool]]:
+        """The rows in blocks for a pass: (rows, slots, heads, owned, singles) per block.
+
+        A block is whole rows that own at most _BLOCK slots between them,
+        or one row that owns more, so a pass needs scratch arrays of at most
+        that size. `slots` is the block's slice of the flat arrays, `owned`
+        the slots of each of its rows, and `heads` its rows' bounds within
+        the slice, as np.add.reduceat takes them: its even segments are the
+        rows' runs, the odd ones gaps. reduceat adds a segment as its first
+        term plus the pairwise sum of the rest, whatever lies around it, so
+        a row's sums depend only on that row. `singles` is true when every
+        run of the block has count 1, so that c * w is w itself.
+        """
+        if self._blocks is None:
+            ends = self.bounds[1::2]
+            owned = ends.copy()
+            owned[1:] -= ends[:-1]
+            runs = np.cumsum(ends - self.bounds[0::2])
+            n = len(self.values) // len(ends)
+            self._blocks, b0, base = [], 0, 0
+            while b0 < len(ends):
+                b1 = max(b0 + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
+                stop = int(ends[b1 - 1])
+                heads = self.bounds[2 * b0 : 2 * b1 - 1] - base
+                singles = runs[b1 - 1] - (runs[b0 - 1] if b0 else 0) == (b1 - b0) * n
+                block = (slice(b0, b1), slice(base, stop), heads, owned[b0:b1], singles)
+                self._blocks.append(block)
+                b0, base = b1, stop
+        return self._blocks
+
+
 class ParticleBank:
     """B filters of one config, held as (B, N) `particles` and `weights`.
 
-    Row b draws from its own Generator, seeded with seeds[b]. A step
-    reweights, normalizes and measures N_eff of every row as whole-array
-    operations; a row that resamples or reinitializes then
-    does so alone, with its own Generator. Row-wise sums and row dots
-    add each row exactly as they add a lone row, so every row evolves bit
-    for bit as a one-row bank given the same seed and measurements.
+    Row b draws from its own Generator, seeded with seeds[b]. `run` and
+    `update` split each row into its runs of equal (particle, weight) and
+    step the runs of all rows as flat arrays; a row that resamples or
+    reinitializes then does so alone, with its own Generator. Count-weighted
+    row sums add each row exactly as they add a lone row, so every row
+    evolves bit for bit as a one-row bank given the same seed and
+    measurements.
 
-    The bank owns a third (B, N) array, `_work`, free between operations.
-    A step computes the gains in it and multiplies them into `weights` in
-    place. Only rows longer than _EINSUM_ROW_MAX use it for the products
-    of N_eff and `means`.
+    `particles` and `weights` are the state between calls. During a call
+    they hold the runs' values and weights, and a third (B, N) array,
+    `_work`, their counts.
+
+    The counters `steps`, `resamples`, `reinitializations`,
+    `particle_steps` (rows x N per step) and `run_steps` (the runs a step
+    covers) count the bank's work since it was made.
     """
 
     def __init__(self, config: FilterConfig, seeds: Sequence[int]):
@@ -130,8 +221,11 @@ class ParticleBank:
         self.particles = np.empty(shape)
         self.weights = np.empty(shape)
         self._work = np.empty(shape)
+        self.steps = self.resamples = self.reinitializations = 0
+        self.particle_steps = self.run_steps = 0
         for row in range(len(seeds)):
-            self._reinitialize(row)
+            self.particles[row] = self._draw_uniform(row)
+            self.weights[row] = 1.0 / config.particle_count
 
     def update(self, measurements_m) -> tuple[np.ndarray, np.ndarray]:
         """Reweight every row by its own measurement, then resample if degenerate.
@@ -148,11 +242,11 @@ class ParticleBank:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"filter row {bad}: measurement must be finite, got {z[bad]}")
-        bufsize = np.setbufsize(_STEP_BUFSIZE)
+        runs = self._enter()
         try:
-            return self._step(self._clamp(z), None)
+            return self._step(runs, self._clamp(z), None)
         finally:
-            np.setbufsize(bufsize)
+            self._exit(runs)
 
     def run(self, readings, starts) -> np.ndarray:
         """Step the rows through rounds of ragged readings; return the (B, rounds) means.
@@ -192,116 +286,259 @@ class ParticleBank:
                 )
         z = np.append(self._clamp(readings), 0.0)  # z[-1] is read by rows without a reading
         means = np.empty(counts.shape)
-        bufsize = np.setbufsize(_STEP_BUFSIZE)
+        runs = self._enter()
         try:
             for r, most_r in enumerate(counts.max(axis=0).tolist()):
                 for k in range(most_r):
                     reads = counts[:, r] > k
                     z_k = z[np.where(reads, starts[:, r] + k, -1)]
-                    self._step(z_k, None if reads.all() else reads)
-                means[:, r] = self.means()
+                    self._step(runs, z_k, None if reads.all() else reads)
+                means[:, r] = self._means(runs)
         finally:
-            np.setbufsize(bufsize)
+            self._exit(runs)
         return means
 
     def effective_particles(self) -> np.ndarray:
         """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
-        return self._effective(self.weights, self._work)
+        runs = self._enter(copy=True)
+        return self._rescale(runs, runs.blocks(), np.ones(len(self._rngs)))
 
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
         if not 0 <= row < len(self._rngs):
             raise IndexError(f"filter row {row} outside a bank of {len(self._rngs)} rows")
-        if self._effective(self.weights[row : row + 1], self._work[:1])[0] >= self._threshold:
+        particles, weights = self.particles[row], self.weights[row]
+        heads = np.flatnonzero(_run_starts(particles, weights))
+        values, weights = particles[heads], weights[heads]
+        masses = np.diff(heads, append=len(particles)) * weights
+        # N_eff as a step takes it: reduceat over the row's runs
+        if 1.0 / np.add.reduceat(masses * weights, heads[:1])[0] >= self._threshold:
             return False
-        self._resample(row)
+        values, counts = self._draw(row, masses, values)
+        self.particles[row] = np.repeat(values, counts)
+        self.weights[row] = 1.0 / self.config.particle_count
+        self.resamples += 1
         return True
 
     def means(self) -> np.ndarray:
         """Weighted mean particle of every row."""
-        weighted = self._row_dots(self.weights, self.particles, self._work)
-        return weighted / self.weights.sum(axis=1)
+        return self._means(self._enter(copy=True))
 
     def _clamp(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
-    def _step(self, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
+    def _draw_uniform(self, row: int) -> np.ndarray:
+        cfg = self.config
+        return self._rngs[row].uniform(cfg.state_min_m, cfg.state_max_m, cfg.particle_count)
+
+    def _row_blocks(self) -> list[tuple[int, int]]:
+        """Rows in blocks of about _BLOCK particles, first block first."""
+        n_rows, n = self.particles.shape
+        per = max(1, _BLOCK // n)
+        return [(b0, min(b0 + per, n_rows)) for b0 in range(0, n_rows, per)]
+
+    def _enter(self, copy: bool = False) -> _Runs:
+        """Split every row into its runs: values into the memory of `particles`,
+        weights into that of `weights`, and counts into the work buffer; or,
+        with `copy`, into new arrays, leaving the bank as it is."""
+        n = self.config.particle_count
+        runs = _Runs()
+        if copy:
+            runs.values, runs.weights, runs.counts = (np.empty(self.particles.size) for _ in range(3))
+        else:
+            runs.values = self.particles.reshape(-1)
+            runs.weights = self.weights.reshape(-1)
+            runs.counts = self._work.reshape(-1)
+        runs.bounds = np.empty(2 * len(self._rngs), dtype=np.intp)
+        end = 0
+        for b0, b1 in self._row_blocks():
+            # the blocks before this one now sit in slots below b0 * n
+            starts = _run_starts(self.particles[b0:b1], self.weights[b0:b1])
+            heads = np.flatnonzero(starts)
+            at, end = end, end + len(heads)
+            runs.values[at:end] = self.particles[b0:b1].reshape(-1)[heads]
+            runs.weights[at:end] = self.weights[b0:b1].reshape(-1)[heads]
+            runs.counts[at : end - 1] = np.diff(heads)
+            runs.counts[end - 1] = (b1 - b0) * n - heads[-1]
+            ends = at + np.cumsum(np.count_nonzero(starts, axis=1))
+            runs.bounds[2 * b0 + 1 : 2 * b1 : 2] = ends
+            runs.bounds[2 * b0 : 2 * b1 : 2] = np.concatenate(([at], ends[:-1]))
+        runs.live = end
+        runs.moved()
+        return runs
+
+    def _exit(self, runs: _Runs) -> None:
+        """Write the runs back into `particles` and `weights`, whose memory holds them."""
+        self._compact(runs)
+        # Last block first: the runs of the rows before b0 sit in slots below b0 * n.
+        for b0, b1 in reversed(self._row_blocks()):
+            at, end = int(runs.bounds[2 * b0]), int(runs.bounds[2 * b1 - 1])
+            counts = runs.counts[at:end].astype(np.intp)
+            particles = np.repeat(runs.values[at:end], counts)
+            self.weights[b0:b1] = np.repeat(runs.weights[at:end], counts).reshape(b1 - b0, -1)
+            self.particles[b0:b1] = particles.reshape(b1 - b0, -1)
+
+    def _compact(self, runs: _Runs) -> None:
+        """Close the gaps: move every row's runs down to the end of the row before it."""
+        if runs.span == runs.live:
+            return
+        gaps_then_runs = np.tile([False, True], len(self._rngs))
+        keep = np.repeat(gaps_then_runs, np.diff(runs.bounds, prepend=0))
+        end = 0
+        for _, slots, _, _, _ in runs.blocks():
+            kept = keep[slots]
+            at, end = end, end + int(np.count_nonzero(kept))
+            for array in (runs.values, runs.weights, runs.counts):
+                array[at:end] = array[slots][kept]
+        sizes = runs.bounds[1::2] - runs.bounds[0::2]
+        runs.bounds[1::2] = np.cumsum(sizes)
+        runs.bounds[0::2] = runs.bounds[1::2] - sizes
+        runs.moved()
+
+    def _replace_rows(self, runs: _Runs, fresh: dict) -> None:
+        """Give each row of `fresh` the runs fresh[row] = (values, counts), of weight 1 / N."""
+        self._compact(runs)
+        for b, (values, counts) in sorted(fresh.items()):
+            at, end = runs.bounds[2 * b : 2 * b + 2].tolist()
+            shift, span = at + len(values) - end, runs.span
+            for slots in (runs.values, runs.weights, runs.counts):
+                slots[end + shift : span + shift] = slots[end:span]
+            runs.bounds[2 * b + 1 :] += shift
+            runs.values[at : end + shift] = values
+            runs.counts[at : end + shift] = counts
+            runs.weights[at : end + shift] = 1.0 / self.config.particle_count
+            runs.live += shift
+            runs.moved()
+
+    def _step(self, runs: _Runs, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
         """Step finite, clamped measurements into every row, or into the rows of the mask `reads`.
 
         A row outside `reads` takes gain 1 and normalizer 1: its weights keep
         their bits, and it neither collapses nor resamples.
         """
-        gains = np.subtract(self.particles, z[:, None], out=self._work)
-        np.square(gains, out=gains)
-        gains *= self._gain_scale
-        np.exp(gains, out=gains)
-        if reads is not None:
-            gains[~reads] = 1.0
-        self.weights *= gains
-        with np.errstate(over="ignore"):  # a total past the largest float is a collapse
-            total = self.weights.sum(axis=1)
+        blocks = runs.blocks()
+        total = np.empty(len(z))
+        for rows, slots, heads, owned, singles in blocks:
+            gains = z[rows].repeat(owned)
+            np.subtract(runs.values[slots], gains, out=gains)
+            np.square(gains, out=gains)
+            gains *= self._gain_scale
+            np.exp(gains, out=gains)
+            if reads is not None:
+                gains[(~reads[rows]).repeat(owned)] = 1.0
+            weights = runs.weights[slots]
+            weights *= gains
+            with np.errstate(over="ignore"):  # a total past the largest float is a collapse
+                masses = weights if singles else np.multiply(runs.counts[slots], weights, out=gains)
+                total[rows] = np.add.reduceat(masses, heads)[::2]
         if reads is not None:
             total[~reads] = 1.0
         # the ufunc reductions skip the Python wrappers of total.min() and .max()
         fast = _SMALLEST_NORMAL <= np.minimum.reduce(total) and np.maximum.reduce(total) < math.inf
         if fast:
-            self.weights *= (1.0 / total)[:, None]
-            collapsed = np.zeros(len(total), dtype=bool)
+            scale, collapsed = 1.0 / total, np.zeros(len(total), dtype=bool)
         else:
-            collapsed = self._normalize_slowly(total)
-        # the gains are spent: a long row's squares may go into their buffer
-        resampled = self._effective(self.weights, gains) < self._threshold
+            scale, collapsed = self._normalize_slowly(runs, total)
+        resampled = self._rescale(runs, blocks, scale) < self._threshold
         if reads is not None:
             resampled &= reads
-        if not fast:
-            resampled &= ~collapsed
-            for row in np.flatnonzero(collapsed).tolist():
-                self._reinitialize(row)
-        for row in np.flatnonzero(resampled).tolist():
-            self._resample(row)
+        resampled &= ~collapsed
+        self.steps += 1
+        self.particle_steps += self.particles.size
+        self.run_steps += runs.live
+        for row in resampled.nonzero()[0].tolist():
+            self._resample(runs, row)
+            self.resamples += 1
+        if collapsed.any():
+            reinitialized = np.flatnonzero(collapsed).tolist()
+            self.reinitializations += len(reinitialized)
+            ones = np.ones(self.config.particle_count)
+            self._replace_rows(
+                runs, {b: _merge(self._draw_uniform(b), ones) for b in reinitialized}
+            )
+        elif runs.span - runs.live > _GAP_SHARE * runs.live:
+            self._compact(runs)
         return resampled, collapsed
 
-    def _normalize_slowly(self, total: np.ndarray) -> np.ndarray:
-        """Normalize rows that include a collapsed or subnormal total; return the collapsed."""
+    def _normalize_slowly(self, runs: _Runs, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Normalize rows that include a collapsed or subnormal total.
+
+        Returns the factors that the step multiplies each row's weights by,
+        and which rows collapsed; the caller reinitializes those.
+        """
+        bounds = runs.bounds.tolist()
         collapsed = ~(np.isfinite(total) & (total > 0.0))
-        # Reinitialized by the caller; uniform until then, so no row divides by zero.
-        self.weights[collapsed] = 1.0
+        for b in np.flatnonzero(collapsed).tolist():
+            runs.weights[bounds[2 * b] : bounds[2 * b + 1]] = 1.0  # uniform until reinitialized
         total[collapsed] = self.config.particle_count
         # The reciprocal of a subnormal total can overflow: those rows divide.
         small = total < _SMALLEST_NORMAL
-        self.weights *= (1.0 / np.where(small, 1.0, total))[:, None]
-        self.weights[small] /= total[small, None]
-        return collapsed
+        for b in np.flatnonzero(small).tolist():
+            runs.weights[bounds[2 * b] : bounds[2 * b + 1]] /= total[b]
+        return 1.0 / np.where(small, 1.0, total), collapsed
 
-    def _effective(self, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """1 / sum(w^2) per row; `out` is a free buffer or `weights` itself."""
-        return 1.0 / self._row_dots(weights, weights, out)
+    def _rescale(self, runs: _Runs, blocks, factors: np.ndarray) -> np.ndarray:
+        """Multiply each row's weights by its factor; return each row's N_eff.
 
-    def _row_dots(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """sum(a * b) per row, each row's bits independent of the rows around it.
-
-        One einsum pass; a row longer than _EINSUM_ROW_MAX multiplies into
-        `out` instead and sums pairwise, as a lone einsum row would not match.
+        N_eff is 1 / sum((c * w) * w), taken after the multiply.
         """
-        if self.config.particle_count <= _EINSUM_ROW_MAX:
-            return np.einsum("ij,ij->i", a, b)
-        return np.multiply(a, b, out=out).sum(axis=1)
+        squares = np.empty(len(factors))
+        for rows, slots, heads, owned, singles in blocks:
+            scratch = factors[rows].repeat(owned)
+            weights = runs.weights[slots]
+            weights *= scratch
+            np.multiply(weights if singles else runs.counts[slots], weights, out=scratch)
+            if not singles:
+                scratch *= weights
+            squares[rows] = np.add.reduceat(scratch, heads)[::2]
+        return 1.0 / squares
 
-    def _resample(self, row: int) -> None:
-        n = self.config.particle_count
-        u = self._rngs[row].random(n)
-        u.sort()
-        cumulative = np.cumsum(self.weights[row])
-        cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
-        self.particles[row] = self.particles[row][np.searchsorted(cumulative, u)]
-        self.weights[row] = 1.0 / n
+    def _means(self, runs: _Runs) -> np.ndarray:
+        """sum((c * w) * v) / sum(c * w) per row."""
+        means = np.empty(len(self._rngs))
+        for rows, slots, heads, _, singles in runs.blocks():
+            weights = runs.weights[slots]
+            masses = weights if singles else runs.counts[slots] * weights
+            total = np.add.reduceat(masses, heads)[::2]
+            moments = masses * runs.values[slots]
+            means[rows] = np.add.reduceat(moments, heads)[::2] / total
+        return means
 
-    def _reinitialize(self, row: int) -> None:
-        cfg = self.config
-        self.particles[row] = self._rngs[row].uniform(
-            cfg.state_min_m, cfg.state_max_m, cfg.particle_count
+    def _resample(self, runs: _Runs, row: int) -> None:
+        """Resample one row in place; a shorter row leaves a gap before it."""
+        at, end = runs.bounds[2 * row : 2 * row + 2].tolist()
+        values, counts = self._draw(
+            row, runs.counts[at:end] * runs.weights[at:end], runs.values[at:end]
         )
-        self.weights[row] = 1.0 / cfg.particle_count
+        new_at = end - len(values)
+        runs.values[new_at:end] = values
+        runs.counts[new_at:end] = counts
+        runs.weights[new_at:end] = 1.0 / self.config.particle_count
+        runs.counts[at:new_at] = 0.0
+        runs.weights[at:new_at] = 0.0
+        runs.bounds[2 * row] = new_at
+        runs.live -= new_at - at
+        runs.moved()
+
+    def _draw(self, row: int, masses: np.ndarray, values: np.ndarray):
+        """Multinomially draw N particles from runs of `values` of masses c * w.
+
+        The row's N uniforms are drawn and sorted as a search of each
+        uniform in the cumulative masses takes them. Here each run's
+        cumulative mass is searched among the uniforms instead: a run's
+        count is the number of uniforms at or below its cumulative mass,
+        less those at or below the run before it, which are the same picks.
+        Returns the new row's maximal runs as (values, counts). `masses` is
+        spent.
+        """
+        u = self._rngs[row].random(self.config.particle_count)
+        u.sort()
+        cumulative = np.cumsum(masses, out=masses)
+        cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
+        counts = np.searchsorted(u, cumulative, side="right")
+        counts[1:] -= counts[:-1]  # numpy reads an overlapping operand before writing
+        picked = counts.nonzero()[0]
+        return _merge(values[picked], counts[picked])
 
 
 @dataclass(frozen=True)

@@ -446,6 +446,8 @@ class TestDistanceCommand:
             capsys.readouterr().err,
             re.M,
         )
+        # the manifest is written only once the experiment has run
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "edit, key",

@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from beaconpark import proximity
 from beaconpark.particle import (
     DistanceParticleFilter,
     FilterConfig,
     ParticleBank,
 )
+from beaconpark.simulate import load_scenario, run_proximity_experiment
+from helpers import ROOT
 
 
 def lone(seed, n=1000, **kw):
@@ -515,8 +518,88 @@ class TestParticleBank:
             ParticleBank(FilterConfig(), [])
 
 
+class TestCounters:
+    def test_lone_updates(self):
+        bank = lone(5)
+        rng = np.random.default_rng(6)
+        flags = [bank.update([z]) for z in rng.uniform(0.5, 3.5, 200).tolist()]
+        assert bank.steps == 200
+        assert bank.resamples == sum(bool(resampled[0]) for resampled, _ in flags) > 0
+        assert bank.reinitializations == 0
+        assert bank.particle_steps == 200 * 1000
+        assert 200 <= bank.run_steps < bank.particle_steps
+
+    def test_the_shipped_proximity_grid(self, monkeypatch):
+        # Pinned, so that a step that falls back to full (B, N) passes, or
+        # resamples differently, fails here and not only in the benchmark.
+        # The runs are 18.4% of the particle-steps.
+        banks = []
+
+        class Recorded(ParticleBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+        monkeypatch.setattr(proximity, "ParticleBank", Recorded)
+        scenario, experiment, config = load_scenario(ROOT / "scenarios" / "indoor_proximity.json")
+        run_proximity_experiment(scenario, experiment.grid, config)
+        (bank,) = banks
+        assert (bank.steps, bank.resamples, bank.reinitializations) == (300, 252, 0)
+        assert (bank.particle_steps, bank.run_steps) == (300 * 75 * 1000, 4_133_336)
+
+
+def row_sum(x):
+    """x[0] plus the pairwise sum of the rest: how np.add.reduceat adds a segment."""
+    return x[0] + np.add.reduce(x[1:])
+
+
+def split_runs(p, w):
+    """A row's maximal runs of equal (particle, weight), as (values, weights, counts)."""
+    heads = [0] + [i for i in range(1, len(p)) if p[i] != p[i - 1] or w[i] != w[i - 1]]
+    return p[heads], w[heads], np.diff(heads + [len(p)]).astype(float)
+
+
 def reference_run(config, seeds, readings, starts):
-    """Each row as a lone filter, stepped in plain 1-D numpy.
+    """Each row as a lone filter over its own runs, stepped in plain 1-D numpy.
+
+    A row is its maximal runs of equal (particle, weight): values v,
+    weights w and counts c. One step: clamp, subtract, square, multiply by
+    -0.5 / noise^2, exp, multiply into w, total = sum(c * w), multiply by
+    1 / total, N_eff as 1 / sum((c * w) * w), and below beta * N a
+    multinomial resample from the row's own default_rng(seed): each sorted
+    uniform picks the run it falls in, and the picked particles are split
+    into runs again. The mean is sum((c * w) * v) / sum(c * w). Every sum is
+    `row_sum`. Returns the means after every round, the final particles and
+    weights, one entry per particle, and the number of resamples.
+    """
+    n, lo, hi = config.particle_count, config.state_min_m, config.state_max_m
+    scale = -0.5 / config.measurement_noise_m**2
+    means = np.empty((len(seeds), starts.shape[1] - 1))
+    particles, weights, resamples = [], [], 0
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        v, w, c = split_runs(rng.uniform(lo, hi, n), np.full(n, 1.0 / n))
+        for r in range(starts.shape[1] - 1):
+            for z in readings[starts[b, r] : starts[b, r + 1]].tolist():
+                z = min(max(z, lo), hi)
+                w = w * np.exp(np.square(v - z) * scale)
+                total = row_sum(c * w)
+                assert total >= sys.float_info.min  # no collapse, no subnormal total
+                w = w * (1.0 / total)
+                if 1.0 / row_sum(c * w * w) < config.beta * n:
+                    cumulative = np.cumsum(c * w)
+                    cumulative[-1] = 1.0
+                    p = v[np.searchsorted(cumulative, np.sort(rng.random(n)))]
+                    v, w, c = split_runs(p, np.full(n, 1.0 / n))
+                    resamples += 1
+            means[b, r] = row_sum(c * w * v) / row_sum(c * w)
+        particles.append(np.repeat(v, c.astype(int)))
+        weights.append(np.repeat(w, c.astype(int)))
+    return means, np.array(particles), np.array(weights), resamples
+
+
+def expanded_run(config, seeds, readings, starts):
+    """Each row as a lone filter, stepped particle by particle in plain 1-D numpy.
 
     One step: clamp, subtract, square, multiply by -0.5 / noise^2, exp,
     multiply, sum, multiply by 1 / sum, N_eff as 1 / (w . w), and below
@@ -602,6 +685,28 @@ class TestRunAgainstReference:
         assert bank.particles.tobytes() == particles.tobytes()
         assert bank.weights.tobytes() == weights.tobytes()
 
+    @pytest.mark.parametrize(
+        "rows, n, rounds, per_round",
+        [(75, 1000, 20, 1), (24, 200, 1, 120), (24, 2000, 1, 120)],
+        ids=["proximity-75x1000", "sweep-24x200", "sweep-24x2000"],
+    )
+    def test_the_particle_by_particle_filter_agrees(self, rows, n, rounds, per_round):
+        # The bank sums over runs and the expanded filter over particles, so
+        # their weights differ in the last bits. Bounds fixed before the
+        # first run: the same resamples, the same particles, means within
+        # 1e-12 relative.
+        config = FilterConfig(particle_count=n)
+        seeds = list(range(100, 100 + rows))
+        readings, starts = noisy_readings(
+            np.random.default_rng(n + rows), np.full((rows, rounds), per_round)
+        )
+        bank = ParticleBank(config, seeds)
+        means = bank.run(readings, starts)
+        expected, particles, _, resamples = expanded_run(config, seeds, readings, starts)
+        assert bank.resamples == resamples > 0
+        assert bank.particles.tobytes() == particles.tobytes()
+        np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0.0)
+
 
 class TestRowIndependence:
     """A row's bits do not depend on how many rows its bank holds, or where it sits.
@@ -634,6 +739,80 @@ class TestRowIndependence:
                 ]
             )
         assert states[0] == states[1] == states[2]
+
+    SEEDS = (51, 52, 53, 54)
+    ROUNDS = 30
+
+    def planted_banks(self, n, noise, at, plant):
+        """A bank of SEEDS and two one-row banks of SEEDS[at], with `plant` applied to that row."""
+        config = FilterConfig(particle_count=n, measurement_noise_m=noise)
+        banks = [ParticleBank(config, self.SEEDS)]
+        banks += [ParticleBank(config, [self.SEEDS[at]]) for _ in range(2)]
+        for bank, row in zip(banks, [at, 0, 0]):
+            plant(bank.particles[row], bank.weights[row])
+        return banks
+
+    def assert_row_alone(self, banks, at, readings):
+        """One reading per row per round: row `at` of the bank, run over all rounds, must
+        match bit for bit its one-row bank run alike and one stepped by `update`, which
+        splits the row into runs again at every reading."""
+        bank, alone, stepped = banks
+        rows = len(self.SEEDS)
+        starts = np.arange(rows)[:, None] * self.ROUNDS + np.arange(self.ROUNDS + 1)
+        means = bank.run(readings.ravel(), starts)
+        own = alone.run(readings[at], np.arange(self.ROUNDS + 1)[None, :])
+        assert means[at].tobytes() == own[0].tobytes()
+        for z, mean in zip(readings[at].tolist(), own[0].tolist()):
+            stepped.update([z])
+            assert stepped.means()[0] == mean
+        for lone_bank in (alone, stepped):
+            assert bank.particles[at].tobytes() == lone_bank.particles[0].tobytes()
+            assert bank.weights[at].tobytes() == lone_bank.weights[0].tobytes()
+
+    @pytest.mark.parametrize("n", [64, 10000])
+    def test_adjacent_equal_particles_with_unequal_weights_stay_apart(self, n):
+        def plant(particles, weights):
+            particles[10:13] = 2.0
+            weights[10:13] = [0.5 / n, 1.5 / n, 1.0 / n]
+
+        banks = self.planted_banks(n, 1.2, 1, plant)
+        banks[0].update([1.0, 2.5, 3.0, 0.5])
+        for lone_bank in banks[1:]:
+            lone_bank.update([2.5])
+        # one gain and one normalizer for the three: their ratios hold
+        weights = banks[0].weights[1]
+        assert weights[11] / weights[10] == pytest.approx(3.0, rel=1e-12)
+        assert weights[12] / weights[10] == pytest.approx(2.0, rel=1e-12)
+        readings = np.random.default_rng(n).uniform(-0.5, 4.5, (len(self.SEEDS), self.ROUNDS))
+        self.assert_row_alone(banks, 1, readings)
+
+    @pytest.mark.parametrize("n", [64, 10000])
+    def test_a_row_that_never_resamples_beside_rows_that_do(self, n):
+        # one run of N equal particles: N_eff stays N, whatever it reads
+        def plant(particles, weights):
+            particles[:] = 1.7
+
+        banks = self.planted_banks(n, 0.3, 2, plant)
+        readings = np.random.default_rng(n + 1).uniform(-0.5, 4.5, (len(self.SEEDS), self.ROUNDS))
+        self.assert_row_alone(banks, 2, readings)
+        assert banks[1].resamples == 0 < banks[0].resamples
+        assert np.all(banks[0].particles[2] == 1.7)
+
+    @pytest.mark.parametrize("n", [64, 10000])
+    def test_a_row_that_collapses_mid_run(self, n):
+        # noise 0.05 m: the row's particles sit in [3.9, 4.0], and a reading of
+        # 0 m in round 10 gives them all gain exp(-3042) == 0
+        def plant(particles, weights):
+            particles[:] = np.linspace(3.9, 4.0, n)
+
+        banks = self.planted_banks(n, 0.05, 3, plant)
+        rng = np.random.default_rng(n + 2)
+        readings = rng.uniform(-0.5, 4.5, (len(self.SEEDS), self.ROUNDS))
+        readings[3, :10] = 3.95
+        readings[3, 10] = 0.0
+        self.assert_row_alone(banks, 3, readings)
+        assert banks[1].reinitializations >= 1
+        assert banks[0].reinitializations >= banks[1].reinitializations
 
 
 class TestRunChecks:
