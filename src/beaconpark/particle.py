@@ -52,7 +52,7 @@ quarter of the live runs.
 The runs live in the bank's own memory: values in that of `particles`,
 weights in that of `weights`, and counts in a third (B, N) work buffer. A
 pass takes the rows in blocks that own at most _BLOCK slots, so its
-scratch arrays (the repeated readings, then the repeated normalizers)
+temporary arrays (the repeated readings, then the repeated normalizers)
 stay small beside the bank, and the rows are split and written back in
 blocks of about as many particles. No pass divides: 1 / total is taken
 per row. The one exception is a row whose total is positive but
@@ -85,7 +85,7 @@ _GAP_SHARE = 0.25
 
 # A pass over the runs takes the rows in blocks that own at most this many
 # slots, and `run` and `update` split the rows into runs, and write them back,
-# in blocks of about this many particles: the scratch arrays stay at 128 KB.
+# in blocks of about this many particles: the temporary arrays stay under 128 KB.
 _BLOCK = 16384
 
 
@@ -163,7 +163,7 @@ class _Runs:
         """The rows in blocks for a pass: (rows, slots, heads, owned, singles) per block.
 
         A block is whole rows that own at most _BLOCK slots between them,
-        or one row that owns more, so a pass needs scratch arrays of at most
+        or one row that owns more, so a pass needs temporary arrays of at most
         that size. `slots` is the block's slice of the flat arrays, `owned`
         the slots of each of its rows, and `heads` its rows' bounds within
         the slice, as np.add.reduceat takes them: its even segments are the
@@ -484,13 +484,13 @@ class ParticleBank:
         """
         squares = np.empty(len(factors))
         for rows, slots, heads, owned, singles in blocks:
-            scratch = factors[rows].repeat(owned)
+            products = factors[rows].repeat(owned)
             weights = runs.weights[slots]
-            weights *= scratch
-            np.multiply(weights if singles else runs.counts[slots], weights, out=scratch)
+            weights *= products
+            np.multiply(weights if singles else runs.counts[slots], weights, out=products)
             if not singles:
-                scratch *= weights
-            squares[rows] = np.add.reduceat(scratch, heads)[::2]
+                products *= weights
+            squares[rows] = np.add.reduceat(products, heads)[::2]
         return 1.0 / squares
 
     def _means(self, runs: _Runs) -> np.ndarray:
