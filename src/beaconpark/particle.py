@@ -13,35 +13,38 @@ clamped to it before weighting, which keeps a stray spike from zeroing
 every weight. If the weights still collapse to zero, or their total
 overflows, the filter reinitializes uniformly and reports it.
 
-ParticleBank is the filter API: B filters as (B, N) arrays, one numpy
-Generator per row, each seeded with that filter's own child seed. One
-filter is a one-row bank, and a row of a B-row bank evolves bit for bit as
-the one-row bank of its seed. The experiments step every filter of a
-proximity grid (all beacons of all cells), or of a distance sweep at one
-particle count, as one bank, through rounds of ragged readings
-(ParticleBank.run).
+ParticleBank is the filter API: B filters of one config, one numpy
+Generator per row, each seeded with that filter's own child seed, and a
+particle count N per row (the config's unless given). One filter is a
+one-row bank, and a row of a B-row bank evolves bit for bit as the one-row
+bank of its N and seed. The experiments step every filter of a proximity
+grid (all beacons of all cells), or of up to BANK_SLOTS particles of a
+distance sweep's several particle counts (simulate.py), as one bank,
+through rounds of ragged readings (ParticleBank.run).
 
 The bank steps runs, not particles. Particles never move between
 resamples, and a resample copies each chosen particle into adjacent slots,
 so a row soon holds a few hundred maximal runs of equal (particle, weight)
 among its N slots: sample impoverishment. The runs are 18.4% of the
 particle-steps of the shipped indoor proximity grid and 26.9% of those of
-its distance sweep. `run` and `update` split each row into its runs on
-entry, as values v, weights w and counts c, and write `particles` and
-`weights` back on exit, so those two arrays are the state between calls
-and may be set by hand. A step makes one pass over the runs of all rows
-for each of: the readings repeated over each row's runs, subtract, square,
-multiply by the precomputed -0.5 / noise^2, exp, multiply into w, c * w,
-the normalizers 1 / total repeated likewise, multiply into w, c * w, and
-times w; where every run of a block has count 1, c * w is w itself and is
-not formed. The count-weighted row sums (the total sum(c * w), N_eff as
+its distance sweep. The runs are the bank's state between calls: values
+v, weights w and counts c, laid out row after row, made when a row is
+drawn, resampled or reinitialized and never split again. `state` expands
+them into read-only copies of the particles and weights, and `set_state`
+sets those and splits the rows it sets into runs. A step makes one pass
+over the runs of all rows for each of: the readings repeated over each
+row's runs, subtract, square, multiply by the precomputed
+-0.5 / noise^2, exp, multiply into w, c * w, the normalizers 1 / total
+repeated likewise, multiply into w, c * w, and times w; where every run of
+a block has count 1, c * w is w itself and is not formed. The
+count-weighted row sums (the total sum(c * w), N_eff as
 1 / sum((c * w) * w), and `means`' sum((c * w) * v) / sum(c * w)) are
 np.add.reduceat over each row's runs, which adds a row the same way
 wherever it lies, so a row's bits depend only on that row. `means`,
 `effective_particles` and `maybe_resample` take the same sums.
 
-A resample draws and sorts the row's N uniforms as before, then searches
-each run's cumulative mass among them: a run's count is the number of
+A resample draws and sorts the row's N uniforms, then searches each
+run's cumulative mass among them: a run's count is the number of
 uniforms at or below its cumulative mass, less those at or below the run
 before it, which are the picks a search of each uniform in the cumulative
 masses makes. The picked runs become the new row's runs in place. A row
@@ -49,13 +52,13 @@ never gains runs except by reinitializing, so a resample leaves count-0
 gap slots before a shortened row; a step closes the gaps once they pass a
 quarter of the live runs.
 
-The runs live in the bank's own memory: values in that of `particles`,
-weights in that of `weights`, and counts in a third (B, N) work buffer. A
-pass takes the rows in blocks that own at most _BLOCK slots, so its
-temporary arrays (the repeated readings, then the repeated normalizers)
-stay small beside the bank, and the rows are split and written back in
-blocks of about as many particles. No pass divides: 1 / total is taken
-per row. The one exception is a row whose total is positive but
+The runs fill three flat arrays of one slot per particle of the bank, so
+every row has room to be all runs of one, as it is when drawn. Rows may
+hold unequal N: each row's threshold beta * N, weight 1 / N and N uniforms
+are its own. A pass takes the rows in blocks that own at most _BLOCK
+slots, so its temporary arrays (the repeated readings, then the repeated
+normalizers) stay small beside the bank. No pass divides: 1 / total is
+taken per row. The one exception is a row whose total is positive but
 subnormal, whose reciprocal may overflow: it divides, on a slow path
 taken only when some total is subnormal, zero or not finite (a collapse).
 
@@ -84,8 +87,8 @@ _SMALLEST_NORMAL = sys.float_info.min
 _GAP_SHARE = 0.25
 
 # A pass over the runs takes the rows in blocks that own at most this many
-# slots, and `run` and `update` split the rows into runs, and write them back,
-# in blocks of about this many particles: the temporary arrays stay under 128 KB.
+# slots, so its temporary arrays stay under 128 KB; it frees each block's
+# before it makes the next block's.
 _BLOCK = 16384
 
 
@@ -114,18 +117,6 @@ class FilterConfig:
             raise ValueError("state_max_m - state_min_m must be positive and finite")
 
 
-def _run_starts(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """True at the first particle of each maximal run of equal (particle, weight) of a row.
-
-    Works along the last axis, so it takes one row or a (B, N) bank.
-    """
-    starts = np.empty(particles.shape, dtype=bool)
-    starts[..., 0] = True
-    np.not_equal(particles[..., 1:], particles[..., :-1], out=starts[..., 1:])
-    starts[..., 1:] |= weights[..., 1:] != weights[..., :-1]
-    return starts
-
-
 def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join adjacent runs of equal value, all of one weight, into maximal runs."""
     same = values[1:] == values[:-1]
@@ -136,24 +127,43 @@ def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class _Runs:
-    """The rows of a bank as runs, while `run` or `update` steps them.
+    """The rows of a bank as runs of equal (particle, weight): the bank's state.
 
     Row b's runs fill the slots bounds[2b]:bounds[2b + 1] of the flat
-    arrays `values`, `weights` and `counts`, which are the memory of the
-    bank's `particles`, `weights` and work buffer (or new arrays, for
-    `means` and `effective_particles`). The rows lie in order,
-    and row b owns the slots from the end of row b - 1 (or slot 0) to its
-    own end. A resample that shortens a row moves its start up and leaves
-    count-0, weight-0 gap slots before it until the next compaction; `live`
-    counts the slots that are not gaps.
+    arrays `values`, `weights` and `counts`. The arrays hold one slot per
+    particle of the bank (sizes[b] for row b), so every row has room to be
+    all runs of one. The rows lie in order, and row b owns the slots from
+    the end of row b - 1 (or slot 0) to its own end. A resample that
+    shortens a row moves its start up and leaves count-0, weight-0 gap
+    slots before it until the next compaction; `live` counts the slots
+    that are not gaps.
     """
 
-    __slots__ = ("values", "weights", "counts", "bounds", "live", "_blocks")
+    __slots__ = ("values", "weights", "counts", "bounds", "sizes", "live", "_blocks")
+
+    def __init__(self, sizes: np.ndarray, rows):
+        """Lay out rows[b] = (values, weights, counts) of every row b in order from slot 0."""
+        self.sizes = sizes
+        arrays = self.values, self.weights, self.counts = [np.zeros(sizes.sum()) for _ in range(3)]
+        ends = [0]
+        for row in rows:
+            at, end = ends[-1], ends[-1] + len(row[0])
+            for array, part in zip(arrays, row):
+                array[at:end] = part
+            ends.append(end)
+        self.bounds = np.repeat(ends, 2)[1:-1]
+        self.live = ends[-1]
+        self._blocks = None
 
     @property
     def span(self) -> int:
         """Slots in use, gaps included: the end of the last row."""
         return int(self.bounds[-1])
+
+    def row(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row b's runs: views of its values, weights and counts."""
+        at, end = self.bounds[2 * b : 2 * b + 2].tolist()
+        return self.values[at:end], self.weights[at:end], self.counts[at:end]
 
     def moved(self) -> None:
         """Note that `bounds` changed."""
@@ -170,20 +180,20 @@ class _Runs:
         rows' runs, the odd ones gaps. reduceat adds a segment as its first
         term plus the pairwise sum of the rest, whatever lies around it, so
         a row's sums depend only on that row. `singles` is true when every
-        run of the block has count 1, so that c * w is w itself.
+        run of the block has count 1, so that c * w is w itself: each of its
+        rows has as many runs as particles.
         """
         if self._blocks is None:
             ends = self.bounds[1::2]
             owned = ends.copy()
             owned[1:] -= ends[:-1]
-            runs = np.cumsum(ends - self.bounds[0::2])
-            n = len(self.values) // len(ends)
+            spare = np.cumsum(self.sizes - (ends - self.bounds[0::2]))  # particles less runs
             self._blocks, b0, base = [], 0, 0
             while b0 < len(ends):
                 b1 = max(b0 + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
                 stop = int(ends[b1 - 1])
                 heads = self.bounds[2 * b0 : 2 * b1 - 1] - base
-                singles = runs[b1 - 1] - (runs[b0 - 1] if b0 else 0) == (b1 - b0) * n
+                singles = spare[b1 - 1] == (spare[b0 - 1] if b0 else 0)
                 block = (slice(b0, b1), slice(base, stop), heads, owned[b0:b1], singles)
                 self._blocks.append(block)
                 b0, base = b1, stop
@@ -191,41 +201,43 @@ class _Runs:
 
 
 class ParticleBank:
-    """B filters of one config, held as (B, N) `particles` and `weights`.
+    """B filters of one config, held as runs of equal (particle, weight).
 
-    Row b draws from its own Generator, seeded with seeds[b]. `run` and
-    `update` split each row into its runs of equal (particle, weight) and
-    step the runs of all rows as flat arrays; a row that resamples or
-    reinitializes then does so alone, with its own Generator. Count-weighted
-    row sums add each row exactly as they add a lone row, so every row
-    evolves bit for bit as a one-row bank given the same seed and
-    measurements.
+    Row b draws from its own Generator, seeded with seeds[b], and holds
+    particle_counts[b] particles: config.particle_count unless the counts
+    are given. `run` and `update` step the runs of all rows as flat arrays;
+    a row that resamples or reinitializes then does so alone, with its own
+    Generator and its own N. Count-weighted row sums add each row exactly
+    as they add a lone row, so every row evolves bit for bit as a one-row
+    bank of its N given the same seed and measurements.
 
-    `particles` and `weights` are the state between calls. During a call
-    they hold the runs' values and weights, and a third (B, N) array,
-    `_work`, their counts.
+    The runs are the state between calls. `state` expands them into
+    read-only copies of the particles and weights, and `set_state` sets
+    those, splitting the rows it sets into runs afresh.
 
     The counters `steps`, `resamples`, `reinitializations`,
-    `particle_steps` (rows x N per step) and `run_steps` (the runs a step
-    covers) count the bank's work since it was made.
+    `particle_steps` (the bank's particles per step) and `run_steps` (the
+    runs a step covers) count the bank's work since it was made.
     """
 
-    def __init__(self, config: FilterConfig, seeds: Sequence[int]):
+    def __init__(self, config: FilterConfig, seeds: Sequence[int], particle_counts=None):
         if len(seeds) == 0:
             raise ValueError("a particle bank needs at least one seed")
+        sizes = np.asarray(
+            [config.particle_count] * len(seeds) if particle_counts is None else particle_counts
+        )
+        if sizes.shape != (len(seeds),) or sizes.dtype.kind not in "iu" or sizes.min() < 2:
+            raise ValueError(
+                f"need one particle count of at least 2 per filter row, got {particle_counts!r}"
+            )
         self.config = config
+        self.particle_counts = tuple(sizes.tolist())
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
-        self._threshold = config.beta * config.particle_count
+        self._threshold = config.beta * sizes  # beta * N per row
         self._gain_scale = -0.5 / config.measurement_noise_m**2
-        shape = (len(seeds), config.particle_count)
-        self.particles = np.empty(shape)
-        self.weights = np.empty(shape)
-        self._work = np.empty(shape)
         self.steps = self.resamples = self.reinitializations = 0
         self.particle_steps = self.run_steps = 0
-        for row in range(len(seeds)):
-            self.particles[row] = self._draw_uniform(row)
-            self.weights[row] = 1.0 / config.particle_count
+        self._runs = _Runs(sizes.astype(np.intp), map(self._fresh, range(len(seeds))))
 
     def update(self, measurements_m) -> tuple[np.ndarray, np.ndarray]:
         """Reweight every row by its own measurement, then resample if degenerate.
@@ -242,11 +254,7 @@ class ParticleBank:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise ValueError(f"filter row {bad}: measurement must be finite, got {z[bad]}")
-        runs = self._enter()
-        try:
-            return self._step(runs, self._clamp(z), None)
-        finally:
-            self._exit(runs)
+        return self._step(self._clamp(z), None)
 
     def run(self, readings, starts) -> np.ndarray:
         """Step the rows through rounds of ragged readings; return the (B, rounds) means.
@@ -286,100 +294,89 @@ class ParticleBank:
                 )
         z = np.append(self._clamp(readings), 0.0)  # z[-1] is read by rows without a reading
         means = np.empty(counts.shape)
-        runs = self._enter()
-        try:
-            for r, most_r in enumerate(counts.max(axis=0).tolist()):
-                for k in range(most_r):
-                    reads = counts[:, r] > k
-                    z_k = z[np.where(reads, starts[:, r] + k, -1)]
-                    self._step(runs, z_k, None if reads.all() else reads)
-                means[:, r] = self._means(runs)
-        finally:
-            self._exit(runs)
+        for r, most_r in enumerate(counts.max(axis=0).tolist()):
+            for k in range(most_r):
+                reads = counts[:, r] > k
+                self._step(z[np.where(reads, starts[:, r] + k, -1)], None if reads.all() else reads)
+            means[:, r] = self._means()
         return means
 
     def effective_particles(self) -> np.ndarray:
         """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
-        runs = self._enter(copy=True)
-        return self._rescale(runs, runs.blocks(), np.ones(len(self._rngs)))
+        return self._rescale(np.ones(len(self._rngs)))  # times 1 keeps every weight's bits
 
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
-        if not 0 <= row < len(self._rngs):
-            raise IndexError(f"filter row {row} outside a bank of {len(self._rngs)} rows")
-        particles, weights = self.particles[row], self.weights[row]
-        heads = np.flatnonzero(_run_starts(particles, weights))
-        values, weights = particles[heads], weights[heads]
-        masses = np.diff(heads, append=len(particles)) * weights
+        self._check_row(row)
+        _, weights, counts = self._runs.row(row)
         # N_eff as a step takes it: reduceat over the row's runs
-        if 1.0 / np.add.reduceat(masses * weights, heads[:1])[0] >= self._threshold:
+        if 1.0 / np.add.reduceat(counts * weights * weights, [0])[0] >= self._threshold[row]:
             return False
-        values, counts = self._draw(row, masses, values)
-        self.particles[row] = np.repeat(values, counts)
-        self.weights[row] = 1.0 / self.config.particle_count
+        self._resample(row)
         self.resamples += 1
         return True
 
     def means(self) -> np.ndarray:
         """Weighted mean particle of every row."""
-        return self._means(self._enter(copy=True))
+        return self._means()
+
+    def state(self, row: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only copies of the particles and weights, expanded from the runs.
+
+        Of one row, as two 1-D arrays; or, with no row, of every row, as two
+        (B, N) arrays, which takes rows of one particle count.
+        """
+        runs = self._runs
+        if row is None:
+            if len(set(self.particle_counts)) > 1:
+                raise ValueError("rows of unequal particle counts have no (B, N) state; name a row")
+            at, end, shape = 0, runs.span, (len(self._rngs), self.particle_counts[0])
+        else:
+            self._check_row(row)
+            (at, end), shape = runs.bounds[2 * row : 2 * row + 2].tolist(), -1
+        counts = runs.counts[at:end].astype(np.intp)  # a gap slot has count 0
+        expanded = tuple(
+            np.repeat(x[at:end], counts).reshape(shape) for x in (runs.values, runs.weights)
+        )
+        for array in expanded:
+            array.flags.writeable = False
+        return expanded
+
+    def set_state(self, row: int | None = None, particles=None, weights=None) -> None:
+        """Set the particles, the weights or both, of one row or of every row.
+
+        The values broadcast against the arrays that `state(row)` returns.
+        Each row set is split into its maximal runs afresh; the other rows
+        keep their runs.
+        """
+        new = [np.array(array) for array in self.state(row)]
+        for array, value in zip(new, (particles, weights)):
+            if value is not None:
+                array[...] = value
+        rows = range(len(self._rngs)) if row is None else [row]
+        fresh = {}  # each row set, as its maximal runs of equal (particle, weight)
+        for b, p, w in zip(rows, *map(np.atleast_2d, new)):
+            heads = np.flatnonzero(np.concatenate(([True], (p[1:] != p[:-1]) | (w[1:] != w[:-1]))))
+            fresh[b] = p[heads], w[heads], np.diff(heads, append=len(p))
+        self._replace_rows(fresh)
+
+    def _check_row(self, row: int) -> None:
+        if not 0 <= row < len(self._rngs):
+            raise IndexError(f"filter row {row} outside a bank of {len(self._rngs)} rows")
 
     def _clamp(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
-    def _draw_uniform(self, row: int) -> np.ndarray:
-        cfg = self.config
-        return self._rngs[row].uniform(cfg.state_min_m, cfg.state_max_m, cfg.particle_count)
+    def _fresh(self, row: int) -> tuple:
+        """A uniform draw of the row's N particles, as maximal runs of weight 1 / N."""
+        cfg, n = self.config, self.particle_counts[row]
+        values = self._rngs[row].uniform(cfg.state_min_m, cfg.state_max_m, n)
+        values, counts = _merge(values, np.ones(n))
+        return values, 1.0 / n, counts
 
-    def _row_blocks(self) -> list[tuple[int, int]]:
-        """Rows in blocks of about _BLOCK particles, first block first."""
-        n_rows, n = self.particles.shape
-        per = max(1, _BLOCK // n)
-        return [(b0, min(b0 + per, n_rows)) for b0 in range(0, n_rows, per)]
-
-    def _enter(self, copy: bool = False) -> _Runs:
-        """Split every row into its runs: values into the memory of `particles`,
-        weights into that of `weights`, and counts into the work buffer; or,
-        with `copy`, into new arrays, leaving the bank as it is."""
-        n = self.config.particle_count
-        runs = _Runs()
-        if copy:
-            runs.values, runs.weights, runs.counts = (np.empty(self.particles.size) for _ in range(3))
-        else:
-            runs.values = self.particles.reshape(-1)
-            runs.weights = self.weights.reshape(-1)
-            runs.counts = self._work.reshape(-1)
-        runs.bounds = np.empty(2 * len(self._rngs), dtype=np.intp)
-        end = 0
-        for b0, b1 in self._row_blocks():
-            # the blocks before this one now sit in slots below b0 * n
-            starts = _run_starts(self.particles[b0:b1], self.weights[b0:b1])
-            heads = np.flatnonzero(starts)
-            at, end = end, end + len(heads)
-            runs.values[at:end] = self.particles[b0:b1].reshape(-1)[heads]
-            runs.weights[at:end] = self.weights[b0:b1].reshape(-1)[heads]
-            runs.counts[at : end - 1] = np.diff(heads)
-            runs.counts[end - 1] = (b1 - b0) * n - heads[-1]
-            ends = at + np.cumsum(np.count_nonzero(starts, axis=1))
-            runs.bounds[2 * b0 + 1 : 2 * b1 : 2] = ends
-            runs.bounds[2 * b0 : 2 * b1 : 2] = np.concatenate(([at], ends[:-1]))
-        runs.live = end
-        runs.moved()
-        return runs
-
-    def _exit(self, runs: _Runs) -> None:
-        """Write the runs back into `particles` and `weights`, whose memory holds them."""
-        self._compact(runs)
-        # Last block first: the runs of the rows before b0 sit in slots below b0 * n.
-        for b0, b1 in reversed(self._row_blocks()):
-            at, end = int(runs.bounds[2 * b0]), int(runs.bounds[2 * b1 - 1])
-            counts = runs.counts[at:end].astype(np.intp)
-            particles = np.repeat(runs.values[at:end], counts)
-            self.weights[b0:b1] = np.repeat(runs.weights[at:end], counts).reshape(b1 - b0, -1)
-            self.particles[b0:b1] = particles.reshape(b1 - b0, -1)
-
-    def _compact(self, runs: _Runs) -> None:
+    def _compact(self) -> None:
         """Close the gaps: move every row's runs down to the end of the row before it."""
+        runs = self._runs
         if runs.span == runs.live:
             return
         gaps_then_runs = np.tile([False, True], len(self._rngs))
@@ -395,30 +392,21 @@ class ParticleBank:
         runs.bounds[0::2] = runs.bounds[1::2] - sizes
         runs.moved()
 
-    def _replace_rows(self, runs: _Runs, fresh: dict) -> None:
-        """Give each row of `fresh` the runs fresh[row] = (values, counts), of weight 1 / N."""
-        self._compact(runs)
-        for b, (values, counts) in sorted(fresh.items()):
-            at, end = runs.bounds[2 * b : 2 * b + 2].tolist()
-            shift, span = at + len(values) - end, runs.span
-            for slots in (runs.values, runs.weights, runs.counts):
-                slots[end + shift : span + shift] = slots[end:span]
-            runs.bounds[2 * b + 1 :] += shift
-            runs.values[at : end + shift] = values
-            runs.counts[at : end + shift] = counts
-            runs.weights[at : end + shift] = 1.0 / self.config.particle_count
-            runs.live += shift
-            runs.moved()
+    def _replace_rows(self, fresh: dict) -> None:
+        """Lay the rows out afresh: row b takes the runs fresh[b] = (values, weights,
+        counts) if it is in `fresh`, and keeps its own otherwise."""
+        old = self._runs
+        self._runs = _Runs(old.sizes, (fresh.get(b) or old.row(b) for b in range(len(self._rngs))))
 
-    def _step(self, runs: _Runs, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
+    def _step(self, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
         """Step finite, clamped measurements into every row, or into the rows of the mask `reads`.
 
         A row outside `reads` takes gain 1 and normalizer 1: its weights keep
         their bits, and it neither collapses nor resamples.
         """
-        blocks = runs.blocks()
+        runs = self._runs
         total = np.empty(len(z))
-        for rows, slots, heads, owned, singles in blocks:
+        for rows, slots, heads, owned, singles in runs.blocks():
             gains = z[rows].repeat(owned)
             np.subtract(runs.values[slots], gains, out=gains)
             np.square(gains, out=gains)
@@ -431,6 +419,7 @@ class ParticleBank:
             with np.errstate(over="ignore"):  # a total past the largest float is a collapse
                 masses = weights if singles else np.multiply(runs.counts[slots], weights, out=gains)
                 total[rows] = np.add.reduceat(masses, heads)[::2]
+            del gains, masses
         if reads is not None:
             total[~reads] = 1.0
         # the ufunc reductions skip the Python wrappers of total.min() and .max()
@@ -438,52 +427,50 @@ class ParticleBank:
         if fast:
             scale, collapsed = 1.0 / total, np.zeros(len(total), dtype=bool)
         else:
-            scale, collapsed = self._normalize_slowly(runs, total)
-        resampled = self._rescale(runs, blocks, scale) < self._threshold
+            scale, collapsed = self._normalize_slowly(total)
+        resampled = self._rescale(scale) < self._threshold
         if reads is not None:
             resampled &= reads
         resampled &= ~collapsed
         self.steps += 1
-        self.particle_steps += self.particles.size
+        self.particle_steps += len(runs.values)
         self.run_steps += runs.live
         for row in resampled.nonzero()[0].tolist():
-            self._resample(runs, row)
+            self._resample(row)
             self.resamples += 1
         if collapsed.any():
             reinitialized = np.flatnonzero(collapsed).tolist()
             self.reinitializations += len(reinitialized)
-            ones = np.ones(self.config.particle_count)
-            self._replace_rows(
-                runs, {b: _merge(self._draw_uniform(b), ones) for b in reinitialized}
-            )
+            self._replace_rows({b: self._fresh(b) for b in reinitialized})
         elif runs.span - runs.live > _GAP_SHARE * runs.live:
-            self._compact(runs)
+            self._compact()
         return resampled, collapsed
 
-    def _normalize_slowly(self, runs: _Runs, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _normalize_slowly(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Normalize rows that include a collapsed or subnormal total.
 
         Returns the factors that the step multiplies each row's weights by,
         and which rows collapsed; the caller reinitializes those.
         """
-        bounds = runs.bounds.tolist()
+        runs = self._runs
         collapsed = ~(np.isfinite(total) & (total > 0.0))
         for b in np.flatnonzero(collapsed).tolist():
-            runs.weights[bounds[2 * b] : bounds[2 * b + 1]] = 1.0  # uniform until reinitialized
-        total[collapsed] = self.config.particle_count
+            runs.row(b)[1][:] = 1.0  # uniform until reinitialized
+        total[collapsed] = runs.sizes[collapsed]
         # The reciprocal of a subnormal total can overflow: those rows divide.
         small = total < _SMALLEST_NORMAL
         for b in np.flatnonzero(small).tolist():
-            runs.weights[bounds[2 * b] : bounds[2 * b + 1]] /= total[b]
+            runs.row(b)[1][:] /= total[b]
         return 1.0 / np.where(small, 1.0, total), collapsed
 
-    def _rescale(self, runs: _Runs, blocks, factors: np.ndarray) -> np.ndarray:
+    def _rescale(self, factors: np.ndarray) -> np.ndarray:
         """Multiply each row's weights by its factor; return each row's N_eff.
 
         N_eff is 1 / sum((c * w) * w), taken after the multiply.
         """
+        runs = self._runs
         squares = np.empty(len(factors))
-        for rows, slots, heads, owned, singles in blocks:
+        for rows, slots, heads, owned, singles in runs.blocks():
             products = factors[rows].repeat(owned)
             weights = runs.weights[slots]
             weights *= products
@@ -491,21 +478,25 @@ class ParticleBank:
             if not singles:
                 products *= weights
             squares[rows] = np.add.reduceat(products, heads)[::2]
+            del products
         return 1.0 / squares
 
-    def _means(self, runs: _Runs) -> np.ndarray:
+    def _means(self) -> np.ndarray:
         """sum((c * w) * v) / sum(c * w) per row."""
+        runs = self._runs
         means = np.empty(len(self._rngs))
         for rows, slots, heads, _, singles in runs.blocks():
             weights = runs.weights[slots]
             masses = weights if singles else runs.counts[slots] * weights
             total = np.add.reduceat(masses, heads)[::2]
-            moments = masses * runs.values[slots]
+            moments = np.multiply(masses, runs.values[slots], out=None if singles else masses)
             means[rows] = np.add.reduceat(moments, heads)[::2] / total
+            del masses, moments
         return means
 
-    def _resample(self, runs: _Runs, row: int) -> None:
+    def _resample(self, row: int) -> None:
         """Resample one row in place; a shorter row leaves a gap before it."""
+        runs = self._runs
         at, end = runs.bounds[2 * row : 2 * row + 2].tolist()
         values, counts = self._draw(
             row, runs.counts[at:end] * runs.weights[at:end], runs.values[at:end]
@@ -513,7 +504,7 @@ class ParticleBank:
         new_at = end - len(values)
         runs.values[new_at:end] = values
         runs.counts[new_at:end] = counts
-        runs.weights[new_at:end] = 1.0 / self.config.particle_count
+        runs.weights[new_at:end] = 1.0 / self.particle_counts[row]
         runs.counts[at:new_at] = 0.0
         runs.weights[at:new_at] = 0.0
         runs.bounds[2 * row] = new_at
@@ -521,7 +512,7 @@ class ParticleBank:
         runs.moved()
 
     def _draw(self, row: int, masses: np.ndarray, values: np.ndarray):
-        """Multinomially draw N particles from runs of `values` of masses c * w.
+        """Multinomially draw the row's N particles from runs of `values` of masses c * w.
 
         The row's N uniforms are drawn and sorted as a search of each
         uniform in the cumulative masses takes them. Here each run's
@@ -531,7 +522,7 @@ class ParticleBank:
         Returns the new row's maximal runs as (values, counts). `masses` is
         spent.
         """
-        u = self._rngs[row].random(self.config.particle_count)
+        u = self._rngs[row].random(self.particle_counts[row])
         u.sort()
         cumulative = np.cumsum(masses, out=masses)
         cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
@@ -577,7 +568,7 @@ class DistanceParticleFilter:
         The deviation is measured about the weighted mean and divides by
         (N'-1)/N' * sum(w), N' being the number of non-zero weights.
         """
-        weights, particles = self.bank.weights[0], self.bank.particles[0]
+        particles, weights = self.bank.state(0)
         mean = float(self.bank.means()[0])
         nonzero = int(np.count_nonzero(weights))
         if nonzero < 2:

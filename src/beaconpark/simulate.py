@@ -8,9 +8,12 @@ proximity.STREAM_DTYPE (`timestamp_ms`, `rssi_dbm`) in time order; the
 drivers read its `rssi_dbm` column directly. Every stream, cell,
 repetition and filter derives a child seed from the scenario seed, so a
 scenario reproduces byte-for-byte. The filters of every beacon of every
-cell of a proximity grid, and those of every (distance, repetition) of a
-distance run, are stepped as the rows of one particle.ParticleBank, each
-row keeping its own seed; the bank steps in place, in one work buffer.
+cell of a proximity grid are stepped as the rows of one
+particle.ParticleBank, each row keeping its own seed. A distance run steps
+the filters of every (distance, repetition) of each config as rows too:
+configs that differ only in particle count share banks of at most
+BANK_SLOTS particles, so `distance --sweep` steps its ten counts as three
+banks.
 
 Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures. The noise defaults per
@@ -70,6 +73,15 @@ EXPERIMENT_KINDS = ("distance", "proximity")
 
 # The largest timestamp_ms a stream holds (STREAM_DTYPE stores int64).
 _INT64_MAX = 2**63 - 1
+
+# A distance run packs the configs that differ only in particle count into
+# banks of at most this many particles (rows x N), first fit by decreasing N.
+# The sweep's N = 200..2000 at 24 rows fill banks of 91,200, 91,200 and
+# 81,600; 91,200 is the smallest budget at which they fit in three banks. A
+# bank holds 24 bytes per particle, so its largest bank holds 2.2 MB where ten
+# banks of one count held at most 1.2 MB; one bank of all 264,000 would hold
+# 6.3 MB.
+BANK_SLOTS = 92_000
 
 
 @dataclass(frozen=True)
@@ -232,11 +244,13 @@ def run_distance_experiment(
 
     Per distance: filtered error is |final filter mean - truth|; MSE and
     the deviation of the final filter means are taken over the
-    repetitions. The streams are generated once; each config in turn runs
-    the filters of every (distance, repetition) as the rows of one
-    ParticleBank, each with its own child seed, through all of its readings
-    as one round (one round per reading with keep_step_errors). Rows and
-    step errors come config by config.
+    repetitions. The streams are generated once. Each config has a filter
+    per (distance, repetition), seeded with that cell's child seed; the
+    filters of configs that differ only in particle count are rows of
+    shared ParticleBanks (`_pack`), each bank run through all of its
+    readings as one round (one round per reading with keep_step_errors).
+    A row evolves as it would alone, so rows and step errors come config by
+    config as if each config ran alone.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -264,8 +278,15 @@ def run_distance_experiment(
     else:
         starts = np.stack([firsts, bounds[1:]], axis=1)
 
-    for config in configs:
-        means = ParticleBank(config, seeds).run(readings, starts)
+    ran = {}
+    for group in _pack(configs, len(seeds)):
+        counts = np.repeat([configs[i].particle_count for i in group], len(seeds))
+        means = ParticleBank(configs[group[0]], seeds * len(group), counts).run(
+            readings, np.tile(starts, (len(group), 1))
+        )
+        ran.update((i, means[j * len(seeds) : (j + 1) * len(seeds)]) for j, i in enumerate(group))
+    for i, config in enumerate(configs):
+        means = ran.pop(i)
         finals = means[:, -1].tolist()
         if keep_step_errors:
             for row, (d, first, n) in enumerate(zip(truths, firsts.tolist(), lengths.tolist())):
@@ -273,8 +294,8 @@ def run_distance_experiment(
                 result.step_filtered_errors_m.extend(
                     abs(mean - d) for mean in means[row, :n].tolist()
                 )
-        for i, d in enumerate(distances_m):
-            cells = slice(i * repetitions, (i + 1) * repetitions)
+        for k, d in enumerate(distances_m):
+            cells = slice(k * repetitions, (k + 1) * repetitions)
             filt_errors = [abs(final - d) for final in finals[cells]]
             result.rows.append(
                 DistanceRow(
@@ -286,6 +307,25 @@ def run_distance_experiment(
                 )
             )
     return result
+
+
+def _pack(configs: Sequence[FilterConfig], rows: int) -> list[list[int]]:
+    """The configs' indices in banks: configs that differ only in particle count,
+    first fit by decreasing count into banks of at most BANK_SLOTS particles.
+
+    A config of more than BANK_SLOTS particles has a bank of its own.
+    """
+    banks = []  # [the config but its particle count, particles, indices]
+    for i in sorted(range(len(configs)), key=lambda i: -configs[i].particle_count):
+        like, slots = replace(configs[i], particle_count=2), rows * configs[i].particle_count
+        for bank in banks:
+            if bank[0] == like and bank[1] + slots <= BANK_SLOTS:
+                bank[1] += slots
+                bank[2].append(i)
+                break
+        else:
+            banks.append([like, slots, [i]])
+    return [indices for _, _, indices in banks]
 
 
 def run_proximity_experiment(

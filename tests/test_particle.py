@@ -2,10 +2,12 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from beaconpark import proximity
+from beaconpark import cli, proximity, simulate
 from beaconpark.particle import (
     DistanceParticleFilter,
     FilterConfig,
@@ -49,27 +51,27 @@ class TestConfig:
 
 class TestInit:
     def test_same_seed_same_particles(self):
-        assert np.array_equal(lone(1234).particles, lone(1234).particles)
+        assert np.array_equal(lone(1234).state()[0], lone(1234).state()[0])
 
     def test_initial_weights_are_uniform(self):
         bank = lone(1)
-        assert np.all(bank.weights == 1.0 / 1000)
+        assert np.all(bank.state()[1] == 1.0 / 1000)
         assert bank.effective_particles()[0] == pytest.approx(1000.0, abs=1e-6)
 
     def test_particles_inside_state_range(self):
-        bank = lone(2)
-        assert np.all(bank.particles >= 0.0)
-        assert np.all(bank.particles <= 4.0)
+        particles, _ = lone(2).state()
+        assert np.all(particles >= 0.0)
+        assert np.all(particles <= 4.0)
 
 
 class TestUpdate:
     def test_particle_at_measurement_keeps_relative_weight(self):
         bank = lone(0, n=2)
-        bank.particles[0] = [2.0, 3.2]
-        bank.weights[0] = [0.5, 0.5]
+        bank.set_state(0, particles=[2.0, 3.2], weights=[0.5, 0.5])
         bank.update([2.0])
         # gain 1 at zero distance, e^-0.5 at 1.2 m with noise 1.2
-        assert bank.weights[0, 1] / bank.weights[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
+        _, weights = bank.state(0)
+        assert weights[1] / weights[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_gain_value_at_one_point_two_meters(self):
         assert math.exp(-0.5 * 1.2**2 / 1.2**2) == pytest.approx(0.60653065971, abs=1e-9)
@@ -79,12 +81,12 @@ class TestUpdate:
         rng = np.random.default_rng(3)
         for _ in range(200):
             bank.update([rng.uniform(0.0, 4.0)])
-            assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
+            assert abs(float(bank.state()[1].sum()) - 1.0) <= 1e-9
 
     def test_out_of_range_measurement_clamped(self):
         bank = lone(8)
         bank.update([100.0])  # clamps to 4.0 instead of zeroing all gains
-        assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
+        assert abs(float(bank.state()[1].sum()) - 1.0) <= 1e-9
         assert bank.means()[0] > 2.0
 
     def test_nonfinite_measurement_rejected(self):
@@ -93,12 +95,12 @@ class TestUpdate:
 
     def test_total_collapse_reinitializes_with_flag(self):
         bank = lone(0, n=2, measurement_noise_m=1e-3)
-        bank.particles[0] = [3.9, 4.0]
-        bank.weights[0] = [0.5, 0.5]
+        bank.set_state(0, particles=[3.9, 4.0], weights=[0.5, 0.5])
         _, reinitialized = bank.update([0.0])
         assert reinitialized[0]
-        assert abs(float(bank.weights.sum()) - 1.0) <= 1e-9
-        assert np.all((bank.particles >= 0.0) & (bank.particles <= 4.0))
+        particles, weights = bank.state()
+        assert abs(float(weights.sum()) - 1.0) <= 1e-9
+        assert np.all((particles >= 0.0) & (particles <= 4.0))
 
 
 class TestEffectiveParticles:
@@ -107,12 +109,12 @@ class TestEffectiveParticles:
 
     def test_point_mass(self):
         bank = lone(0, n=4)
-        bank.weights[0] = [1.0, 0.0, 0.0, 0.0]
+        bank.set_state(0, weights=[1.0, 0.0, 0.0, 0.0])
         assert bank.effective_particles()[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_and_half(self):
         bank = lone(0, n=4)
-        bank.weights[0] = [0.5, 0.5, 0.0, 0.0]
+        bank.set_state(0, weights=[0.5, 0.5, 0.0, 0.0])
         assert bank.effective_particles()[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_bounds_over_random_updates(self):
@@ -129,12 +131,14 @@ class TestResampling:
 
     def test_point_mass_resamples_to_that_particle(self):
         bank = lone(4)
-        bank.weights[0] = 0.0
-        bank.weights[0, 137] = 1.0
-        target = bank.particles[0, 137]
+        point_mass = np.zeros(1000)
+        point_mass[137] = 1.0
+        bank.set_state(0, weights=point_mass)
+        target = bank.state(0)[0][137]
         assert bank.maybe_resample(0) is True
-        assert np.all(bank.particles == target)
-        assert np.all(bank.weights == 1.0 / 1000)
+        particles, weights = bank.state()
+        assert np.all(particles == target)
+        assert np.all(weights == 1.0 / 1000)
 
     def test_resample_restores_effective_count(self):
         bank = lone(5)
@@ -152,10 +156,9 @@ class TestResampling:
         # seeded i, is row i of one bank
         runs = 10_000
         bank = ParticleBank(FilterConfig(particle_count=4), range(runs))
-        bank.particles[:] = [10.0, 20.0, 30.0, 40.0]
-        bank.weights[:] = [0.7, 0.1, 0.1, 0.1]
+        bank.set_state(particles=[10.0, 20.0, 30.0, 40.0], weights=[0.7, 0.1, 0.1, 0.1])
         assert all(bank.maybe_resample(row) for row in range(runs))
-        mean_copies = int(np.sum(bank.particles == 10.0)) / runs
+        mean_copies = int(np.sum(bank.state()[0] == 10.0)) / runs
         # binomial std of the mean is sqrt(4*0.7*0.3/runs) ~ 0.0092
         assert mean_copies == pytest.approx(2.8, abs=0.05)
 
@@ -163,28 +166,26 @@ class TestResampling:
 class TestEstimate:
     def test_uniform_weights_reduce_to_arithmetic_mean(self):
         bank = lone(11)
-        assert bank.means()[0] == pytest.approx(float(np.mean(bank.particles)), rel=1e-12)
+        assert bank.means()[0] == pytest.approx(float(np.mean(bank.state()[0])), rel=1e-12)
 
     def test_point_mass(self):
         bank = lone(0, n=4)
-        bank.particles[0] = [1.0, 2.5, 3.0, 3.5]
-        bank.weights[0] = [0.0, 1.0, 0.0, 0.0]
+        bank.set_state(0, particles=[1.0, 2.5, 3.0, 3.5], weights=[0.0, 1.0, 0.0, 0.0])
         assert bank.means()[0] == 2.5
         assert bank.effective_particles()[0] == pytest.approx(1.0)
 
     def test_weighted_mean_example(self):
         bank = lone(0, n=2)
-        bank.particles[0] = [1.0, 3.0]
-        bank.weights[0] = [0.75, 0.25]
+        bank.set_state(0, particles=[1.0, 3.0], weights=[0.75, 0.25])
         assert bank.means()[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_mean_invariant_under_joint_permutation(self):
         bank = lone(21, n=6)
-        bank.weights[0] = [0.3, 0.1, 0.2, 0.15, 0.05, 0.2]
+        bank.set_state(0, weights=[0.3, 0.1, 0.2, 0.15, 0.05, 0.2])
         before = bank.means()[0]
         perm = np.array([4, 2, 0, 5, 1, 3])
-        bank.particles[0] = bank.particles[0, perm]
-        bank.weights[0] = bank.weights[0, perm]
+        particles, weights = bank.state(0)
+        bank.set_state(0, particles=particles[perm], weights=weights[perm])
         assert bank.means()[0] == pytest.approx(before, rel=1e-12)
 
     def test_std_matches_hand_formula(self):
@@ -200,8 +201,8 @@ class TestEstimate:
             assert (outcome.resampled, outcome.reinitialized) == (resampled[0], reinitialized[0])
             resamples += outcome.resampled
             est = flt.estimate()
-            w, p = bank.weights[0], bank.particles[0]
-            assert np.array_equal(flt.bank.particles, bank.particles)
+            p, w = bank.state(0)
+            assert np.array_equal(flt.bank.state(0)[0], p)
             assert (est.mean_m, est.effective_particles) == (
                 bank.means()[0], bank.effective_particles()[0]
             )
@@ -211,12 +212,12 @@ class TestEstimate:
             assert est.std_m == pytest.approx(expected, rel=1e-12)
         assert resamples > 0
         small = DistanceParticleFilter(FilterConfig(particle_count=4), 0)
-        small.bank.particles[0] = particles = np.array([1.0, 2.0, 3.0, 4.0])
-        small.bank.weights[0] = weights = np.array([0.4, 0.3, 0.2, 0.1])
+        particles, weights = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.4, 0.3, 0.2, 0.1])
+        small.bank.set_state(0, particles=particles, weights=weights)
         mean = float(np.sum(weights * particles))
         spread = float(np.sum(weights * (particles - mean) ** 2))
         assert small.estimate().std_m == pytest.approx(math.sqrt(spread / (3 / 4)), rel=1e-12)
-        small.bank.weights[0] = [0.0, 1.0, 0.0, 0.0]
+        small.bank.set_state(0, weights=[0.0, 1.0, 0.0, 0.0])
         assert small.estimate().std_m == 0.0
 
     def test_estimate_stays_inside_state_range(self):
@@ -278,8 +279,8 @@ class TestParticleBank:
         return ParticleBank(cfg, self.SEEDS), [ParticleBank(cfg, [s]) for s in self.SEEDS]
 
     def assert_same_state(self, bank, lone_banks):
-        assert np.array_equal(bank.particles, np.concatenate([b.particles for b in lone_banks]))
-        assert np.array_equal(bank.weights, np.concatenate([b.weights for b in lone_banks]))
+        for mine, theirs in zip(bank.state(), zip(*(b.state() for b in lone_banks))):
+            assert np.array_equal(mine, np.concatenate(theirs))
         assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
 
     def test_rows_are_bit_identical_to_lone_filters(self):
@@ -291,10 +292,12 @@ class TestParticleBank:
         # collapses and reinitializes
         point_mass = np.zeros(64)
         point_mass[5] = 1.0
-        bank.weights[1] = lone_banks[1].weights[0] = point_mass
-        bank.particles[2] = lone_banks[2].particles[0] = 4.0
+        for b, row in [(bank, 1), (lone_banks[1], 0)]:
+            b.set_state(row, weights=point_mass)
+        for b, row in [(bank, 2), (lone_banks[2], 0)]:
+            b.set_state(row, particles=4.0)
         rng = np.random.default_rng(35)
-        steps = [[1.0, float(bank.particles[1, 5]), 0.0, 3.0]]
+        steps = [[1.0, float(bank.state(1)[0][5]), 0.0, 3.0]]
         steps += rng.uniform(-0.5, 4.5, (40, 4)).tolist()
         for i, z in enumerate(steps):
             resampled, reinitialized = bank.update(z)
@@ -312,10 +315,12 @@ class TestParticleBank:
         bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.05)
         point_mass = np.zeros(64)
         point_mass[5] = 1.0
-        bank.weights[1] = lone_banks[1].weights[0] = point_mass
-        bank.particles[2] = lone_banks[2].particles[0] = 4.0
-        row_0 = bank.particles[0].copy(), bank.weights[0].copy()
-        particle_5 = float(bank.particles[1, 5])
+        for b, row in [(bank, 1), (lone_banks[1], 0)]:
+            b.set_state(row, weights=point_mass)
+        for b, row in [(bank, 2), (lone_banks[2], 0)]:
+            b.set_state(row, particles=4.0)
+        row_0 = bank.state(0)
+        particle_5 = float(bank.state(1)[0][5])
         rng = np.random.default_rng(35)
         # readings per row and round: zero, one or several, ragged across rows;
         # the second round gives every row a reading, so its first sub-step
@@ -337,30 +342,31 @@ class TestParticleBank:
                 (resampled,), _ = flags[1][0]
                 _, (reinitialized,) = flags[2][0]
                 assert resampled and reinitialized
-                assert np.array_equal(bank.particles[0], row_0[0])
-                assert np.array_equal(bank.weights[0], row_0[1])
-                assert np.all(bank.particles[1] == particle_5)
-                assert np.all((bank.particles[2] >= 0.0) & (bank.particles[2] < 4.0))
-                assert np.all(bank.weights[1:3] == 1.0 / 64)
+                particles, weights = bank.state()
+                assert np.array_equal(particles[0], row_0[0])
+                assert np.array_equal(weights[0], row_0[1])
+                assert np.all(particles[1] == particle_5)
+                assert np.all((particles[2] >= 0.0) & (particles[2] < 4.0))
+                assert np.all(weights[1:3] == 1.0 / 64)
 
     def test_whole_and_partial_steps_alternate_bit_for_bit(self):
-        # every step computes its gains in the work buffer, and a sub-step of
-        # `run` in which some rows have no reading sets theirs to 1; means()
-        # and N_eff reuse the buffer in between, so a stale buffer would show
-        # up in the next step
+        # a sub-step of `run` in which some rows have no reading sets their
+        # gains to 1, and means() and N_eff are taken in between; the bank
+        # steps its runs in place, so a stale value would show up in the
+        # next step
         bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.3)
         rng = np.random.default_rng(37)
         for step in range(60):
             rows = list(range(4)) if step % 2 == 0 else sorted(rng.choice(4, 1 + step % 3, False))
             z = rng.uniform(-0.5, 4.5, len(rows))
-            before = bank.weights
+            before = bank._runs.weights
             if len(rows) == 4:
                 bank.update(z)
             else:  # one round in which only `rows` have a reading
                 has = np.isin(np.arange(4), rows)
                 ends = np.cumsum(has)
                 bank.run(z, np.stack([ends - has, ends], axis=1))
-            assert bank.weights is before
+            assert bank._runs.weights is before
             for row, value in zip(rows, z.tolist()):
                 lone_banks[row].update([value])
             assert bank.effective_particles().tolist() == [
@@ -418,33 +424,34 @@ class TestParticleBank:
 
     def test_nonfinite_measurement_names_row_and_value(self):
         bank, _ = self.bank_and_lone()
-        before = bank.weights.copy()
+        before = bank.state()[1]
         with pytest.raises(ValueError, match=r"filter row 3: .* got nan"):
             bank.update([1.0, 2.0, 3.0, float("nan")])
         with pytest.raises(ValueError, match=r"filter row 1: .* got inf"):
             bank.update([1.0, float("inf"), 2.0, 3.0])
-        assert np.array_equal(bank.weights, before)
+        assert np.array_equal(bank.state()[1], before)
 
     def test_measurements_must_match_rows(self):
         bank, _ = self.bank_and_lone()
-        before = bank.weights.copy()
+        before = bank.state()[1]
         for shape in [(2,), (4, 1), ()]:
             message = rf"measurements of shape {re.escape(str(shape))} for 4 filter rows"
             with pytest.raises(ValueError, match=message):
                 bank.update(np.ones(shape))
-        assert np.array_equal(bank.weights, before)
+        assert np.array_equal(bank.state()[1], before)
 
     def test_collapsed_row_reinitializes_without_warning(self):
         bank = ParticleBank(FilterConfig(particle_count=8, measurement_noise_m=1e-3), [1, 2])
-        bank.particles[0] = 4.0
-        bank.particles[1] = 0.0
+        bank.set_state(0, particles=4.0)
+        bank.set_state(1, particles=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             resampled, reinitialized = bank.update([0.0, 0.0])
         assert reinitialized.tolist() == [True, False]
         assert not resampled[0]
-        assert np.all(bank.weights[0] == 1.0 / 8)
-        assert np.all((bank.particles[0] >= 0.0) & (bank.particles[0] <= 4.0))
+        particles, weights = bank.state(0)
+        assert np.all(weights == 1.0 / 8)
+        assert np.all((particles >= 0.0) & (particles <= 4.0))
 
     def test_subnormal_total_divides_without_warning(self):
         # noise 0.05 m: row 1's particles 1.9 m from the reading have gains
@@ -454,9 +461,9 @@ class TestParticleBank:
         seeds = [41, 42, 43]
         bank = ParticleBank(cfg, seeds)
         far = np.linspace(2.0, 2.002, 64)
-        bank.particles[1] = far
+        bank.set_state(1, particles=far)
         lone = ParticleBank(cfg, seeds[1:2])
-        lone.particles[0] = far
+        lone.set_state(0, particles=far)
         weights = np.full(64, 1.0 / 64) * np.exp(np.square(far - 0.1) * (-0.5 / 0.05**2))
         assert 0.0 < weights.sum() < sys.float_info.min
         with warnings.catch_warnings():
@@ -464,10 +471,11 @@ class TestParticleBank:
             resampled, reinitialized = bank.update([2.0, 0.1, 3.0])
             lone.update([0.1])
         assert not resampled[1] and not reinitialized[1]
-        assert np.array_equal(bank.particles[1], far)
-        assert bank.weights[1].tobytes() == (weights / weights.sum()).tobytes()
-        assert bank.weights[1].sum() == pytest.approx(1.0, rel=1e-6)
-        assert bank.weights[1].tobytes() == lone.weights[0].tobytes()
+        particles, row_weights = bank.state(1)
+        assert np.array_equal(particles, far)
+        assert row_weights.tobytes() == (weights / weights.sum()).tobytes()
+        assert row_weights.sum() == pytest.approx(1.0, rel=1e-6)
+        assert row_weights.tobytes() == lone.state(0)[1].tobytes()
         assert bank.means()[1] == lone.means()[0]
 
     def test_overflowing_total_reinitializes_its_row_alone(self):
@@ -475,47 +483,64 @@ class TestParticleBank:
         # reinitializes, and rows 0 and 2 step as in a bank without it
         cfg = FilterConfig(particle_count=8)
         planted, plain = ParticleBank(cfg, [1, 2, 3]), ParticleBank(cfg, [1, 2, 3])
-        planted.weights[1] = 1e308
+        planted.set_state(1, weights=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             resampled, reinitialized = planted.update([1.0, 2.0, 3.0])
         plain.update([1.0, 2.0, 3.0])
         assert reinitialized.tolist() == [False, True, False]
         assert not resampled[1]
-        assert np.all(planted.weights[1] == 1.0 / 8)
+        assert np.all(planted.state(1)[1] == 1.0 / 8)
         for row in (0, 2):
-            assert planted.particles[row].tobytes() == plain.particles[row].tobytes()
-            assert planted.weights[row].tobytes() == plain.weights[row].tobytes()
+            for mine, theirs in zip(planted.state(row), plain.state(row)):
+                assert mine.tobytes() == theirs.tobytes()
 
     def test_a_row_without_a_reading_is_left_alone(self):
         # one ragged round: row 0 reads nothing and holds weights whose total
         # overflows; row 1's weights are zero, so it collapses and the step
         # takes its slow path
         bank, _ = self.bank_and_lone()
-        bank.weights[0] = 1e308
-        bank.weights[1] = 0.0
-        particles, weights = bank.particles[0].tobytes(), bank.weights[0].tobytes()
+        bank.set_state(0, weights=1e308)
+        bank.set_state(1, weights=0.0)
+        particles, weights = (array.tobytes() for array in bank.state(0))
         generator = bank._rngs[0].bit_generator.state
         with np.errstate(over="ignore", invalid="ignore"):  # row 0's N_eff and mean overflow
             bank.run([1.0, 2.0, 3.0], [[0, 0], [0, 1], [1, 2], [2, 3]])
-        assert bank.particles[0].tobytes() == particles
-        assert bank.weights[0].tobytes() == weights
+        assert [array.tobytes() for array in bank.state(0)] == [particles, weights]
         assert bank._rngs[0].bit_generator.state == generator
-        assert np.all(bank.weights[1] == 1.0 / 64)
+        assert np.all(bank.state(1)[1] == 1.0 / 64)
 
     def test_maybe_resample_touches_only_its_row(self):
         bank, _ = self.bank_and_lone()
-        bank.weights[2] = 0.0
-        bank.weights[2, 7] = 1.0
-        before = bank.particles.copy()
+        point_mass = np.zeros(64)
+        point_mass[7] = 1.0
+        bank.set_state(2, weights=point_mass)
+        before, _ = bank.state()
         assert bank.maybe_resample(1) is False
         assert bank.maybe_resample(2) is True
-        assert np.all(bank.particles[2] == before[2, 7])
-        assert np.array_equal(np.delete(bank.particles, 2, axis=0), np.delete(before, 2, axis=0))
+        particles, _ = bank.state()
+        assert np.all(particles[2] == before[2, 7])
+        assert np.array_equal(np.delete(particles, 2, axis=0), np.delete(before, 2, axis=0))
 
     def test_needs_a_seed(self):
         with pytest.raises(ValueError):
             ParticleBank(FilterConfig(), [])
+
+    @pytest.mark.parametrize("counts", [[100], [100, 1], [100.0, 200.0], [[100, 200]]])
+    def test_needs_one_particle_count_of_at_least_2_per_row(self, counts):
+        with pytest.raises(ValueError, match="one particle count of at least 2 per filter row"):
+            ParticleBank(FilterConfig(), [1, 2], counts)
+
+    def test_state_copies_are_read_only(self):
+        bank, _ = self.bank_and_lone()
+        particles, weights = bank.state(1)
+        with pytest.raises(ValueError, match="read-only"):
+            particles[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bank.state()[1][0, 0] = 0.5
+        with pytest.raises(IndexError, match="filter row 4 outside a bank of 4 rows"):
+            bank.state(4)
+        assert np.array_equal(bank.state(1)[1], weights)
 
 
 class TestCounters:
@@ -529,10 +554,9 @@ class TestCounters:
         assert bank.particle_steps == 200 * 1000
         assert 200 <= bank.run_steps < bank.particle_steps
 
-    def test_the_shipped_proximity_grid(self, monkeypatch):
-        # Pinned, so that a step that falls back to full (B, N) passes, or
-        # resamples differently, fails here and not only in the benchmark.
-        # The runs are 18.4% of the particle-steps.
+    @staticmethod
+    def recorded_banks(monkeypatch, module):
+        """The banks that `module` makes from now on, as it makes them."""
         banks = []
 
         class Recorded(ParticleBank):
@@ -540,12 +564,39 @@ class TestCounters:
                 super().__init__(*args)
                 banks.append(self)
 
-        monkeypatch.setattr(proximity, "ParticleBank", Recorded)
+        monkeypatch.setattr(module, "ParticleBank", Recorded)
+        return banks
+
+    def test_the_shipped_proximity_grid(self, monkeypatch):
+        # Pinned, so that a step that falls back to full (B, N) passes, or
+        # resamples differently, fails here and not only in the benchmark.
+        # The runs are 18.4% of the particle-steps.
+        banks = self.recorded_banks(monkeypatch, proximity)
         scenario, experiment, config = load_scenario(ROOT / "scenarios" / "indoor_proximity.json")
         run_proximity_experiment(scenario, experiment.grid, config)
         (bank,) = banks
         assert (bank.steps, bank.resamples, bank.reinitializations) == (300, 252, 0)
         assert (bank.particle_steps, bank.run_steps) == (300 * 75 * 1000, 4_133_336)
+
+    def test_the_shipped_sweep(self, monkeypatch):
+        # `distance --sweep`: 24 rows at each of ten particle counts, 120
+        # readings a row. Every row evolves bit for bit whatever bank holds
+        # it, so every total but the steps is that of ten banks of one count
+        # each; the steps fall from 1,200 to 120 per bank.
+        banks = self.recorded_banks(monkeypatch, simulate)
+        scenario, experiment, config = load_scenario(ROOT / "scenarios" / "indoor_distance.json")
+        configs = [replace(config, particle_count=n) for n in cli.PARTICLE_SWEEP]
+        simulate.run_distance_experiment(scenario, experiment.grid, configs, experiment.repetitions)
+        assert all(sum(bank.particle_counts) <= simulate.BANK_SLOTS for bank in banks)
+        assert sorted(n for bank in banks for n in set(bank.particle_counts)) == list(
+            cli.PARTICLE_SWEEP
+        )
+        assert sum(bank.steps for bank in banks) == 120 * len(banks) <= 360
+        totals = [
+            sum(getattr(bank, name) for bank in banks)
+            for name in ("resamples", "reinitializations", "particle_steps", "run_steps")
+        ]
+        assert totals == [608, 0, 31_680_000, 8_535_335]
 
 
 def row_sum(x):
@@ -559,8 +610,10 @@ def split_runs(p, w):
     return p[heads], w[heads], np.diff(heads + [len(p)]).astype(float)
 
 
-def reference_run(config, seeds, readings, starts):
+def reference_run(config, seeds, readings, starts, sizes=None):
     """Each row as a lone filter over its own runs, stepped in plain 1-D numpy.
+
+    Row b holds sizes[b] particles, config.particle_count unless given.
 
     A row is its maximal runs of equal (particle, weight): values v,
     weights w and counts c. One step: clamp, subtract, square, multiply by
@@ -570,13 +623,15 @@ def reference_run(config, seeds, readings, starts):
     uniform picks the run it falls in, and the picked particles are split
     into runs again. The mean is sum((c * w) * v) / sum(c * w). Every sum is
     `row_sum`. Returns the means after every round, the final particles and
-    weights, one entry per particle, and the number of resamples.
+    weights, one entry per particle, row after row, and the number of
+    resamples.
     """
-    n, lo, hi = config.particle_count, config.state_min_m, config.state_max_m
+    lo, hi = config.state_min_m, config.state_max_m
     scale = -0.5 / config.measurement_noise_m**2
     means = np.empty((len(seeds), starts.shape[1] - 1))
     particles, weights, resamples = [], [], 0
     for b, seed in enumerate(seeds):
+        n = config.particle_count if sizes is None else sizes[b]
         rng = np.random.default_rng(seed)
         v, w, c = split_runs(rng.uniform(lo, hi, n), np.full(n, 1.0 / n))
         for r in range(starts.shape[1] - 1):
@@ -595,7 +650,7 @@ def reference_run(config, seeds, readings, starts):
             means[b, r] = row_sum(c * w * v) / row_sum(c * w)
         particles.append(np.repeat(v, c.astype(int)))
         weights.append(np.repeat(w, c.astype(int)))
-    return means, np.array(particles), np.array(weights), resamples
+    return means, np.concatenate(particles), np.concatenate(weights), resamples
 
 
 def expanded_run(config, seeds, readings, starts):
@@ -665,8 +720,8 @@ class TestRunAgainstReference:
         expected, particles, weights, resamples = reference_run(config, seeds, readings, starts)
         assert resamples > 0
         assert means.tobytes() == expected.tobytes()
-        assert bank.particles.tobytes() == particles.tobytes()
-        assert bank.weights.tobytes() == weights.tobytes()
+        assert bank.state()[0].tobytes() == particles.tobytes()
+        assert bank.state()[1].tobytes() == weights.tobytes()
 
     def test_ragged_rounds_bit_for_bit(self):
         # round 0 steps only some rows at every sub-step; round 2's first
@@ -682,8 +737,26 @@ class TestRunAgainstReference:
         expected, particles, weights, resamples = reference_run(config, seeds, readings, starts)
         assert resamples > 0
         assert means.tobytes() == expected.tobytes()
-        assert bank.particles.tobytes() == particles.tobytes()
-        assert bank.weights.tobytes() == weights.tobytes()
+        assert bank.state()[0].tobytes() == particles.tobytes()
+        assert bank.state()[1].tobytes() == weights.tobytes()
+
+    def test_unequal_particle_counts_bit_for_bit(self):
+        # one bank of rows of N = 2, 7, 200, 1000 and 2000 through ragged rounds
+        counts = np.random.default_rng(42).integers(0, 4, (5, 12))
+        config = FilterConfig(particle_count=300)
+        seeds, sizes = [21, 22, 23, 24, 25], [2, 7, 200, 1000, 2000]
+        readings, starts = noisy_readings(np.random.default_rng(43), counts)
+        bank = ParticleBank(config, seeds, sizes)
+        means = bank.run(readings, starts)
+        expected, particles, weights, resamples = reference_run(
+            config, seeds, readings, starts, sizes
+        )
+        assert resamples > 0
+        assert means.tobytes() == expected.tobytes()
+        for mine, theirs in zip(zip(*map(bank.state, range(5))), (particles, weights)):
+            assert np.concatenate(mine).tobytes() == theirs.tobytes()
+        with pytest.raises(ValueError, match="unequal particle counts"):
+            bank.state()
 
     @pytest.mark.parametrize(
         "rows, n, rounds, per_round",
@@ -704,7 +777,7 @@ class TestRunAgainstReference:
         means = bank.run(readings, starts)
         expected, particles, _, resamples = expanded_run(config, seeds, readings, starts)
         assert bank.resamples == resamples > 0
-        assert bank.particles.tobytes() == particles.tobytes()
+        assert bank.state()[0].tobytes() == particles.tobytes()
         np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0.0)
 
 
@@ -733,8 +806,7 @@ class TestRowIndependence:
             states.append(
                 [
                     means[at].tobytes(),
-                    bank.particles[at].tobytes(),
-                    bank.weights[at].tobytes(),
+                    *(array.tobytes() for array in bank.state(at)),
                     bank.effective_particles()[at],
                 ]
             )
@@ -749,7 +821,9 @@ class TestRowIndependence:
         banks = [ParticleBank(config, self.SEEDS)]
         banks += [ParticleBank(config, [self.SEEDS[at]]) for _ in range(2)]
         for bank, row in zip(banks, [at, 0, 0]):
-            plant(bank.particles[row], bank.weights[row])
+            particles, weights = (np.array(array) for array in bank.state(row))
+            plant(particles, weights)
+            bank.set_state(row, particles=particles, weights=weights)
         return banks
 
     def assert_row_alone(self, banks, at, readings):
@@ -766,8 +840,8 @@ class TestRowIndependence:
             stepped.update([z])
             assert stepped.means()[0] == mean
         for lone_bank in (alone, stepped):
-            assert bank.particles[at].tobytes() == lone_bank.particles[0].tobytes()
-            assert bank.weights[at].tobytes() == lone_bank.weights[0].tobytes()
+            for mine, theirs in zip(bank.state(at), lone_bank.state(0)):
+                assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("n", [64, 10000])
     def test_adjacent_equal_particles_with_unequal_weights_stay_apart(self, n):
@@ -780,7 +854,7 @@ class TestRowIndependence:
         for lone_bank in banks[1:]:
             lone_bank.update([2.5])
         # one gain and one normalizer for the three: their ratios hold
-        weights = banks[0].weights[1]
+        _, weights = banks[0].state(1)
         assert weights[11] / weights[10] == pytest.approx(3.0, rel=1e-12)
         assert weights[12] / weights[10] == pytest.approx(2.0, rel=1e-12)
         readings = np.random.default_rng(n).uniform(-0.5, 4.5, (len(self.SEEDS), self.ROUNDS))
@@ -796,7 +870,7 @@ class TestRowIndependence:
         readings = np.random.default_rng(n + 1).uniform(-0.5, 4.5, (len(self.SEEDS), self.ROUNDS))
         self.assert_row_alone(banks, 2, readings)
         assert banks[1].resamples == 0 < banks[0].resamples
-        assert np.all(banks[0].particles[2] == 1.7)
+        assert np.all(banks[0].state(2)[0] == 1.7)
 
     @pytest.mark.parametrize("n", [64, 10000])
     def test_a_row_that_collapses_mid_run(self, n):
@@ -815,6 +889,49 @@ class TestRowIndependence:
         assert banks[0].reinitializations >= banks[1].reinitializations
 
 
+    def test_rows_of_unequal_particle_counts(self):
+        # Rows of N = 2, 7, 200, 1000 and 2000, each against the one-row bank
+        # of its N and seed. Noise 0.05 m: a particle 1.93 m or more from a
+        # reading has gain 0 or a subnormal one, so the N = 2 row collapses
+        # now and then. Row 1 holds 7 equal particles at 1.7 m and reads
+        # within 1 m of them, so its N_eff stays 7 and it never resamples.
+        # Row 3 sits in [3.9, 4.0], reads 3.95 m, then 0 m in round 6 and
+        # collapses. Even rounds are ragged and stepped by `run`; odd rounds
+        # give every row one reading and are stepped by `update`.
+        sizes, seeds = [2, 7, 200, 1000, 2000], [61, 62, 63, 64, 65]
+        config = FilterConfig(measurement_noise_m=0.05)
+        bank = ParticleBank(config, seeds, sizes)
+        lone_banks = [
+            ParticleBank(replace(config, particle_count=n), [seed]) for n, seed in zip(sizes, seeds)
+        ]
+        for row, plant in [(1, np.full(7, 1.7)), (3, np.linspace(3.9, 4.0, 1000))]:
+            bank.set_state(row, particles=plant)
+            lone_banks[row].set_state(0, particles=plant)
+        rng = np.random.default_rng(66)
+        for r in range(20):
+            counts = rng.integers(0, 4, 5) if r % 2 == 0 else np.ones(5, dtype=int)
+            counts[3] = max(counts[3], r == 6)
+            rounds = [rng.uniform(-0.5, 4.5, c) for c in counts]
+            rounds[1] = rng.uniform(0.7, 2.7, counts[1])
+            rounds[3] = np.full(counts[3], 0.0 if r == 6 else 3.95)
+            if r % 2:
+                bank.update(np.concatenate(rounds))
+            else:
+                ends = np.cumsum(counts)
+                bank.run(np.concatenate(rounds), np.stack([ends - counts, ends], axis=1))
+            for lone_bank, values in zip(lone_banks, rounds):
+                for z in values.tolist():
+                    lone_bank.update([z])
+            assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
+            for row, lone_bank in enumerate(lone_banks):
+                for mine, theirs in zip(bank.state(row), lone_bank.state(0)):
+                    assert mine.tobytes() == theirs.tobytes()
+        assert lone_banks[1].resamples == 0 < lone_banks[4].resamples
+        assert lone_banks[3].reinitializations >= 1 and lone_banks[0].reinitializations >= 1
+        assert bank.reinitializations == sum(b.reinitializations for b in lone_banks)
+        assert bank.resamples == sum(b.resamples for b in lone_banks)
+
+
 class TestRunChecks:
     STARTS = np.array([[0, 2, 4], [4, 6, 8], [8, 10, 12]])
 
@@ -823,13 +940,13 @@ class TestRunChecks:
 
     def test_nonfinite_reading_names_its_row_before_any_step(self):
         bank = self.bank()
-        particles, weights = bank.particles.copy(), bank.weights.copy()
+        before = bank.state()
         readings = np.full(12, 2.0)
         readings[9] = math.nan
         with pytest.raises(ValueError, match=r"^filter row 2: measurement must be finite, got nan$"):
             bank.run(readings, self.STARTS)
-        assert np.array_equal(bank.particles, particles)
-        assert np.array_equal(bank.weights, weights)
+        for after, array in zip(bank.state(), before):
+            assert np.array_equal(after, array)
 
     def test_a_reading_no_row_reads_is_not_checked(self):
         readings = np.append(np.full(12, 2.0), math.inf)
@@ -841,20 +958,21 @@ class TestRunChecks:
         assert raw.run(readings, self.STARTS).tobytes() == clamped.run(
             np.clip(readings, 0.0, 4.0), self.STARTS
         ).tobytes()
-        assert raw.particles.tobytes() == clamped.particles.tobytes()
-        assert raw.weights.tobytes() == clamped.weights.tobytes()
+        for mine, theirs in zip(raw.state(), clamped.state()):
+            assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("row", [-2, -1, 3])
     def test_maybe_resample_refuses_a_row_outside_the_bank(self, row):
         bank = self.bank()
-        bank.weights[:] = 0.0
-        bank.weights[:, 0] = 1.0  # every row of the bank would resample
-        particles, weights = bank.particles.copy(), bank.weights.copy()
+        point_mass = np.zeros(50)
+        point_mass[0] = 1.0
+        bank.set_state(weights=point_mass)  # every row of the bank would resample
+        before = bank.state()
         with pytest.raises(IndexError) as refused:
             bank.maybe_resample(row)
         assert str(refused.value) == f"filter row {row} outside a bank of 3 rows"
-        assert np.array_equal(bank.particles, particles)
-        assert np.array_equal(bank.weights, weights)
+        for after, array in zip(bank.state(), before):
+            assert np.array_equal(after, array)
 
     @pytest.mark.parametrize(
         "starts, error, message",
@@ -870,12 +988,12 @@ class TestRunChecks:
     )
     def test_run_refuses_bad_starts_before_any_step(self, starts, error, message):
         bank = self.bank()
-        particles, weights = bank.particles.copy(), bank.weights.copy()
+        before = bank.state()
         with pytest.raises(error) as refused:
             bank.run(np.full(12, 2.0), starts)
         assert str(refused.value) == message
-        assert np.array_equal(bank.particles, particles)
-        assert np.array_equal(bank.weights, weights)
+        for after, array in zip(bank.state(), before):
+            assert np.array_equal(after, array)
 
     def test_a_row_may_end_with_the_readings(self):
         starts = [[0, 2, 4], [4, 6, 8], [8, 12, 12]]

@@ -29,6 +29,19 @@ B1 = SpotId("B", 1)
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
+def recorded_banks(monkeypatch):
+    """The banks that `simulate` makes from now on, as it makes them."""
+    banks = []
+
+    class Recorded(ParticleBank):
+        def __init__(self, *args):
+            super().__init__(*args)
+            banks.append(self)
+
+    monkeypatch.setattr(sim, "ParticleBank", Recorded)
+    return banks
+
+
 def scenario(**kw):
     defaults = dict(model=INDOOR_MODEL, noise_sigma_db=0.0, duration_s=60.0, seed=0)
     defaults.update(kw)
@@ -133,17 +146,16 @@ class TestDistanceExperiment:
         assert len(result.step_raw_errors_m) == 60
         assert len(result.step_filtered_errors_m) == 60
 
-    def test_ragged_streams_match_lone_filters(self):
-        # with drops the (distance, repetition) streams differ in length, so
-        # the bank's later steps update only some of its rows
-        scen = scenario(noise_sigma_db=4.0, duration_s=20.0, drop_rate=0.4, seed=12)
-        config = FilterConfig(particle_count=100)
-        distances = [0.5, 2.0, 3.5]
-        result = sim.run_distance_experiment(
-            scen, distances, [config], repetitions=2, keep_step_errors=True
-        )
-        lengths, step_raw, step_filtered, finals = set(), [], [], []
-        for d in distances:
+    # with drops the (distance, repetition) streams differ in length, so the
+    # bank's later steps update only some of its rows
+    RAGGED = scenario(noise_sigma_db=4.0, duration_s=20.0, drop_rate=0.4, seed=12)
+    DISTANCES = [0.5, 2.0, 3.5]
+
+    def lone_filters(self, config):
+        """Each (distance, repetition) of RAGGED as a one-row bank stepped by `update`:
+        the stream lengths, step errors and final means."""
+        scen, lengths, step_raw, step_filtered, finals = self.RAGGED, set(), [], [], []
+        for d in self.DISTANCES:
             for rep in range(2):
                 cell_seed = derive_seed(scen.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
                 stream = sim.generate_stream(replace(scen, seed=cell_seed), B1, d)
@@ -155,13 +167,59 @@ class TestDistanceExperiment:
                     step_raw.append(abs(z - d))
                     step_filtered.append(abs(float(lone.means()[0]) - d))
                 finals.append(float(lone.means()[0]))
+        return lengths, step_raw, step_filtered, finals
+
+    def assert_rows_match(self, rows, config, finals):
+        assert [row.particle_count for row in rows] == [config.particle_count] * 3
+        for i, row in enumerate(rows):
+            mine = finals[2 * i : 2 * i + 2]
+            d = self.DISTANCES[i]
+            assert row.filtered_error_m == float(np.mean([abs(m - d) for m in mine]))
+            assert row.std_m == float(np.std(mine, ddof=1))
+
+    def test_ragged_streams_match_lone_filters(self):
+        config = FilterConfig(particle_count=100)
+        result = sim.run_distance_experiment(
+            self.RAGGED, self.DISTANCES, [config], repetitions=2, keep_step_errors=True
+        )
+        lengths, step_raw, step_filtered, finals = self.lone_filters(config)
         assert len(lengths) > 1
         assert result.step_raw_errors_m == step_raw
         assert result.step_filtered_errors_m == step_filtered
-        for i, row in enumerate(result.rows):
-            mine = finals[2 * i : 2 * i + 2]
-            assert row.filtered_error_m == float(np.mean([abs(m - distances[i]) for m in mine]))
-            assert row.std_m == float(np.std(mine, ddof=1))
+        self.assert_rows_match(result.rows, config, finals)
+
+    def test_particle_counts_in_one_bank_match_lone_filters(self, monkeypatch):
+        banks = recorded_banks(monkeypatch)
+        configs = [FilterConfig(particle_count=n) for n in (50, 100, 300)]
+        result = sim.run_distance_experiment(
+            self.RAGGED, self.DISTANCES, configs, repetitions=2, keep_step_errors=True
+        )
+        (bank,) = banks
+        assert bank.particle_counts == (300,) * 6 + (100,) * 6 + (50,) * 6
+        steps = len(result.step_raw_errors_m) // 3
+        for k, config in enumerate(configs):
+            _, step_raw, step_filtered, finals = self.lone_filters(config)
+            assert result.step_raw_errors_m[k * steps : (k + 1) * steps] == step_raw
+            assert result.step_filtered_errors_m[k * steps : (k + 1) * steps] == step_filtered
+            self.assert_rows_match(result.rows[3 * k : 3 * k + 3], config, finals)
+
+    def test_only_configs_that_differ_in_particle_count_share_a_bank(self, monkeypatch):
+        banks = recorded_banks(monkeypatch)
+        configs = [
+            FilterConfig(particle_count=50),
+            FilterConfig(particle_count=100, measurement_noise_m=0.8),
+            FilterConfig(particle_count=300),
+            FilterConfig(particle_count=100, beta=0.4),
+        ]
+        result = sim.run_distance_experiment(
+            scenario(duration_s=10.0), [1.0, 2.0], configs, repetitions=2
+        )
+        held = sorted(
+            (bank.config.measurement_noise_m, bank.config.beta, sorted(set(bank.particle_counts)))
+            for bank in banks
+        )
+        assert held == [(0.8, 0.5, [100]), (1.2, 0.4, [100]), (1.2, 0.5, [50, 300])]
+        assert [row.particle_count for row in result.rows] == [50, 50, 100, 100, 300, 300, 100, 100]
 
     def test_csv_shape(self, tmp_path):
         result = sim.run_distance_experiment(
