@@ -25,42 +25,46 @@ through rounds of ragged readings (ParticleBank.run).
 The bank steps runs, not particles. Particles never move between
 resamples, and a resample copies each chosen particle into adjacent slots,
 so a row soon holds a few hundred maximal runs of equal (particle, weight)
-among its N slots: sample impoverishment. The runs are 18.4% of the
+among its N particles: sample impoverishment. The runs are 18.4% of the
 particle-steps of the shipped indoor proximity grid and 26.9% of those of
 its distance sweep. The runs are the bank's state between calls: values
-v, weights w and counts c, laid out row after row, made when a row is
-drawn, resampled or reinitialized and never split again. `state` expands
+v, weights w and counts c in three flat arrays that hold exactly the live
+runs, row after row, with no gaps and no spare room, plus each row's run
+count and head (its first run). A row's runs are made when it is drawn,
+resampled, reinitialized or set, and never split again. `state` expands
 them into read-only copies of the particles and weights, and `set_state`
-sets those and splits the rows it sets into runs. A step makes one pass
-over the runs of all rows for each of: the readings repeated over each
-row's runs, subtract, square, multiply by the precomputed
--0.5 / noise^2, exp, multiply into w, c * w, the normalizers 1 / total
-repeated likewise, multiply into w, c * w, and times w; where every run of
-a block has count 1, c * w is w itself and is not formed. The
+sets those and splits the rows it sets into runs.
+
+A step makes one pass over the runs of the whole bank for each of: the
+readings repeated over each row's runs, subtract, square, multiply by the
+precomputed -0.5 / noise^2, exp, multiply into w, c * w, the normalizers
+1 / total repeated likewise, multiply into w, c * w, and times w; where
+every run has count 1, c * w is w itself and is not formed. The
 count-weighted row sums (the total sum(c * w), N_eff as
 1 / sum((c * w) * w), and `means`' sum((c * w) * v) / sum(c * w)) are
-np.add.reduceat over each row's runs, which adds a row the same way
-wherever it lies, so a row's bits depend only on that row. `means`,
-`effective_particles` and `maybe_resample` take the same sums.
+np.add.reduceat at the rows' heads, which adds a row the same way wherever
+it lies, so a row's bits depend only on that row. `effective_particles`
+and `maybe_resample` take the same sums.
 
 A resample draws and sorts the row's N uniforms, then searches each
 run's cumulative mass among them: a run's count is the number of
 uniforms at or below its cumulative mass, less those at or below the run
 before it, which are the picks a search of each uniform in the cumulative
-masses makes. The picked runs become the new row's runs in place. A row
-never gains runs except by reinitializing, so a resample leaves count-0
-gap slots before a shortened row; a step closes the gaps once they pass a
-quarter of the live runs.
+masses makes. The picked runs become the row's new runs.
 
-The runs fill three flat arrays of one slot per particle of the bank, so
-every row has room to be all runs of one, as it is when drawn. Rows may
-hold unequal N: each row's threshold beta * N, weight 1 / N and N uniforms
-are its own. A pass takes the rows in blocks that own at most _BLOCK
-slots, so its temporary arrays (the repeated readings, then the repeated
-normalizers) stay small beside the bank. No pass divides: 1 / total is
-taken per row. The one exception is a row whose total is positive but
-subnormal, whose reciprocal may overflow: it divides, on a slow path
-taken only when some total is subnormal, zero or not finite (a collapse).
+Every change to a row (a resample, a reinitialization, `set_state`) goes
+one way: the row's new runs wait in a pending dict, where reads of that row
+find them, and the next pass or `state()` lays every pending row out at
+once, with one np.concatenate per array of the unchanged spans between
+pending rows and their new runs. So 10,000 `maybe_resample` calls cost
+one relayout, not 10,000. A fresh bank draws each row from its own
+Generator and lays all its rows out in one pass.
+
+Rows may hold unequal N: each row's threshold beta * N, weight 1 / N and
+N uniforms are its own. No pass divides: 1 / total is taken per row. The
+one exception is a row whose total is positive but subnormal, whose
+reciprocal may overflow: it divides, on a slow path taken only when some
+total is subnormal, zero or not finite (a collapse).
 
 Every step steps every row. In a sub-step of `run` that has readings for
 only some rows, a row without one reads 0.0, and its gains and its weight
@@ -81,15 +85,6 @@ import numpy as np
 # The smallest positive normal float: a row total below it may have no finite
 # reciprocal, so that row normalizes by division.
 _SMALLEST_NORMAL = sys.float_info.min
-
-# A step compacts the runs once the gaps left by resamples exceed this share
-# of the live runs.
-_GAP_SHARE = 0.25
-
-# A pass over the runs takes the rows in blocks that own at most this many
-# slots, so its temporary arrays stay under 128 KB; it frees each block's
-# before it makes the next block's.
-_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -117,87 +112,22 @@ class FilterConfig:
             raise ValueError("state_max_m - state_min_m must be positive and finite")
 
 
-def _merge(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Join adjacent runs of equal value, all of one weight, into maximal runs."""
-    same = values[1:] == values[:-1]
-    if not same.any():
-        return values, counts
-    heads = np.flatnonzero(np.concatenate(([True], ~same)))
-    return values[heads], np.add.reduceat(counts, heads)
+def _maximal(values, weights, counts, firsts):
+    """Join adjacent runs of equal (value, weight) into maximal runs, rows apart.
 
-
-class _Runs:
-    """The rows of a bank as runs of equal (particle, weight): the bank's state.
-
-    Row b's runs fill the slots bounds[2b]:bounds[2b + 1] of the flat
-    arrays `values`, `weights` and `counts`. The arrays hold one slot per
-    particle of the bank (sizes[b] for row b), so every row has room to be
-    all runs of one. The rows lie in order, and row b owns the slots from
-    the end of row b - 1 (or slot 0) to its own end. A resample that
-    shortens a row moves its start up and leaves count-0, weight-0 gap
-    slots before it until the next compaction; `live` counts the slots
-    that are not gaps.
+    `values`, `weights` and `counts` hold runs of one or more rows, row
+    after row; `firsts` indexes each row's first run, which never joins the
+    run before it. Returns the maximal runs' values, weights and counts,
+    and the index of each row's first run among them.
     """
-
-    __slots__ = ("values", "weights", "counts", "bounds", "sizes", "live", "_blocks")
-
-    def __init__(self, sizes: np.ndarray, rows):
-        """Lay out rows[b] = (values, weights, counts) of every row b in order from slot 0."""
-        self.sizes = sizes
-        arrays = self.values, self.weights, self.counts = [np.zeros(sizes.sum()) for _ in range(3)]
-        ends = [0]
-        for row in rows:
-            at, end = ends[-1], ends[-1] + len(row[0])
-            for array, part in zip(arrays, row):
-                array[at:end] = part
-            ends.append(end)
-        self.bounds = np.repeat(ends, 2)[1:-1]
-        self.live = ends[-1]
-        self._blocks = None
-
-    @property
-    def span(self) -> int:
-        """Slots in use, gaps included: the end of the last row."""
-        return int(self.bounds[-1])
-
-    def row(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row b's runs: views of its values, weights and counts."""
-        at, end = self.bounds[2 * b : 2 * b + 2].tolist()
-        return self.values[at:end], self.weights[at:end], self.counts[at:end]
-
-    def moved(self) -> None:
-        """Note that `bounds` changed."""
-        self._blocks = None
-
-    def blocks(self) -> list[tuple[slice, slice, np.ndarray, np.ndarray, bool]]:
-        """The rows in blocks for a pass: (rows, slots, heads, owned, singles) per block.
-
-        A block is whole rows that own at most _BLOCK slots between them,
-        or one row that owns more, so a pass needs temporary arrays of at most
-        that size. `slots` is the block's slice of the flat arrays, `owned`
-        the slots of each of its rows, and `heads` its rows' bounds within
-        the slice, as np.add.reduceat takes them: its even segments are the
-        rows' runs, the odd ones gaps. reduceat adds a segment as its first
-        term plus the pairwise sum of the rest, whatever lies around it, so
-        a row's sums depend only on that row. `singles` is true when every
-        run of the block has count 1, so that c * w is w itself: each of its
-        rows has as many runs as particles.
-        """
-        if self._blocks is None:
-            ends = self.bounds[1::2]
-            owned = ends.copy()
-            owned[1:] -= ends[:-1]
-            spare = np.cumsum(self.sizes - (ends - self.bounds[0::2]))  # particles less runs
-            self._blocks, b0, base = [], 0, 0
-            while b0 < len(ends):
-                b1 = max(b0 + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
-                stop = int(ends[b1 - 1])
-                heads = self.bounds[2 * b0 : 2 * b1 - 1] - base
-                singles = spare[b1 - 1] == (spare[b0 - 1] if b0 else 0)
-                block = (slice(b0, b1), slice(base, stop), heads, owned[b0:b1], singles)
-                self._blocks.append(block)
-                b0, base = b1, stop
-        return self._blocks
+    head = np.empty(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    head[1:] |= weights[1:] != weights[:-1]
+    head[firsts] = True
+    if head.all():
+        return values, weights, counts, firsts
+    heads = np.flatnonzero(head)
+    return values[heads], weights[heads], np.add.reduceat(counts, heads), heads.searchsorted(firsts)
 
 
 class ParticleBank:
@@ -211,9 +141,12 @@ class ParticleBank:
     as they add a lone row, so every row evolves bit for bit as a one-row
     bank of its N given the same seed and measurements.
 
-    The runs are the state between calls. `state` expands them into
-    read-only copies of the particles and weights, and `set_state` sets
-    those, splitting the rows it sets into runs afresh.
+    The runs are the state between calls: `_values`, `_weights` and
+    `_counts` hold exactly the live runs, row after row, and row b's are
+    the `_lengths[b]` runs from `_heads[b]`. A row whose runs change waits
+    in `_pending` until the next pass or `state()` lays it out. `state`
+    expands the runs into read-only copies of the particles and weights,
+    and `set_state` sets those, splitting the rows it sets into runs afresh.
 
     The counters `steps`, `resamples`, `reinitializations`,
     `particle_steps` (the bank's particles per step) and `run_steps` (the
@@ -232,12 +165,16 @@ class ParticleBank:
             )
         self.config = config
         self.particle_counts = tuple(sizes.tolist())
+        self._sizes = sizes.astype(np.intp)
+        self._particles = int(sizes.sum())
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
         self._threshold = config.beta * sizes  # beta * N per row
         self._gain_scale = -0.5 / config.measurement_noise_m**2
         self.steps = self.resamples = self.reinitializations = 0
         self.particle_steps = self.run_steps = 0
-        self._runs = _Runs(sizes.astype(np.intp), map(self._fresh, range(len(seeds))))
+        self._values, self._weights, self._counts, self._heads = self._fresh(range(len(seeds)))
+        self._lengths = np.diff(self._heads, append=len(self._values))
+        self._pending = {}
 
     def update(self, measurements_m) -> tuple[np.ndarray, np.ndarray]:
         """Reweight every row by its own measurement, then resample if degenerate.
@@ -298,7 +235,7 @@ class ParticleBank:
             for k in range(most_r):
                 reads = counts[:, r] > k
                 self._step(z[np.where(reads, starts[:, r] + k, -1)], None if reads.all() else reads)
-            means[:, r] = self._means()
+            means[:, r] = self.means()
         return means
 
     def effective_particles(self) -> np.ndarray:
@@ -308,7 +245,7 @@ class ParticleBank:
     def maybe_resample(self, row: int) -> bool:
         """Multinomially resample one row when its N_eff falls below beta * N."""
         self._check_row(row)
-        _, weights, counts = self._runs.row(row)
+        _, weights, counts = self._row(row)
         # N_eff as a step takes it: reduceat over the row's runs
         if 1.0 / np.add.reduceat(counts * weights * weights, [0])[0] >= self._threshold[row]:
             return False
@@ -317,8 +254,13 @@ class ParticleBank:
         return True
 
     def means(self) -> np.ndarray:
-        """Weighted mean particle of every row."""
-        return self._means()
+        """Weighted mean particle of every row: sum((c * w) * v) / sum(c * w)."""
+        self._settle()
+        singles = self._singles()
+        masses = self._weights if singles else self._counts * self._weights
+        total = np.add.reduceat(masses, self._heads)
+        moments = np.multiply(masses, self._values, out=None if singles else masses)
+        return np.add.reduceat(moments, self._heads) / total
 
     def state(self, row: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Read-only copies of the particles and weights, expanded from the runs.
@@ -326,18 +268,16 @@ class ParticleBank:
         Of one row, as two 1-D arrays; or, with no row, of every row, as two
         (B, N) arrays, which takes rows of one particle count.
         """
-        runs = self._runs
         if row is None:
             if len(set(self.particle_counts)) > 1:
                 raise ValueError("rows of unequal particle counts have no (B, N) state; name a row")
-            at, end, shape = 0, runs.span, (len(self._rngs), self.particle_counts[0])
+            self._settle()
+            runs, shape = (self._values, self._weights, self._counts), (len(self._rngs), -1)
         else:
             self._check_row(row)
-            (at, end), shape = runs.bounds[2 * row : 2 * row + 2].tolist(), -1
-        counts = runs.counts[at:end].astype(np.intp)  # a gap slot has count 0
-        expanded = tuple(
-            np.repeat(x[at:end], counts).reshape(shape) for x in (runs.values, runs.weights)
-        )
+            runs, shape = self._row(row), -1
+        counts = runs[2].astype(np.intp)
+        expanded = tuple(np.repeat(x, counts).reshape(shape) for x in runs[:2])
         for array in expanded:
             array.flags.writeable = False
         return expanded
@@ -354,11 +294,9 @@ class ParticleBank:
             if value is not None:
                 array[...] = value
         rows = range(len(self._rngs)) if row is None else [row]
-        fresh = {}  # each row set, as its maximal runs of equal (particle, weight)
-        for b, p, w in zip(rows, *map(np.atleast_2d, new)):
-            heads = np.flatnonzero(np.concatenate(([True], (p[1:] != p[:-1]) | (w[1:] != w[:-1]))))
-            fresh[b] = p[heads], w[heads], np.diff(heads, append=len(p))
-        self._replace_rows(fresh)
+        sizes = self._sizes[rows]
+        p, w = (array.ravel() for array in new)
+        self._replace_rows(rows, *_maximal(p, w, np.ones(len(p)), np.cumsum(sizes) - sizes))
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < len(self._rngs):
@@ -367,36 +305,63 @@ class ParticleBank:
     def _clamp(self, z: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(z, self.config.state_min_m), self.config.state_max_m)
 
-    def _fresh(self, row: int) -> tuple:
-        """A uniform draw of the row's N particles, as maximal runs of weight 1 / N."""
-        cfg, n = self.config, self.particle_counts[row]
-        values = self._rngs[row].uniform(cfg.state_min_m, cfg.state_max_m, n)
-        values, counts = _merge(values, np.ones(n))
-        return values, 1.0 / n, counts
+    def _singles(self) -> bool:
+        """Whether every run has count 1, so that c * w is w itself."""
+        return len(self._values) == self._particles
 
-    def _compact(self) -> None:
-        """Close the gaps: move every row's runs down to the end of the row before it."""
-        runs = self._runs
-        if runs.span == runs.live:
+    def _row(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row b's runs (values, weights, counts): pending, or views of the bank's arrays."""
+        if b in self._pending:
+            return self._pending[b]
+        at = self._heads[b]
+        end = at + self._lengths[b]
+        return self._values[at:end], self._weights[at:end], self._counts[at:end]
+
+    def _fresh(self, rows) -> tuple:
+        """Uniform draws of the rows' N particles, as maximal runs of weight 1 / N.
+
+        Returns the runs of every row, row after row, as `_maximal` does.
+        """
+        cfg, sizes = self.config, self._sizes[rows]
+        draws = [
+            self._rngs[b].uniform(cfg.state_min_m, cfg.state_max_m, n)
+            for b, n in zip(rows, sizes.tolist())
+        ]
+        weights, heads = np.repeat(1.0 / sizes, sizes), np.cumsum(sizes) - sizes
+        return _maximal(np.concatenate(draws), weights, np.ones(len(weights)), heads)
+
+    def _replace_rows(self, rows, values, weights, counts, heads) -> None:
+        """Give each of `rows` its new runs, laid out row after row from `heads`.
+
+        The rows wait in `_pending`, where `_row` reads them, until `_settle`.
+        """
+        bounds = [*np.asarray(heads).tolist(), len(values)]
+        for b, at, end in zip(rows, bounds, bounds[1:]):
+            self._pending[b] = values[at:end], weights[at:end], counts[at:end]
+
+    def _settle(self) -> None:
+        """Lay the pending rows out among the others: one concatenate per array.
+
+        Each array's parts are the spans of unchanged rows between the
+        pending ones and the pending rows' runs; the old array is freed
+        before the next array is laid out.
+        """
+        if not self._pending:
             return
-        gaps_then_runs = np.tile([False, True], len(self._rngs))
-        keep = np.repeat(gaps_then_runs, np.diff(runs.bounds, prepend=0))
-        end = 0
-        for _, slots, _, _, _ in runs.blocks():
-            kept = keep[slots]
-            at, end = end, end + int(np.count_nonzero(kept))
-            for array in (runs.values, runs.weights, runs.counts):
-                array[at:end] = array[slots][kept]
-        sizes = runs.bounds[1::2] - runs.bounds[0::2]
-        runs.bounds[1::2] = np.cumsum(sizes)
-        runs.bounds[0::2] = runs.bounds[1::2] - sizes
-        runs.moved()
-
-    def _replace_rows(self, fresh: dict) -> None:
-        """Lay the rows out afresh: row b takes the runs fresh[b] = (values, weights,
-        counts) if it is in `fresh`, and keeps its own otherwise."""
-        old = self._runs
-        self._runs = _Runs(old.sizes, (fresh.get(b) or old.row(b) for b in range(len(self._rngs))))
+        rows = sorted(self._pending)
+        new = [self._pending[b] for b in rows]
+        heads = self._heads[rows]
+        starts = [0, *(heads + self._lengths[rows]).tolist()]
+        stops = [*heads.tolist(), len(self._values)]
+        for i, name in enumerate(("_values", "_weights", "_counts")):
+            old = getattr(self, name)
+            parts = [old[: stops[0]]]
+            for runs, start, stop in zip(new, starts[1:], stops[1:]):
+                parts += runs[i], old[start:stop]
+            setattr(self, name, np.concatenate(parts))
+        self._lengths[rows] = [len(runs[0]) for runs in new]
+        self._heads = np.cumsum(self._lengths) - self._lengths
+        self._pending = {}
 
     def _step(self, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
         """Step finite, clamped measurements into every row, or into the rows of the mask `reads`.
@@ -404,22 +369,21 @@ class ParticleBank:
         A row outside `reads` takes gain 1 and normalizer 1: its weights keep
         their bits, and it neither collapses nor resamples.
         """
-        runs = self._runs
-        total = np.empty(len(z))
-        for rows, slots, heads, owned, singles in runs.blocks():
-            gains = z[rows].repeat(owned)
-            np.subtract(runs.values[slots], gains, out=gains)
-            np.square(gains, out=gains)
-            gains *= self._gain_scale
-            np.exp(gains, out=gains)
-            if reads is not None:
-                gains[(~reads[rows]).repeat(owned)] = 1.0
-            weights = runs.weights[slots]
-            weights *= gains
-            with np.errstate(over="ignore"):  # a total past the largest float is a collapse
-                masses = weights if singles else np.multiply(runs.counts[slots], weights, out=gains)
-                total[rows] = np.add.reduceat(masses, heads)[::2]
-            del gains, masses
+        self._settle()
+        gains = z.repeat(self._lengths)
+        np.subtract(self._values, gains, out=gains)
+        np.square(gains, out=gains)
+        gains *= self._gain_scale
+        np.exp(gains, out=gains)
+        if reads is not None:
+            gains[(~reads).repeat(self._lengths)] = 1.0
+        self._weights *= gains
+        with np.errstate(over="ignore"):  # a total past the largest float is a collapse
+            masses = self._weights
+            if not self._singles():
+                masses = np.multiply(self._counts, masses, out=gains)
+            total = np.add.reduceat(masses, self._heads)
+        del gains, masses
         if reads is not None:
             total[~reads] = 1.0
         # the ufunc reductions skip the Python wrappers of total.min() and .max()
@@ -433,17 +397,15 @@ class ParticleBank:
             resampled &= reads
         resampled &= ~collapsed
         self.steps += 1
-        self.particle_steps += len(runs.values)
-        self.run_steps += runs.live
+        self.particle_steps += self._particles
+        self.run_steps += len(self._values)
         for row in resampled.nonzero()[0].tolist():
             self._resample(row)
             self.resamples += 1
         if collapsed.any():
             reinitialized = np.flatnonzero(collapsed).tolist()
             self.reinitializations += len(reinitialized)
-            self._replace_rows({b: self._fresh(b) for b in reinitialized})
-        elif runs.span - runs.live > _GAP_SHARE * runs.live:
-            self._compact()
+            self._replace_rows(reinitialized, *self._fresh(reinitialized))
         return resampled, collapsed
 
     def _normalize_slowly(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,15 +414,13 @@ class ParticleBank:
         Returns the factors that the step multiplies each row's weights by,
         and which rows collapsed; the caller reinitializes those.
         """
-        runs = self._runs
         collapsed = ~(np.isfinite(total) & (total > 0.0))
-        for b in np.flatnonzero(collapsed).tolist():
-            runs.row(b)[1][:] = 1.0  # uniform until reinitialized
-        total[collapsed] = runs.sizes[collapsed]
+        self._weights[collapsed.repeat(self._lengths)] = 1.0  # uniform until reinitialized
+        total[collapsed] = self._sizes[collapsed]
         # The reciprocal of a subnormal total can overflow: those rows divide.
         small = total < _SMALLEST_NORMAL
-        for b in np.flatnonzero(small).tolist():
-            runs.row(b)[1][:] /= total[b]
+        runs = small.repeat(self._lengths)
+        self._weights[runs] /= total.repeat(self._lengths)[runs]
         return 1.0 / np.where(small, 1.0, total), collapsed
 
     def _rescale(self, factors: np.ndarray) -> np.ndarray:
@@ -468,68 +428,35 @@ class ParticleBank:
 
         N_eff is 1 / sum((c * w) * w), taken after the multiply.
         """
-        runs = self._runs
-        squares = np.empty(len(factors))
-        for rows, slots, heads, owned, singles in runs.blocks():
-            products = factors[rows].repeat(owned)
-            weights = runs.weights[slots]
-            weights *= products
-            np.multiply(weights if singles else runs.counts[slots], weights, out=products)
-            if not singles:
-                products *= weights
-            squares[rows] = np.add.reduceat(products, heads)[::2]
-            del products
-        return 1.0 / squares
-
-    def _means(self) -> np.ndarray:
-        """sum((c * w) * v) / sum(c * w) per row."""
-        runs = self._runs
-        means = np.empty(len(self._rngs))
-        for rows, slots, heads, _, singles in runs.blocks():
-            weights = runs.weights[slots]
-            masses = weights if singles else runs.counts[slots] * weights
-            total = np.add.reduceat(masses, heads)[::2]
-            moments = np.multiply(masses, runs.values[slots], out=None if singles else masses)
-            means[rows] = np.add.reduceat(moments, heads)[::2] / total
-            del masses, moments
-        return means
+        self._settle()
+        products = factors.repeat(self._lengths)
+        self._weights *= products
+        singles = self._singles()
+        np.multiply(self._weights if singles else self._counts, self._weights, out=products)
+        if not singles:
+            products *= self._weights
+        return 1.0 / np.add.reduceat(products, self._heads)
 
     def _resample(self, row: int) -> None:
-        """Resample one row in place; a shorter row leaves a gap before it."""
-        runs = self._runs
-        at, end = runs.bounds[2 * row : 2 * row + 2].tolist()
-        values, counts = self._draw(
-            row, runs.counts[at:end] * runs.weights[at:end], runs.values[at:end]
-        )
-        new_at = end - len(values)
-        runs.values[new_at:end] = values
-        runs.counts[new_at:end] = counts
-        runs.weights[new_at:end] = 1.0 / self.particle_counts[row]
-        runs.counts[at:new_at] = 0.0
-        runs.weights[at:new_at] = 0.0
-        runs.bounds[2 * row] = new_at
-        runs.live -= new_at - at
-        runs.moved()
-
-    def _draw(self, row: int, masses: np.ndarray, values: np.ndarray):
-        """Multinomially draw the row's N particles from runs of `values` of masses c * w.
+        """Multinomially draw the row's N particles from its runs; they become its new runs.
 
         The row's N uniforms are drawn and sorted as a search of each
-        uniform in the cumulative masses takes them. Here each run's
+        uniform in the cumulative masses c * w takes them. Here each run's
         cumulative mass is searched among the uniforms instead: a run's
         count is the number of uniforms at or below its cumulative mass,
         less those at or below the run before it, which are the same picks.
-        Returns the new row's maximal runs as (values, counts). `masses` is
-        spent.
         """
-        u = self._rngs[row].random(self.particle_counts[row])
+        values, weights, counts = self._row(row)
+        n = self.particle_counts[row]
+        u = self._rngs[row].random(n)
         u.sort()
-        cumulative = np.cumsum(masses, out=masses)
+        cumulative = np.cumsum(counts * weights)
         cumulative[-1] = 1.0  # guard the inverse-CDF lookup against rounding
-        counts = np.searchsorted(u, cumulative, side="right")
-        counts[1:] -= counts[:-1]  # numpy reads an overlapping operand before writing
-        picked = counts.nonzero()[0]
-        return _merge(values[picked], counts[picked])
+        picks = np.searchsorted(u, cumulative, side="right")
+        picks[1:] -= picks[:-1]  # numpy reads an overlapping operand before writing
+        picked = picks.nonzero()[0]
+        runs = values[picked], np.full(len(picked), 1.0 / n), picks[picked].astype(float)
+        self._replace_rows([row], *_maximal(*runs, [0]))
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,10 @@ _INT64_MAX = 2**63 - 1
 # banks of at most this many particles (rows x N), first fit by decreasing N.
 # The sweep's N = 200..2000 at 24 rows fill banks of 91,200, 91,200 and
 # 81,600; 91,200 is the smallest budget at which they fit in three banks. A
-# bank holds 24 bytes per particle, so its largest bank holds 2.2 MB where ten
-# banks of one count held at most 1.2 MB; one bank of all 264,000 would hold
-# 6.3 MB.
+# bank holds 24 bytes per run, and a freshly drawn row is all runs of one, so
+# the largest bank holds 2.2 MB when drawn (0.4 MB once its rows have
+# resampled), where ten banks of one count held at most 1.2 MB; one bank of
+# all 264,000 would hold 6.3 MB when drawn.
 BANK_SLOTS = 92_000
 
 

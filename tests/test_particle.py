@@ -352,21 +352,19 @@ class TestParticleBank:
     def test_whole_and_partial_steps_alternate_bit_for_bit(self):
         # a sub-step of `run` in which some rows have no reading sets their
         # gains to 1, and means() and N_eff are taken in between; the bank
-        # steps its runs in place, so a stale value would show up in the
-        # next step
+        # keeps its runs between calls, so a stale value would show up in
+        # the next step
         bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.3)
         rng = np.random.default_rng(37)
         for step in range(60):
             rows = list(range(4)) if step % 2 == 0 else sorted(rng.choice(4, 1 + step % 3, False))
             z = rng.uniform(-0.5, 4.5, len(rows))
-            before = bank._runs.weights
             if len(rows) == 4:
                 bank.update(z)
             else:  # one round in which only `rows` have a reading
                 has = np.isin(np.arange(4), rows)
                 ends = np.cumsum(has)
                 bank.run(z, np.stack([ends - has, ends], axis=1))
-            assert bank._runs.weights is before
             for row, value in zip(rows, z.tolist()):
                 lone_banks[row].update([value])
             assert bank.effective_particles().tolist() == [
@@ -521,6 +519,63 @@ class TestParticleBank:
         particles, _ = bank.state()
         assert np.all(particles[2] == before[2, 7])
         assert np.array_equal(np.delete(particles, 2, axis=0), np.delete(before, 2, axis=0))
+
+    def test_pending_rows_read_and_lay_out_bit_for_bit(self):
+        # A row changed by set_state, a resample or a reinitialization waits
+        # until the next pass or state() lays it out; maybe_resample,
+        # state(row) and set_state read its new runs in between. Noise 0.05
+        # m: row 2 sits at 4 m and reads 0 m, so its first step collapses it.
+        bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.05)
+
+        def pairs(row):
+            return [(bank, row), (lone_banks[row], 0)]
+
+        def assert_rows_alone():
+            for row, lone_bank in enumerate(lone_banks):
+                for mine, theirs in zip(bank.state(row), lone_bank.state(0)):
+                    assert mine.tobytes() == theirs.tobytes()
+
+        point_mass = np.zeros(64)
+        point_mass[9] = 1.0
+        target = float(bank.state(1)[0][9])
+        for b, row in pairs(1):
+            b.set_state(row, weights=point_mass)
+            # the second call reads the first one's runs, whose N_eff is N
+            assert b.maybe_resample(row) is True
+            assert b.maybe_resample(row) is False
+        particles, weights = bank.state(1)
+        assert np.all(particles == target) and np.all(weights == 1.0 / 64)
+        assert_rows_alone()
+        ramp = np.linspace(1.0, 2.0, 64) / np.linspace(1.0, 2.0, 64).sum()
+        for b, row in pairs(1):
+            b.set_state(row, weights=ramp)  # the resampled row, still pending
+        for b, row in pairs(2):
+            b.set_state(row, particles=4.0)
+        assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
+        _, reinitialized = bank.update([1.0, target, 0.0, 3.0])
+        for b, z in zip(lone_banks, [1.0, target, 0.0, 3.0]):
+            b.update([z])
+        assert reinitialized.tolist() == [False, False, True, False]
+        for b, row in pairs(2):
+            assert b.maybe_resample(row) is False  # the fresh draw, pending
+        assert_rows_alone()
+        rng = np.random.default_rng(39)
+        for step in range(30):
+            z = rng.uniform(-0.5, 4.5, 4)
+            bank.update(z)
+            for row, b in enumerate(lone_banks):
+                b.update(z[row : row + 1])
+            planted = step % 4
+            point_mass = np.zeros(64)
+            point_mass[rng.integers(64)] = 1.0
+            for b, row in pairs(planted):
+                b.set_state(row, weights=point_mass)
+            flags = [bank.maybe_resample(row) for row in range(4)]
+            assert flags == [b.maybe_resample(0) for b in lone_banks]
+            assert flags[planted] and not bank.maybe_resample(planted)
+            assert_rows_alone()
+            assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
+        self.assert_same_state(bank, lone_banks)
 
     def test_needs_a_seed(self):
         with pytest.raises(ValueError):
