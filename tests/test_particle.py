@@ -546,7 +546,8 @@ class TestParticleBank:
         particles, weights = bank.state(1)
         assert np.all(particles == target) and np.all(weights == 1.0 / 64)
         assert_rows_alone()
-        ramp = np.linspace(1.0, 2.0, 64) / np.linspace(1.0, 2.0, 64).sum()
+        ramp = np.linspace(1.0, 2.0, 64)
+        ramp /= ramp.sum()
         for b, row in pairs(1):
             b.set_state(row, weights=ramp)  # the resampled row, still pending
         for b, row in pairs(2):
