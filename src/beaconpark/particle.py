@@ -52,13 +52,14 @@ uniforms at or below its cumulative mass, less those at or below the run
 before it, which are the picks a search of each uniform in the cumulative
 masses makes. The picked runs become the row's new runs.
 
-Every change to a row (a resample, a reinitialization, `set_state`) goes
-one way: the row's new runs wait in a pending dict, where reads of that row
-find them, and the next pass or `state()` lays every pending row out at
-once, with one np.concatenate per array of the unchanged spans between
-pending rows and their new runs. So 10,000 `maybe_resample` calls cost
-one relayout, not 10,000. A fresh bank draws each row from its own
-Generator and lays all its rows out in one pass.
+Every change to a row is laid out before the call that made it returns.
+A step's resamples and reinitializations, and those of `maybe_resample`
+(which resamples every row whose N_eff is below beta * N), take one path:
+each renewed row draws its new runs from its own Generator, then all of
+them are laid out at once, with one np.concatenate per array of the
+unchanged spans between the renewed rows and their new runs. `set_state`
+lays out the one row it sets the same way; setting every row replaces the
+arrays, as a fresh bank lays out every row's draws in one pass.
 
 Rows may hold unequal N: each row's threshold beta * N, weight 1 / N and
 N uniforms are its own. No pass divides: 1 / total is taken per row. The
@@ -143,10 +144,10 @@ class ParticleBank:
 
     The runs are the state between calls: `_values`, `_weights` and
     `_counts` hold exactly the live runs, row after row, and row b's are
-    the `_lengths[b]` runs from `_heads[b]`. A row whose runs change waits
-    in `_pending` until the next pass or `state()` lays it out. `state`
-    expands the runs into read-only copies of the particles and weights,
-    and `set_state` sets those, splitting the rows it sets into runs afresh.
+    the `_lengths[b]` runs from `_heads[b]`. A row whose runs change is laid
+    out anew before the call that changed it returns. `state` expands the
+    runs into read-only copies of the particles and weights, and
+    `set_state` sets those, splitting the rows it sets into runs afresh.
 
     The counters `steps`, `resamples`, `reinitializations`,
     `particle_steps` (the bank's particles per step) and `run_steps` (the
@@ -174,7 +175,6 @@ class ParticleBank:
         self.particle_steps = self.run_steps = 0
         self._values, self._weights, self._counts, self._heads = self._fresh(range(len(seeds)))
         self._lengths = np.diff(self._heads, append=len(self._values))
-        self._pending = {}
 
     def update(self, measurements_m) -> tuple[np.ndarray, np.ndarray]:
         """Reweight every row by its own measurement, then resample if degenerate.
@@ -208,6 +208,8 @@ class ParticleBank:
         starts = np.asarray(starts)
         if starts.ndim != 2 or starts.shape[0] != len(self._rngs):
             raise ValueError(f"starts of shape {starts.shape} for {len(self._rngs)} filter rows")
+        if starts.dtype.kind not in "iu":
+            raise ValueError(f"starts must be integers, got dtype {starts.dtype}")
         outside = (starts < 0) | (starts > len(readings))
         if outside.any():
             b, c = np.argwhere(outside)[0].tolist()
@@ -242,20 +244,14 @@ class ParticleBank:
         """1 / sum(w^2) of every row: N for uniform weights, 1 for a point mass."""
         return self._rescale(np.ones(len(self._rngs)))  # times 1 keeps every weight's bits
 
-    def maybe_resample(self, row: int) -> bool:
-        """Multinomially resample one row when its N_eff falls below beta * N."""
-        self._check_row(row)
-        _, weights, counts = self._row(row)
-        # N_eff as a step takes it: reduceat over the row's runs
-        if 1.0 / np.add.reduceat(counts * weights * weights, [0])[0] >= self._threshold[row]:
-            return False
-        self._resample(row)
-        self.resamples += 1
-        return True
+    def maybe_resample(self) -> np.ndarray:
+        """Multinomially resample every row whose N_eff is below beta * N; return which did."""
+        resampled = self.effective_particles() < self._threshold
+        self._renew(resampled, np.zeros_like(resampled))
+        return resampled
 
     def means(self) -> np.ndarray:
         """Weighted mean particle of every row: sum((c * w) * v) / sum(c * w)."""
-        self._settle()
         singles = self._singles()
         masses = self._weights if singles else self._counts * self._weights
         total = np.add.reduceat(masses, self._heads)
@@ -271,7 +267,6 @@ class ParticleBank:
         if row is None:
             if len(set(self.particle_counts)) > 1:
                 raise ValueError("rows of unequal particle counts have no (B, N) state; name a row")
-            self._settle()
             runs, shape = (self._values, self._weights, self._counts), (len(self._rngs), -1)
         else:
             self._check_row(row)
@@ -293,10 +288,13 @@ class ParticleBank:
         for array, value in zip(new, (particles, weights)):
             if value is not None:
                 array[...] = value
-        rows = range(len(self._rngs)) if row is None else [row]
-        sizes = self._sizes[rows]
         p, w = (array.ravel() for array in new)
-        self._replace_rows(rows, *_maximal(p, w, np.ones(len(p)), np.cumsum(sizes) - sizes))
+        if row is not None:
+            self._lay_out([row], [_maximal(p, w, np.ones(len(p)), [0])[:3]])
+            return
+        runs = _maximal(p, w, np.ones(len(p)), np.cumsum(self._sizes) - self._sizes)
+        self._values, self._weights, self._counts, self._heads = runs
+        self._lengths = np.diff(self._heads, append=len(self._values))
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < len(self._rngs):
@@ -310,9 +308,7 @@ class ParticleBank:
         return len(self._values) == self._particles
 
     def _row(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row b's runs (values, weights, counts): pending, or views of the bank's arrays."""
-        if b in self._pending:
-            return self._pending[b]
+        """Row b's runs (values, weights, counts), as views of the bank's arrays."""
         at = self._heads[b]
         end = at + self._lengths[b]
         return self._values[at:end], self._weights[at:end], self._counts[at:end]
@@ -330,26 +326,27 @@ class ParticleBank:
         weights, heads = np.repeat(1.0 / sizes, sizes), np.cumsum(sizes) - sizes
         return _maximal(np.concatenate(draws), weights, np.ones(len(weights)), heads)
 
-    def _replace_rows(self, rows, values, weights, counts, heads) -> None:
-        """Give each of `rows` its new runs, laid out row after row from `heads`.
+    def _renew(self, resampled: np.ndarray, collapsed: np.ndarray) -> None:
+        """Resample the rows of the mask `resampled` and redraw those of `collapsed`.
 
-        The rows wait in `_pending`, where `_row` reads them, until `_settle`.
+        Each row draws from its own Generator; then every renewed row's new
+        runs are laid out at once.
         """
-        bounds = [*np.asarray(heads).tolist(), len(values)]
-        for b, at, end in zip(rows, bounds, bounds[1:]):
-            self._pending[b] = values[at:end], weights[at:end], counts[at:end]
+        rows = np.flatnonzero(resampled | collapsed).tolist()
+        if rows:
+            self.resamples += int(np.count_nonzero(resampled))
+            self.reinitializations += int(np.count_nonzero(collapsed))
+            new = [self._fresh([b])[:3] if collapsed[b] else self._resample(b) for b in rows]
+            self._lay_out(rows, new)
 
-    def _settle(self) -> None:
-        """Lay the pending rows out among the others: one concatenate per array.
+    def _lay_out(self, rows, new) -> None:
+        """Give each of the ascending `rows` its new runs: one np.concatenate per array.
 
-        Each array's parts are the spans of unchanged rows between the
-        pending ones and the pending rows' runs; the old array is freed
-        before the next array is laid out.
+        `new` holds each row's (values, weights, counts). Each array's parts
+        are the spans of the other rows between the given ones and the given
+        rows' new runs; the old array is freed before the next array is laid
+        out.
         """
-        if not self._pending:
-            return
-        rows = sorted(self._pending)
-        new = [self._pending[b] for b in rows]
         heads = self._heads[rows]
         starts = [0, *(heads + self._lengths[rows]).tolist()]
         stops = [*heads.tolist(), len(self._values)]
@@ -361,7 +358,6 @@ class ParticleBank:
             setattr(self, name, np.concatenate(parts))
         self._lengths[rows] = [len(runs[0]) for runs in new]
         self._heads = np.cumsum(self._lengths) - self._lengths
-        self._pending = {}
 
     def _step(self, z: np.ndarray, reads) -> tuple[np.ndarray, np.ndarray]:
         """Step finite, clamped measurements into every row, or into the rows of the mask `reads`.
@@ -369,7 +365,6 @@ class ParticleBank:
         A row outside `reads` takes gain 1 and normalizer 1: its weights keep
         their bits, and it neither collapses nor resamples.
         """
-        self._settle()
         gains = z.repeat(self._lengths)
         np.subtract(self._values, gains, out=gains)
         np.square(gains, out=gains)
@@ -399,13 +394,7 @@ class ParticleBank:
         self.steps += 1
         self.particle_steps += self._particles
         self.run_steps += len(self._values)
-        for row in resampled.nonzero()[0].tolist():
-            self._resample(row)
-            self.resamples += 1
-        if collapsed.any():
-            reinitialized = np.flatnonzero(collapsed).tolist()
-            self.reinitializations += len(reinitialized)
-            self._replace_rows(reinitialized, *self._fresh(reinitialized))
+        self._renew(resampled, collapsed)
         return resampled, collapsed
 
     def _normalize_slowly(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +417,6 @@ class ParticleBank:
 
         N_eff is 1 / sum((c * w) * w), taken after the multiply.
         """
-        self._settle()
         products = factors.repeat(self._lengths)
         self._weights *= products
         singles = self._singles()
@@ -437,8 +425,8 @@ class ParticleBank:
             products *= self._weights
         return 1.0 / np.add.reduceat(products, self._heads)
 
-    def _resample(self, row: int) -> None:
-        """Multinomially draw the row's N particles from its runs; they become its new runs.
+    def _resample(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Multinomially draw the row's N particles from its runs; return them as its new runs.
 
         The row's N uniforms are drawn and sorted as a search of each
         uniform in the cumulative masses c * w takes them. Here each run's
@@ -456,7 +444,7 @@ class ParticleBank:
         picks[1:] -= picks[:-1]  # numpy reads an overlapping operand before writing
         picked = picks.nonzero()[0]
         runs = values[picked], np.full(len(picked), 1.0 / n), picks[picked].astype(float)
-        self._replace_rows([row], *_maximal(*runs, [0]))
+        return _maximal(*runs, [0])[:3]
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def test_criterion_4_resampling_correctness():
     filters = 10_000
     bank = ParticleBank(FilterConfig(particle_count=4), [5000 + i for i in range(filters)])
     bank.set_state(particles=values, weights=weights)
-    assert all(bank.maybe_resample(row) for row in range(filters))
+    assert bank.maybe_resample().all()
     particles, _ = bank.state()
     counts = np.array([np.sum(particles == value) for value in values], dtype=float)
     expected = weights * counts.sum()

@@ -127,7 +127,7 @@ class TestEffectiveParticles:
 
 class TestResampling:
     def test_uniform_weights_do_not_resample(self):
-        assert lone(3).maybe_resample(0) is False
+        assert lone(3).maybe_resample().tolist() == [False]
 
     def test_point_mass_resamples_to_that_particle(self):
         bank = lone(4)
@@ -135,7 +135,7 @@ class TestResampling:
         point_mass[137] = 1.0
         bank.set_state(0, weights=point_mass)
         target = bank.state(0)[0][137]
-        assert bank.maybe_resample(0) is True
+        assert bank.maybe_resample().tolist() == [True]
         particles, weights = bank.state()
         assert np.all(particles == target)
         assert np.all(weights == 1.0 / 1000)
@@ -157,7 +157,7 @@ class TestResampling:
         runs = 10_000
         bank = ParticleBank(FilterConfig(particle_count=4), range(runs))
         bank.set_state(particles=[10.0, 20.0, 30.0, 40.0], weights=[0.7, 0.1, 0.1, 0.1])
-        assert all(bank.maybe_resample(row) for row in range(runs))
+        assert bank.maybe_resample().all()
         mean_copies = int(np.sum(bank.state()[0] == 10.0)) / runs
         # binomial std of the mean is sqrt(4*0.7*0.3/runs) ~ 0.0092
         assert mean_copies == pytest.approx(2.8, abs=0.05)
@@ -514,17 +514,16 @@ class TestParticleBank:
         point_mass[7] = 1.0
         bank.set_state(2, weights=point_mass)
         before, _ = bank.state()
-        assert bank.maybe_resample(1) is False
-        assert bank.maybe_resample(2) is True
+        assert bank.maybe_resample().tolist() == [False, False, True, False]
         particles, _ = bank.state()
         assert np.all(particles[2] == before[2, 7])
         assert np.array_equal(np.delete(particles, 2, axis=0), np.delete(before, 2, axis=0))
 
-    def test_pending_rows_read_and_lay_out_bit_for_bit(self):
-        # A row changed by set_state, a resample or a reinitialization waits
-        # until the next pass or state() lays it out; maybe_resample,
-        # state(row) and set_state read its new runs in between. Noise 0.05
-        # m: row 2 sits at 4 m and reads 0 m, so its first step collapses it.
+    def test_each_row_change_lays_out_bit_for_bit(self):
+        # set_state, a resample (by a step or by maybe_resample) and a
+        # reinitialization lay out the rows they change before they return,
+        # and the next call reads those rows' new runs. Noise 0.05 m: row 2
+        # sits at 4 m and reads 0 m, so its first step collapses it.
         bank, lone_banks = self.bank_and_lone(measurement_noise_m=0.05)
 
         def pairs(row):
@@ -535,21 +534,26 @@ class TestParticleBank:
                 for mine, theirs in zip(bank.state(row), lone_bank.state(0)):
                     assert mine.tobytes() == theirs.tobytes()
 
+        def resample_every_bank():
+            flags = bank.maybe_resample()
+            assert flags.tolist() == [b.maybe_resample()[0] for b in lone_banks]
+            return flags.tolist()
+
         point_mass = np.zeros(64)
         point_mass[9] = 1.0
         target = float(bank.state(1)[0][9])
         for b, row in pairs(1):
             b.set_state(row, weights=point_mass)
-            # the second call reads the first one's runs, whose N_eff is N
-            assert b.maybe_resample(row) is True
-            assert b.maybe_resample(row) is False
+        # the second call reads the first one's runs, whose N_eff is N
+        assert resample_every_bank() == [False, True, False, False]
+        assert resample_every_bank() == [False] * 4
         particles, weights = bank.state(1)
         assert np.all(particles == target) and np.all(weights == 1.0 / 64)
         assert_rows_alone()
         ramp = np.linspace(1.0, 2.0, 64)
         ramp /= ramp.sum()
         for b, row in pairs(1):
-            b.set_state(row, weights=ramp)  # the resampled row, still pending
+            b.set_state(row, weights=ramp)  # the row the last resample laid out
         for b, row in pairs(2):
             b.set_state(row, particles=4.0)
         assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
@@ -557,8 +561,8 @@ class TestParticleBank:
         for b, z in zip(lone_banks, [1.0, target, 0.0, 3.0]):
             b.update([z])
         assert reinitialized.tolist() == [False, False, True, False]
-        for b, row in pairs(2):
-            assert b.maybe_resample(row) is False  # the fresh draw, pending
+        assert np.all(bank.state(2)[0] < 4.0)  # redrawn, no longer the particles set at 4 m
+        assert resample_every_bank() == [False] * 4  # row 2 reads its fresh draw
         assert_rows_alone()
         rng = np.random.default_rng(39)
         for step in range(30):
@@ -571,9 +575,8 @@ class TestParticleBank:
             point_mass[rng.integers(64)] = 1.0
             for b, row in pairs(planted):
                 b.set_state(row, weights=point_mass)
-            flags = [bank.maybe_resample(row) for row in range(4)]
-            assert flags == [b.maybe_resample(0) for b in lone_banks]
-            assert flags[planted] and not bank.maybe_resample(planted)
+            flags = resample_every_bank()
+            assert flags[planted] and not any(resample_every_bank())
             assert_rows_alone()
             assert bank.means().tolist() == [b.means()[0] for b in lone_banks]
         self.assert_same_state(bank, lone_banks)
@@ -1018,15 +1021,13 @@ class TestRunChecks:
             assert mine.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("row", [-2, -1, 3])
-    def test_maybe_resample_refuses_a_row_outside_the_bank(self, row):
+    def test_state_and_set_state_refuse_a_row_outside_the_bank(self, row):
         bank = self.bank()
-        point_mass = np.zeros(50)
-        point_mass[0] = 1.0
-        bank.set_state(weights=point_mass)  # every row of the bank would resample
         before = bank.state()
-        with pytest.raises(IndexError) as refused:
-            bank.maybe_resample(row)
-        assert str(refused.value) == f"filter row {row} outside a bank of 3 rows"
+        for call in (lambda: bank.state(row), lambda: bank.set_state(row, weights=0.02)):
+            with pytest.raises(IndexError) as refused:
+                call()
+            assert str(refused.value) == f"filter row {row} outside a bank of 3 rows"
         for after, array in zip(bank.state(), before):
             assert np.array_equal(after, array)
 
@@ -1039,8 +1040,12 @@ class TestRunChecks:
              "filter row 1: starts[1, 0] = -1 is outside 0..12"),
             ([[0, 2, 4], [4, 6, 8], [8, 12, 10]], ValueError,
              "filter row 2, round 1: starts decrease from 12 to 10"),
+            ([[0.0, 2.0], [2.0, 4.0], [4.0, 6.0]], ValueError,
+             "starts must be integers, got dtype float64"),
+            ([[False, True], [True, True], [True, True]], ValueError,
+             "starts must be integers, got dtype bool"),
         ],
-        ids=["past-the-end", "negative", "decreasing"],
+        ids=["past-the-end", "negative", "decreasing", "float", "bool"],
     )
     def test_run_refuses_bad_starts_before_any_step(self, starts, error, message):
         bank = self.bank()
