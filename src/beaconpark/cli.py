@@ -110,9 +110,11 @@ def cmd_calibrate(args) -> int:
         raise InputError(f"rank-deficient: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"invalid calibration CSV: {exc}") from exc
-    counts = set(dataset.sample_counts().values())
-    if len(counts) > 1:
+    sample_counts = dataset.sample_counts()
+    if len(set(sample_counts.values())) > 1:
         print("warning: unequal sample counts per distance", file=sys.stderr)
+    if len(sample_counts) == 2:
+        print("warning: two distances leave no interval: each ci95 has zero width", file=sys.stderr)
 
     try:
         fit = fit_model(dataset)
@@ -133,15 +135,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    from dataclasses import replace
-
     from .simulate import run_distance_experiment, write_distance_csv
 
     scenario, experiment, config = _load_scenario_file(args.scenario, "distance", args.seed)
-    sweep = PARTICLE_SWEEP if args.sweep else (config.particle_count,)
-    configs = [replace(config, particle_count=n_particles) for n_particles in sweep]
+    counts = PARTICLE_SWEEP if args.sweep else None  # None: the config's own
     rows = run_distance_experiment(
-        scenario, experiment.grid, configs, repetitions=experiment.repetitions
+        scenario, experiment.grid, config, experiment.repetitions, counts
     ).rows
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "distance", scenario.seed, args.scenario)
@@ -258,6 +257,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # before any command writes a file
+            raise InputError("seed must be a non-negative integer")
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"ERR {exc}", file=sys.stderr)

@@ -10,10 +10,9 @@ repetition and filter derives a child seed from the scenario seed, so a
 scenario reproduces byte-for-byte. The filters of every beacon of every
 cell of a proximity grid are stepped as the rows of one
 particle.ParticleBank, each row keeping its own seed. A distance run steps
-the filters of every (distance, repetition) of each config as rows too:
-configs that differ only in particle count share banks of at most
-BANK_SLOTS particles, so `distance --sweep` steps its ten counts as three
-banks.
+the filters of every (distance, repetition) at each particle count as rows
+too: the particle counts of one config share banks of at most BANK_SLOTS
+particles, so `distance --sweep` steps its ten counts as three banks.
 
 Three experiment drivers mirror the calibration, distance-estimation,
 and proximity-identification procedures. The noise defaults per
@@ -73,10 +72,12 @@ EXPERIMENT_KINDS = ("distance", "proximity")
 
 # The largest timestamp_ms a stream holds (STREAM_DTYPE stores int64).
 _INT64_MAX = 2**63 - 1
+# The Scenario values that fix a stream's samples, as an empty stream's error names them.
+_SAMPLING = "duration_s {0.duration_s}, tx_interval_ms {0.tx_interval_ms}, drop_rate {0.drop_rate}"
 
-# A distance run packs the configs that differ only in particle count into
-# banks of at most this many particles (rows x N), first fit by decreasing N.
-# The sweep's N = 200..2000 at 24 rows fill banks of 91,200, 91,200 and
+# A distance run packs the particle counts of one config into banks of at
+# most this many particles (rows x N), first fit by decreasing N. The
+# sweep's N = 200..2000 at 24 rows fill banks of 91,200, 91,200 and
 # 81,600; 91,200 is the smallest budget at which they fit in three banks. A
 # bank holds 24 bytes per run, and a freshly drawn row is all runs of one, so
 # the largest bank holds 2.2 MB when drawn (0.4 MB once its rows have
@@ -173,8 +174,8 @@ class DistanceRow:
 @dataclass
 class DistanceExperimentResult:
     rows: list
-    # Per-update |estimate - truth| pooled over all distances/repetitions;
-    # raw uses the per-sample distance estimate, filtered the running mean.
+    # Per-update |estimate - truth| pooled over all distances/repetitions:
+    # raw that of each reading once, filtered that of each count's running mean.
     step_raw_errors_m: list = field(default_factory=list)
     step_filtered_errors_m: list = field(default_factory=list)
 
@@ -237,22 +238,26 @@ def run_pathloss_experiment(
 def run_distance_experiment(
     scenario: Scenario,
     distances_m: Sequence[float],
-    configs: Sequence[FilterConfig],
+    config: FilterConfig,
     repetitions: int = 3,
+    particle_counts: Sequence[int] | None = None,
     keep_step_errors: bool = False,
 ) -> DistanceExperimentResult:
     """Estimate each distance with the particle filter.
 
     Per distance: filtered error is |final filter mean - truth|; MSE and
     the deviation of the final filter means are taken over the
-    repetitions. The streams are generated once. Each config has a filter
-    per (distance, repetition), seeded with that cell's child seed; the
-    filters of configs that differ only in particle count are rows of
-    shared ParticleBanks (`_pack`), each bank run through all of its
-    readings as one round (one round per reading with keep_step_errors).
-    A row evolves as it would alone, so rows and step errors come config by
-    config as if each config ran alone.
+    repetitions. The streams are generated once. Each of the particle
+    counts of one config (default its own) has a filter per (distance,
+    repetition), seeded with that cell's child seed, as rows of shared
+    ParticleBanks (`_pack`), each bank run through all of its readings as
+    one round (one round per reading with keep_step_errors). A row evolves
+    as it would alone, so rows and filtered step errors come count by count,
+    in `particle_counts` order, as if each count ran alone.
     """
+    counts = (config.particle_count,) if particle_counts is None else tuple(particle_counts)
+    if min(counts, default=2) < 2:
+        raise ValueError(f"particle count {min(counts)} is below 2")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     truths, seeds, streams = [], [], []
@@ -262,7 +267,8 @@ def run_distance_experiment(
             cell = replace(scenario, seed=cell_seed)
             stream = generate_stream(cell, SpotId("B", 1), d)
             if len(stream) == 0:
-                raise ValueError("scenario produced an empty stream")
+                at = _SAMPLING.format(scenario)
+                raise ValueError(f"distance {d} m, repetition {rep}: no samples at {at}")
             truths.append(d)
             seeds.append(derive_seed(cell_seed, TAG_FILTER))
             streams.append(stream["rssi_dbm"])
@@ -276,31 +282,28 @@ def run_distance_experiment(
     if keep_step_errors:
         # one round per reading, so the means are recorded after every step
         starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
+        result.step_raw_errors_m = np.abs(readings - np.repeat(truths, lengths)).tolist()
+        stepped = np.arange(lengths.max()) < lengths[:, None]  # the rounds a row reads in
     else:
         starts = np.stack([firsts, bounds[1:]], axis=1)
 
     ran = {}
-    for group in _pack(configs, len(seeds)):
-        counts = np.repeat([configs[i].particle_count for i in group], len(seeds))
-        means = ParticleBank(configs[group[0]], seeds * len(group), counts).run(
-            readings, np.tile(starts, (len(group), 1))
+    for bank in _pack(counts, len(seeds)):
+        means = ParticleBank(config, seeds * len(bank), np.repeat(bank, len(seeds))).run(
+            readings, np.tile(starts, (len(bank), 1))
         )
-        ran.update((i, means[j * len(seeds) : (j + 1) * len(seeds)]) for j, i in enumerate(group))
-    for i, config in enumerate(configs):
-        means = ran.pop(i)
-        finals = means[:, -1].tolist()
+        ran.update(zip(bank, np.split(means, len(bank))))
+    for n in counts:
+        finals = ran[n][:, -1].tolist()
         if keep_step_errors:
-            for row, (d, first, n) in enumerate(zip(truths, firsts.tolist(), lengths.tolist())):
-                result.step_raw_errors_m.extend(np.abs(readings[first : first + n] - d).tolist())
-                result.step_filtered_errors_m.extend(
-                    abs(mean - d) for mean in means[row, :n].tolist()
-                )
+            errors = np.abs(ran[n] - np.asarray(truths)[:, None])[stepped]
+            result.step_filtered_errors_m.extend(errors.tolist())
         for k, d in enumerate(distances_m):
             cells = slice(k * repetitions, (k + 1) * repetitions)
             filt_errors = [abs(final - d) for final in finals[cells]]
             result.rows.append(
                 DistanceRow(
-                    particle_count=config.particle_count,
+                    particle_count=n,
                     distance_m=float(d),
                     filtered_error_m=float(np.mean(filt_errors)),
                     mse=float(np.mean(np.square(filt_errors))),
@@ -310,23 +313,22 @@ def run_distance_experiment(
     return result
 
 
-def _pack(configs: Sequence[FilterConfig], rows: int) -> list[list[int]]:
-    """The configs' indices in banks: configs that differ only in particle count,
+def _pack(counts: Sequence[int], rows: int) -> list[list[int]]:
+    """The distinct particle counts of one config in banks, `rows` filters a count:
     first fit by decreasing count into banks of at most BANK_SLOTS particles.
 
-    A config of more than BANK_SLOTS particles has a bank of its own.
+    A count whose rows hold more than BANK_SLOTS particles has a bank of its own.
     """
-    banks = []  # [the config but its particle count, particles, indices]
-    for i in sorted(range(len(configs)), key=lambda i: -configs[i].particle_count):
-        like, slots = replace(configs[i], particle_count=2), rows * configs[i].particle_count
+    banks = []  # [particles, counts]
+    for n in sorted(set(counts), reverse=True):
         for bank in banks:
-            if bank[0] == like and bank[1] + slots <= BANK_SLOTS:
-                bank[1] += slots
-                bank[2].append(i)
+            if bank[0] + rows * n <= BANK_SLOTS:
+                bank[0] += rows * n
+                bank[1].append(n)
                 break
         else:
-            banks.append([like, slots, [i]])
-    return [indices for _, _, indices in banks]
+            banks.append([rows * n, [n]])
+    return [held for _, held in banks]
 
 
 def run_proximity_experiment(
@@ -352,6 +354,9 @@ def run_proximity_experiment(
         streams = {
             spot: generate_stream(cell, spot, truth[spot]) for spot in layout.spots()
         }
+        if not any(len(stream) for stream in streams.values()):
+            at = _SAMPLING.format(scenario)
+            raise ValueError(f"cell X={x_m} m, Y={y_m} m: no samples at {at}")
         cells.append((layout, streams, derive_seed(cell_seed, TAG_FILTER)))
     return [
         ProximityCellResult(x_m=float(x_m), y_m=float(y_m), raw=raw, filtered=filtered)
@@ -370,15 +375,8 @@ def write_distance_csv(path, rows: Sequence[DistanceRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["particles", "distance_m", "error_m", "mse", "std_m"])
         for r in rows:
-            writer.writerow(
-                [
-                    r.particle_count,
-                    f"{r.distance_m:.6f}",
-                    f"{r.filtered_error_m:.6f}",
-                    f"{r.mse:.6f}",
-                    f"{r.std_m:.6f}",
-                ]
-            )
+            values = (r.distance_m, r.filtered_error_m, r.mse, r.std_m)
+            writer.writerow([r.particle_count, *(f"{value:.6f}" for value in values)])
 
 
 def write_proximity_csv(path, results: Sequence[ProximityCellResult]) -> None:

@@ -266,7 +266,7 @@ def test_criterion_6_distance_error_structure():
     result = sim.run_distance_experiment(
         scenario,
         experiment.grid,
-        [config],
+        config,
         repetitions=experiment.repetitions,
         keep_step_errors=True,
     )

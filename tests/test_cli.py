@@ -125,6 +125,45 @@ def tiny_scenario(path, kind, grid, duration_s=20.0, reps=1, seed=9, particles=3
     )
 
 
+@pytest.mark.parametrize("command", ["calibrate", "distance", "proximity", "serve"])
+def test_negative_seed_is_refused_before_any_command(tmp_path, capsys, monkeypatch, command):
+    from beaconpark import server
+
+    monkeypatch.setattr(server.ParkingTCPServer, "serve_forever", lambda self: None)
+    make_calibration_csv(tmp_path / "cal.csv", INDOOR_MODEL)
+    tiny_scenario(tmp_path / "distance.json", "distance", [1.0])
+    tiny_scenario(tmp_path / "proximity.json", "proximity", [[1.0, 0.5]])
+    args = {
+        "calibrate": ["--input", str(tmp_path / "cal.csv"), "--out", str(tmp_path / "fit.json")],
+        "distance": ["--scenario", str(tmp_path / "distance.json")],
+        "proximity": ["--scenario", str(tmp_path / "proximity.json")],
+        "serve": ["--lot", str(SCENARIOS_DIR / "demo_lot.json"), "--bind", "127.0.0.1:0"],
+    }[command]
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "-1", "--out-dir", str(out_dir), command, *args]) == 2
+    assert capsys.readouterr().err == "ERR seed must be a non-negative integer\n"
+    assert not out_dir.exists() and not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, grid, reason",
+    [
+        ("distance", [2.0], "distance 2.0 m, repetition 0: no samples at"),
+        ("proximity", [[1.0, 0.5]], "cell X=1.0 m, Y=0.5 m: no samples at"),
+    ],
+    ids=["distance-empty-stream", "proximity-empty-streams"],
+)
+def test_run_input_error_names_its_input(tmp_path, capsys, kind, grid, reason):
+    # 0.5 s holds no transmission slot at the default 1000 ms interval
+    scenario_path = tmp_path / "s.json"
+    tiny_scenario(scenario_path, kind, grid, duration_s=0.5)
+    assert main(["--out-dir", str(tmp_path), kind, "--scenario", str(scenario_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERR {reason} duration_s 0.5, tx_interval_ms 1000, drop_rate 0.0\n"
+    )
+    assert not (tmp_path / "manifest.json").exists()
+
+
 class TestCalibrateCommand:
     def test_recovers_indoor_constants(self, tmp_path, capsys):
         csv_path = tmp_path / "cal.csv"
@@ -195,6 +234,22 @@ class TestCalibrateCommand:
              "--input", str(csv_path), "--out", str(tmp_path / "fit.json")]
         ) == 0
         assert "unequal sample counts" in capsys.readouterr().err
+
+    def test_two_distances_warn_of_zero_width_intervals(self, tmp_path, capsys):
+        # two points fit the line exactly, leaving no degrees of freedom for an interval
+        csv_path = tmp_path / "cal.csv"
+        csv_path.write_text("distance_m,rssi_dbm\n1.0,-65.0\n3.0,-75.5\n")
+        args = ["--out-dir", str(tmp_path), "calibrate", "--input", str(csv_path),
+                "--out", str(tmp_path / "fit.json")]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: two distances leave no interval: each ci95 has zero width\n"
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["n_ci95"] == [fit["n"], fit["n"]]
+        with open(csv_path, "a") as fh:
+            fh.write("2.0,-72.0\n")
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDistanceCommand:
@@ -287,133 +342,110 @@ class TestDistanceCommand:
         assert "invalid scenario: unknown filter key 'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, seed_args, reason",
+        "edit, reason",
         [
-            (lambda s: {**s, "filter": [1, 2]}, [], "filter must be a JSON object, got list"),
+            (lambda s: {**s, "filter": [1, 2]}, "filter must be a JSON object, got list"),
             (
                 lambda s: {**s, "filter": {"particle_count": None}},
-                [],
                 "field 'particle_count' must be int, got None",
             ),
             (
                 lambda s: {**s, "experiment": {"kind": "distance", "grid": 5}},
-                [],
                 "field 'grid' must be list, got 5",
             ),
-            (lambda s: [s], [], "scenario must be a JSON object, got list"),
-            (lambda s: {**s, "duraton_s": 10}, [], "unknown scenario key 'duraton_s'"),
-            (lambda s: {**s, "seed": -3}, [], "seed must be a non-negative integer"),
-            (lambda s: s, ["--seed", "-1"], "seed must be a non-negative integer"),
+            (lambda s: [s], "scenario must be a JSON object, got list"),
+            (lambda s: {**s, "duraton_s": 10}, "unknown scenario key 'duraton_s'"),
+            (lambda s: {**s, "seed": -3}, "seed must be a non-negative integer"),
             (
                 lambda s: {**s, "experiment": {**s["experiment"], "repetitons": 5}},
-                [],
                 "unknown experiment key 'repetitons'",
             ),
             (
                 lambda s: {**s, "model": {**s["model"], "d_0": 2.0}},
-                [],
                 "unknown model key 'd_0'",
             ),
             (
                 lambda s: {**s, "layout": {"listener": {"x_m": 0.0, "y_m": 1.0}}},
-                [],
                 "unknown scenario key 'layout'",
             ),
             (
                 lambda s: {k: v for k, v in s.items() if k != "experiment"},
-                [],
                 "scenario needs an 'experiment' object",
             ),
             (
                 lambda s: {**s, "experiment": {"kind": "distance", "grid": [[1.0, 0.5]]}},
-                [],
                 "distance experiment grid must be a list of distances, got entry [1.0, 0.5]",
             ),
             (
                 lambda s: {**s, "experiment": {"kind": "proximity", "grid": [1.0, 2.0]}},
-                [],
                 "proximity experiment grid must be a list of [X, Y] pairs, got entry 1.0",
             ),
             (
                 lambda s: {**s, "experiment": {"kind": "proximity", "grid": [[1.0, "x"]]}},
-                [],
                 "proximity experiment grid must be a list of [X, Y] pairs, got entry [1.0, 'x']",
             ),
             (
                 lambda s: {
                     **s, "experiment": {"kind": "proximity", "grid": [[1.0, 0.5]], "repetitions": 2}
                 },
-                [],
                 "proximity experiment takes repetitions 1, got 2",
             ),
-            (lambda s: {**s, "seed": True}, [], "field 'seed' must be int, got True"),
+            (lambda s: {**s, "seed": True}, "field 'seed' must be int, got True"),
             (
                 lambda s: {**s, "noise_sigma_db": "3.0"},
-                [],
                 "field 'noise_sigma_db' must be number, got '3.0'",
             ),
-            (lambda s: {**s, "duration_s": "5"}, [], "field 'duration_s' must be number, got '5'"),
+            (lambda s: {**s, "duration_s": "5"}, "field 'duration_s' must be number, got '5'"),
             (
                 lambda s: {**s, "experiment": {**s["experiment"], "grid": ["1.0"]}},
-                [],
                 "distance experiment grid must be a list of distances, got entry '1.0'",
             ),
             (
                 lambda s: {**s, "tx_interval_ms": 100.9},
-                [],
                 "field 'tx_interval_ms' must be int, got 100.9",
             ),
             (
                 lambda s: {**s, "experiment": {**s["experiment"], "repetitions": 2.9}},
-                [],
                 "field 'repetitions' must be int, got 2.9",
             ),
             (
                 lambda s: {**s, "filter": {"particle_count": 1000.7}},
-                [],
                 "field 'particle_count' must be int, got 1000.7",
             ),
-            (lambda s: {k: v for k, v in s.items() if k != "model"}, [], "missing field 'model'"),
+            (lambda s: {k: v for k, v in s.items() if k != "model"}, "missing field 'model'"),
             (
                 lambda s: {k: v for k, v in s.items() if k != "noise_sigma_db"},
-                [],
                 "missing field 'noise_sigma_db'",
             ),
-            (lambda s: {**s, "experiment": {"grid": [1.0]}}, [], "missing field 'kind'"),
+            (lambda s: {**s, "experiment": {"grid": [1.0]}}, "missing field 'kind'"),
             (
                 lambda s: {**s, "filter": {"measurement_noise_m": 1e-200}},
-                [],
                 "measurement_noise_m must be positive, with finite -0.5 / noise**2",
             ),
             (
                 lambda s: {**s, "filter": {"measurement_noise_m": 1e-160}},
-                [],
                 "measurement_noise_m must be positive, with finite -0.5 / noise**2",
             ),
             (
                 lambda s: {**s, "filter": {"state_min_m": -1e308, "state_max_m": 1e308}},
-                [],
                 "state_max_m - state_min_m must be positive and finite",
             ),
             (
                 lambda s: {**s, "duration_s": 1e308},
-                [],
                 "duration_s 1e+308 is too long at tx_interval_ms 1000: the last slot's timestamp",
             ),
             (
                 lambda s: {**s, "duration_s": 1e300},
-                [],
                 "duration_s 1e+300 is too long at tx_interval_ms 1000: the last slot's timestamp",
             ),
             (
                 lambda s: {**s, "tx_interval_ms": 10**30},
-                [],
                 f"tx_interval_ms {10**30} does not fit an int64 timestamp",
             ),
         ],
         ids=[
             "filter-list", "null-count", "scalar-grid", "top-level-list", "unknown-key",
-            "negative-seed", "negative-seed-override", "unknown-experiment-key",
+            "negative-seed", "unknown-experiment-key",
             "unknown-model-key", "unknown-layout-key", "missing-experiment",
             "distance-grid-of-pairs", "proximity-grid-of-scalars",
             "proximity-grid-bad-coordinate", "proximity-repetitions",
@@ -424,13 +456,11 @@ class TestDistanceCommand:
             "overflowing-duration-ms", "too-many-slots", "interval-beyond-int64",
         ],
     )
-    def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, seed_args, reason):
+    def test_invalid_scenario_is_input_error(self, tmp_path, capsys, edit, reason):
         scenario_path = tmp_path / "s.json"
         tiny_scenario(scenario_path, "distance", [1.0])
         scenario_path.write_text(json.dumps(edit(json.loads(scenario_path.read_text()))))
-        assert main(
-            [*seed_args, "--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]
-        ) == 2
+        assert main(["--out-dir", str(tmp_path), "distance", "--scenario", str(scenario_path)]) == 2
         assert f"invalid scenario: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
@@ -573,6 +603,8 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
         # restart on the same journal: B2 must still be occupied
         proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -584,6 +616,8 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_serve_runs_without_numpy(self, tmp_path):
         # numpy cannot be imported: serve binds, answers, restarts on its
@@ -698,6 +732,8 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
         assert json.loads((tmp_path / "parking.journal").read_text()) == {
             "op": "snapshot", "clock": "simulated", "sessions": 0, "spots": [],
         }

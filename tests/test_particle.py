@@ -644,8 +644,9 @@ class TestCounters:
         # each; the steps fall from 1,200 to 120 per bank.
         banks = self.recorded_banks(monkeypatch, simulate)
         scenario, experiment, config = load_scenario(ROOT / "scenarios" / "indoor_distance.json")
-        configs = [replace(config, particle_count=n) for n in cli.PARTICLE_SWEEP]
-        simulate.run_distance_experiment(scenario, experiment.grid, configs, experiment.repetitions)
+        simulate.run_distance_experiment(
+            scenario, experiment.grid, config, experiment.repetitions, cli.PARTICLE_SWEEP
+        )
         assert all(sum(bank.particle_counts) <= simulate.BANK_SLOTS for bank in banks)
         assert sorted(n for bank in banks for n in set(bank.particle_counts)) == list(
             cli.PARTICLE_SWEEP

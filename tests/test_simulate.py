@@ -108,7 +108,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=120.0),
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
-            [FilterConfig()],
+            FilterConfig(),
             repetitions=1,
         )
         for row in result.rows:
@@ -119,7 +119,7 @@ class TestDistanceExperiment:
         # at the 4 m state edge the truncated posterior mean sits below the
         # measurement, so the filter cannot get arbitrarily close
         result = sim.run_distance_experiment(
-            scenario(duration_s=120.0), [4.0], [FilterConfig()], repetitions=3
+            scenario(duration_s=120.0), [4.0], FilterConfig(), repetitions=3
         )
         assert 0.05 < result.rows[0].filtered_error_m < 0.15
 
@@ -128,7 +128,7 @@ class TestDistanceExperiment:
             sim.run_distance_experiment(
                 scenario(noise_sigma_db=4.0, duration_s=30.0, seed=5),
                 [1.0, 2.0],
-                [FilterConfig()],
+                FilterConfig(),
                 repetitions=2,
             ).rows
             for _ in range(2)
@@ -139,7 +139,7 @@ class TestDistanceExperiment:
         result = sim.run_distance_experiment(
             scenario(duration_s=30.0),
             [1.0],
-            [FilterConfig()],
+            FilterConfig(),
             repetitions=2,
             keep_step_errors=True,
         )
@@ -180,7 +180,7 @@ class TestDistanceExperiment:
     def test_ragged_streams_match_lone_filters(self):
         config = FilterConfig(particle_count=100)
         result = sim.run_distance_experiment(
-            self.RAGGED, self.DISTANCES, [config], repetitions=2, keep_step_errors=True
+            self.RAGGED, self.DISTANCES, config, repetitions=2, keep_step_errors=True
         )
         lengths, step_raw, step_filtered, finals = self.lone_filters(config)
         assert len(lengths) > 1
@@ -190,40 +190,60 @@ class TestDistanceExperiment:
 
     def test_particle_counts_in_one_bank_match_lone_filters(self, monkeypatch):
         banks = recorded_banks(monkeypatch)
-        configs = [FilterConfig(particle_count=n) for n in (50, 100, 300)]
+        counts = (50, 100, 300)
         result = sim.run_distance_experiment(
-            self.RAGGED, self.DISTANCES, configs, repetitions=2, keep_step_errors=True
+            self.RAGGED, self.DISTANCES, FilterConfig(), 2, counts, keep_step_errors=True
         )
         (bank,) = banks
         assert bank.particle_counts == (300,) * 6 + (100,) * 6 + (50,) * 6
-        steps = len(result.step_raw_errors_m) // 3
-        for k, config in enumerate(configs):
+        steps = len(result.step_raw_errors_m)
+        assert len(result.step_filtered_errors_m) == 3 * steps
+        for k, n in enumerate(counts):
+            config = FilterConfig(particle_count=n)
             _, step_raw, step_filtered, finals = self.lone_filters(config)
-            assert result.step_raw_errors_m[k * steps : (k + 1) * steps] == step_raw
+            assert result.step_raw_errors_m == step_raw
             assert result.step_filtered_errors_m[k * steps : (k + 1) * steps] == step_filtered
             self.assert_rows_match(result.rows[3 * k : 3 * k + 3], config, finals)
 
-    def test_only_configs_that_differ_in_particle_count_share_a_bank(self, monkeypatch):
+    def test_copies_of_a_count_match_a_lone_run_of_it(self, monkeypatch):
         banks = recorded_banks(monkeypatch)
-        configs = [
-            FilterConfig(particle_count=50),
-            FilterConfig(particle_count=100, measurement_noise_m=0.8),
-            FilterConfig(particle_count=300),
-            FilterConfig(particle_count=100, beta=0.4),
-        ]
+        config = FilterConfig(particle_count=100)
         result = sim.run_distance_experiment(
-            scenario(duration_s=10.0), [1.0, 2.0], configs, repetitions=2
+            self.RAGGED, self.DISTANCES, config, 2, (100, 50, 100), keep_step_errors=True
         )
-        held = sorted(
-            (bank.config.measurement_noise_m, bank.config.beta, sorted(set(bank.particle_counts)))
-            for bank in banks
-        )
-        assert held == [(0.8, 0.5, [100]), (1.2, 0.4, [100]), (1.2, 0.5, [50, 300])]
-        assert [row.particle_count for row in result.rows] == [50, 50, 100, 100, 300, 300, 100, 100]
+        assert [bank.particle_counts for bank in banks] == [(100,) * 6 + (50,) * 6]
+        _, step_raw, step_filtered, finals = self.lone_filters(config)
+        assert result.step_raw_errors_m == step_raw
+        steps = len(step_raw)
+        for k in (0, 2):
+            assert result.step_filtered_errors_m[k * steps : (k + 1) * steps] == step_filtered
+            self.assert_rows_match(result.rows[3 * k : 3 * k + 3], config, finals)
+
+    def test_no_particle_counts_run_the_configs_own(self):
+        config = FilterConfig(particle_count=200)
+        args = (scenario(noise_sigma_db=4.0, duration_s=10.0, seed=3), [1.0, 2.5], config)
+        alone = sim.run_distance_experiment(*args, 2, None, keep_step_errors=True)
+        given = sim.run_distance_experiment(*args, 2, (200,), keep_step_errors=True)
+        assert [row.particle_count for row in alone.rows] == [200, 200]
+        assert alone == given
+
+    def test_a_count_past_the_slot_budget_gets_a_bank_of_its_own(self, monkeypatch):
+        args = (self.RAGGED, self.DISTANCES, FilterConfig(), 2, (50, 300, 100))
+        unbounded = sim.run_distance_experiment(*args, keep_step_errors=True)
+        banks = recorded_banks(monkeypatch)
+        monkeypatch.setattr(sim, "BANK_SLOTS", 1000)  # 6 rows of 300 alone hold 1,800
+        bounded = sim.run_distance_experiment(*args, keep_step_errors=True)
+        assert [bank.particle_counts for bank in banks] == [(300,) * 6, (100,) * 6 + (50,) * 6]
+        assert bounded == unbounded
+
+    @pytest.mark.parametrize("counts, named", [((100, 1), 1), ((0, 300), 0)])
+    def test_a_count_below_two_is_named(self, counts, named):
+        with pytest.raises(ValueError, match=f"particle count {named} is below 2"):
+            sim.run_distance_experiment(scenario(), [1.0], FilterConfig(), 1, counts)
 
     def test_csv_shape(self, tmp_path):
         result = sim.run_distance_experiment(
-            scenario(duration_s=20.0), [1.0, 2.0], [FilterConfig()], repetitions=1
+            scenario(duration_s=20.0), [1.0, 2.0], FilterConfig(), repetitions=1
         )
         path = tmp_path / "distance.csv"
         sim.write_distance_csv(path, result.rows)
