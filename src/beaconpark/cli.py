@@ -75,14 +75,12 @@ def write_manifest(out_dir: str, command: str, seed: int, scenario_path: str | N
 
 def _load_scenario_file(path: str, kind: str, seed_override: int | None):
     """Parse a scenario file whose experiment is of `kind`; --seed replaces its seed."""
-    from dataclasses import replace
-
     from .simulate import load_scenario
 
     try:
         scenario, experiment, config = load_scenario(path)
         if seed_override is not None:
-            scenario = replace(scenario, seed=seed_override)
+            scenario = scenario._replace(seed=seed_override)
     except FileNotFoundError as exc:
         raise InputError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -120,7 +118,12 @@ def cmd_calibrate(args) -> int:
         fit = fit_model(dataset)
     except RankDeficientError as exc:
         raise InputError(f"rank-deficient: {exc}") from exc
+    except ValueError as exc:  # a FitError, or fitted constants that PathLossModel refuses
+        raise InputError(f"cannot fit --input {args.input}: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):  # before the manifest, which would leave a run with no fit
+        raise InputError(f"output directory not found: {out_dir}")
     write_manifest(args.out_dir, "calibrate", args.seed or 0, None)
     write_atomically(args.out, _write_json, fit_result_to_json_dict(fit))
     print(

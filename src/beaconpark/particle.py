@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -88,29 +88,41 @@ import numpy as np
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(
+    namedtuple("FilterConfig", "particle_count beta measurement_noise_m state_min_m state_max_m")
+):
     """Filter tuning; the defaults are the calibrated working point."""
 
-    particle_count: int = 1000
-    beta: float = 0.5
-    measurement_noise_m: float = 1.2
-    state_min_m: float = 0.0
-    state_max_m: float = 4.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.particle_count < 2:
-            raise ValueError(f"need at least 2 particles, got {self.particle_count}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+    def __new__(
+        cls,
+        particle_count: int = 1000,
+        beta: float = 0.5,
+        measurement_noise_m: float = 1.2,
+        state_min_m: float = 0.0,
+        state_max_m: float = 4.0,
+    ):
+        if particle_count < 2:
+            raise ValueError(f"need at least 2 particles, got {particle_count}")
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must be in (0, 1], got {beta}")
         try:  # ParticleBank's gain scale; noise**2 may under- or overflow
-            scale = -0.5 / self.measurement_noise_m**2
+            scale = -0.5 / measurement_noise_m**2
         except (ZeroDivisionError, OverflowError):
             scale = math.nan
-        if not (self.measurement_noise_m > 0 and math.isfinite(scale)):
+        if not (measurement_noise_m > 0 and math.isfinite(scale)):
             raise ValueError("measurement_noise_m must be positive, with finite -0.5 / noise**2")
-        if not 0.0 < self.state_max_m - self.state_min_m < math.inf:
+        if not 0.0 < state_max_m - state_min_m < math.inf:
             raise ValueError("state_max_m - state_min_m must be positive and finite")
+        return super().__new__(
+            cls, particle_count, beta, measurement_noise_m, state_min_m, state_max_m
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that `_replace` runs the checks too."""
+        return cls(*iterable)
 
 
 def _maximal(values, weights, counts, firsts):
@@ -447,17 +459,8 @@ class ParticleBank:
         return _maximal(*runs, [0])[:3]
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    mean_m: float
-    std_m: float
-    effective_particles: float
-
-
-@dataclass(frozen=True)
-class UpdateOutcome:
-    resampled: bool
-    reinitialized: bool
+DistanceEstimate = namedtuple("DistanceEstimate", "mean_m std_m effective_particles")
+UpdateOutcome = namedtuple("UpdateOutcome", "resampled reinitialized")
 
 
 class DistanceParticleFilter:

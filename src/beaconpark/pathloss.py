@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -35,8 +35,7 @@ class RankDeficientError(FitError):
     """All calibration distances coincide; the line is underdetermined."""
 
 
-@dataclass(frozen=True)
-class PathLossModel:
+class PathLossModel(namedtuple("PathLossModel", "exponent ref_rssi_dbm ref_distance_m")):
     """Fitted propagation constants for one environment.
 
     exponent: path-loss exponent (2 in free space, larger with clutter).
@@ -44,17 +43,18 @@ class PathLossModel:
     ref_distance_m: reference distance, fixed at 1 m.
     """
 
-    exponent: float
-    ref_rssi_dbm: float
-    ref_distance_m: float = REFERENCE_DISTANCE_M
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exponent > 0:
-            raise ValueError(f"path-loss exponent must be positive, got {self.exponent}")
-        if not math.isfinite(self.ref_rssi_dbm):
+    def __new__(
+        cls, exponent: float, ref_rssi_dbm: float, ref_distance_m: float = REFERENCE_DISTANCE_M
+    ):
+        if not exponent > 0:
+            raise ValueError(f"path-loss exponent must be positive, got {exponent}")
+        if not math.isfinite(ref_rssi_dbm):
             raise ValueError("reference RSSI must be finite")
-        if self.ref_distance_m != REFERENCE_DISTANCE_M:
+        if ref_distance_m != REFERENCE_DISTANCE_M:
             raise ValueError(f"reference distance is fixed at {REFERENCE_DISTANCE_M} m")
+        return super().__new__(cls, exponent, ref_rssi_dbm, ref_distance_m)
 
 
 # Fitted constants for the two calibrated parking environments.
@@ -62,21 +62,23 @@ INDOOR_MODEL = PathLossModel(exponent=2.424, ref_rssi_dbm=-65.24)
 OUTDOOR_MODEL = PathLossModel(exponent=2.049, ref_rssi_dbm=-88.78)
 
 
-@dataclass(frozen=True)
-class CalibrationDataset:
-    """RSSI captures grouped by true distance, for model fitting."""
+class CalibrationDataset(namedtuple("CalibrationDataset", "points")):
+    """RSSI captures grouped by true distance, for model fitting.
 
-    points: tuple  # of (distance_m, (rssi, ...)) pairs
+    points: (distance_m, (rssi, ...)) pairs, held as floats.
+    """
 
-    def __post_init__(self):
-        pts = tuple((float(d), tuple(float(r) for r in samples)) for d, samples in self.points)
-        object.__setattr__(self, "points", pts)
+    __slots__ = ()
+
+    def __new__(cls, points):
+        pts = tuple((float(d), tuple(float(r) for r in samples)) for d, samples in points)
         if any(d <= 0 for d, _ in pts):
             raise ValueError("calibration distances must be positive")
         if any(len(s) == 0 for _, s in pts):
             raise ValueError("every calibration distance needs at least one sample")
         if len({d for d, _ in pts}) < 2:
             raise RankDeficientError("need samples at two or more distinct distances")
+        return super().__new__(cls, pts)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "CalibrationDataset":
@@ -90,14 +92,8 @@ class CalibrationDataset:
         return {d: len(s) for d, s in self.points}
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted model plus 95% confidence bounds and residual spread."""
-
-    model: PathLossModel
-    exponent_ci95: tuple[float, float]
-    ref_rssi_ci95: tuple[float, float]
-    residual_std_db: float
+# The fitted model plus 95% confidence bounds and residual spread.
+FitResult = namedtuple("FitResult", "model exponent_ci95 ref_rssi_ci95 residual_std_db")
 
 
 def ragged_means(samples, starts) -> np.ndarray:
@@ -242,6 +238,11 @@ def fit_model(data: CalibrationDataset) -> FitResult:
         t_crit = 0.0
 
     exponent = -slope / 10.0
+    if not exponent > 0:
+        raise FitError(
+            f"RSSI does not fall with distance: the fitted slope is {slope:+g} dB per decade,"
+            f" so the path-loss exponent {exponent:g} is not positive"
+        )
     half_n = t_crit * se_slope / 10.0
     half_c = t_crit * se_intercept
     model = PathLossModel(exponent=exponent, ref_rssi_dbm=intercept)

@@ -20,7 +20,7 @@ filtered) tallies are identify_cells([(layout, streams, seed)], model, config)[0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,8 +35,7 @@ STREAM_DTYPE = np.dtype([("timestamp_ms", np.int64), ("rssi_dbm", np.float64)])
 _EMPTY_STREAM = np.empty(0, dtype=STREAM_DTYPE)
 
 
-@dataclass(frozen=True)
-class BeaconLayout:
+class BeaconLayout(namedtuple("BeaconLayout", "beacons listener_offset")):
     """A row of beacons plus the listener's position relative to it.
 
     beacons: (spot, position along the row in meters), strictly increasing.
@@ -44,17 +43,11 @@ class BeaconLayout:
     y perpendicular distance from the row, y >= 0).
     """
 
-    beacons: tuple
-    listener_offset: tuple[float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        beacons = tuple((spot, float(pos)) for spot, pos in self.beacons)
-        object.__setattr__(self, "beacons", beacons)
-        object.__setattr__(
-            self,
-            "listener_offset",
-            (float(self.listener_offset[0]), float(self.listener_offset[1])),
-        )
+    def __new__(cls, beacons, listener_offset: tuple[float, float]):
+        beacons = tuple((spot, float(pos)) for spot, pos in beacons)
+        listener_offset = (float(listener_offset[0]), float(listener_offset[1]))
         if not beacons:
             raise ValueError("layout needs at least one beacon")
         positions = [pos for _, pos in beacons]
@@ -63,8 +56,9 @@ class BeaconLayout:
         spots = [spot for spot, _ in beacons]
         if len(set(spots)) != len(spots):
             raise ValueError("duplicate spot in layout")
-        if self.listener_offset[1] < 0:
+        if listener_offset[1] < 0:
             raise ValueError("perpendicular listener distance must be >= 0")
+        return super().__new__(cls, beacons, listener_offset)
 
     def spots(self) -> list[SpotId]:
         return [spot for spot, _ in self.beacons]
@@ -85,19 +79,17 @@ class BeaconLayout:
         return min(self.true_distances().items(), key=lambda kv: (kv[1], kv[0]))[0]
 
 
-@dataclass
-class PredictionTally:
+class PredictionTally(namedtuple("PredictionTally", "counts total accuracy")):
     """Per-spot prediction counts against one ground-truth spot."""
 
-    counts: dict
-    total: int
-    accuracy: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.total:
+    def __new__(cls, counts: dict, total: int, accuracy: float):
+        if sum(counts.values()) != total:
             raise ValueError("tally counts do not sum to the total")
-        if not 0.0 <= self.accuracy <= 1.0:
+        if not 0.0 <= accuracy <= 1.0:
             raise ValueError("accuracy must be a fraction in [0, 1]")
+        return super().__new__(cls, counts, total, accuracy)
 
 
 def _check_streams(streams: Mapping[SpotId, np.ndarray], layout: BeaconLayout) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -86,42 +86,51 @@ _SAMPLING = "duration_s {0.duration_s}, tx_interval_ms {0.tx_interval_ms}, drop_
 BANK_SLOTS = 92_000
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(
+    namedtuple("Scenario", "model noise_sigma_db tx_interval_ms duration_s drop_rate seed")
+):
     """One synthetic experiment environment."""
 
-    model: PathLossModel
-    noise_sigma_db: float
-    tx_interval_ms: int = 1000
-    duration_s: float = 300.0
-    drop_rate: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.noise_sigma_db < 0:
+    def __new__(
+        cls,
+        model: PathLossModel,
+        noise_sigma_db: float,
+        tx_interval_ms: int = 1000,
+        duration_s: float = 300.0,
+        drop_rate: float = 0.0,
+        seed: int = 0,
+    ):
+        if noise_sigma_db < 0:
             raise ValueError("noise sigma must be >= 0")
-        if self.tx_interval_ms <= 0:
+        if tx_interval_ms <= 0:
             raise ValueError("transmission interval must be positive")
-        if self.tx_interval_ms > _INT64_MAX:
-            raise ValueError(
-                f"tx_interval_ms {self.tx_interval_ms} does not fit an int64 timestamp"
-            )
-        if self.duration_s <= 0:
+        if tx_interval_ms > _INT64_MAX:
+            raise ValueError(f"tx_interval_ms {tx_interval_ms} does not fit an int64 timestamp")
+        if duration_s <= 0:
             raise ValueError("duration must be positive")
-        slots = self.duration_s * 1000 // self.tx_interval_ms  # as generate_stream counts them
-        if not (math.isfinite(slots) and (int(slots) - 1) * self.tx_interval_ms <= _INT64_MAX):
+        slots = duration_s * 1000 // tx_interval_ms  # as generate_stream counts them
+        if not (math.isfinite(slots) and (int(slots) - 1) * tx_interval_ms <= _INT64_MAX):
             raise ValueError(
-                f"duration_s {self.duration_s} is too long at tx_interval_ms"
-                f" {self.tx_interval_ms}: the last slot's timestamp must fit an int64"
+                f"duration_s {duration_s} is too long at tx_interval_ms"
+                f" {tx_interval_ms}: the last slot's timestamp must fit an int64"
             )
-        if not 0.0 <= self.drop_rate < 1.0:
+        if not 0.0 <= drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        return super().__new__(
+            cls, model, noise_sigma_db, tx_interval_ms, duration_s, drop_rate, seed
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that `_replace` runs the checks too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(namedtuple("ExperimentSpec", "kind grid repetitions")):
     """Which experiment a scenario file drives, over which grid.
 
     The grid is held as the experiment reads it: a distance grid as a
@@ -130,20 +139,19 @@ class ExperimentSpec:
     repetitions 1 only.
     """
 
-    kind: str
-    grid: tuple
-    repetitions: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+    def __new__(cls, kind: str, grid, repetitions: int = 1):
+        if kind not in EXPERIMENT_KINDS:
             raise ValueError(f"experiment kind must be one of {EXPERIMENT_KINDS}")
-        object.__setattr__(self, "grid", tuple(_grid_point(self.kind, g) for g in self.grid))
-        if len(self.grid) == 0:
+        grid = tuple(_grid_point(kind, g) for g in grid)
+        if len(grid) == 0:
             raise ValueError("experiment grid is empty")
-        if self.repetitions < 1:
+        if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.kind == "proximity" and self.repetitions != 1:
-            raise ValueError(f"proximity experiment takes repetitions 1, got {self.repetitions}")
+        if kind == "proximity" and repetitions != 1:
+            raise ValueError(f"proximity experiment takes repetitions 1, got {repetitions}")
+        return super().__new__(cls, kind, grid, repetitions)
 
 
 def _grid_point(kind: str, entry):
@@ -160,32 +168,14 @@ def _grid_point(kind: str, entry):
     raise ValueError(f"{kind} experiment grid must be {shape}, got entry {entry!r}")
 
 
-@dataclass(frozen=True)
-class DistanceRow:
-    """One distance-estimation result row (Table-shaped CSV output)."""
-
-    particle_count: int
-    distance_m: float
-    filtered_error_m: float
-    mse: float
-    std_m: float
-
-
-@dataclass
-class DistanceExperimentResult:
-    rows: list
-    # Per-update |estimate - truth| pooled over all distances/repetitions:
-    # raw that of each reading once, filtered that of each count's running mean.
-    step_raw_errors_m: list = field(default_factory=list)
-    step_filtered_errors_m: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ProximityCellResult:
-    x_m: float
-    y_m: float
-    raw: PredictionTally
-    filtered: PredictionTally
+# One distance-estimation result row (Table-shaped CSV output).
+DistanceRow = namedtuple("DistanceRow", "particle_count distance_m filtered_error_m mse std_m")
+# The rows, and the per-update |estimate - truth| pooled over all distances and
+# repetitions: raw that of each reading once, filtered that of each count's running mean.
+DistanceExperimentResult = namedtuple(
+    "DistanceExperimentResult", "rows step_raw_errors_m step_filtered_errors_m"
+)
+ProximityCellResult = namedtuple("ProximityCellResult", "x_m y_m raw filtered")
 
 
 def generate_stream(scenario: Scenario, beacon: SpotId, true_distance_m: float) -> np.ndarray:
@@ -264,7 +254,7 @@ def run_distance_experiment(
     for d in distances_m:
         for rep in range(repetitions):
             cell_seed = derive_seed(scenario.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
-            cell = replace(scenario, seed=cell_seed)
+            cell = scenario._replace(seed=cell_seed)
             stream = generate_stream(cell, SpotId("B", 1), d)
             if len(stream) == 0:
                 at = _SAMPLING.format(scenario)
@@ -272,9 +262,9 @@ def run_distance_experiment(
             truths.append(d)
             seeds.append(derive_seed(cell_seed, TAG_FILTER))
             streams.append(stream["rssi_dbm"])
-    result = DistanceExperimentResult(rows=[])
+    rows, step_raw, step_filtered = [], [], []
     if not truths:
-        return result
+        return DistanceExperimentResult(rows, step_raw, step_filtered)
     rssi = np.concatenate(streams)
     bounds = np.cumsum([0] + [len(stream) for stream in streams])
     firsts, lengths = bounds[:-1], np.diff(bounds)
@@ -282,7 +272,7 @@ def run_distance_experiment(
     if keep_step_errors:
         # one round per reading, so the means are recorded after every step
         starts = firsts[:, None] + np.minimum(np.arange(lengths.max() + 1), lengths[:, None])
-        result.step_raw_errors_m = np.abs(readings - np.repeat(truths, lengths)).tolist()
+        step_raw = np.abs(readings - np.repeat(truths, lengths)).tolist()
         stepped = np.arange(lengths.max()) < lengths[:, None]  # the rounds a row reads in
     else:
         starts = np.stack([firsts, bounds[1:]], axis=1)
@@ -297,11 +287,11 @@ def run_distance_experiment(
         finals = ran[n][:, -1].tolist()
         if keep_step_errors:
             errors = np.abs(ran[n] - np.asarray(truths)[:, None])[stepped]
-            result.step_filtered_errors_m.extend(errors.tolist())
+            step_filtered.extend(errors.tolist())
         for k, d in enumerate(distances_m):
             cells = slice(k * repetitions, (k + 1) * repetitions)
             filt_errors = [abs(final - d) for final in finals[cells]]
-            result.rows.append(
+            rows.append(
                 DistanceRow(
                     particle_count=n,
                     distance_m=float(d),
@@ -310,7 +300,7 @@ def run_distance_experiment(
                     std_m=float(np.std(finals[cells], ddof=1)) if repetitions > 1 else 0.0,
                 )
             )
-    return result
+    return DistanceExperimentResult(rows, step_raw, step_filtered)
 
 
 def _pack(counts: Sequence[int], rows: int) -> list[list[int]]:
@@ -349,7 +339,7 @@ def run_proximity_experiment(
         cell_seed = derive_seed(
             scenario.seed, TAG_PROXIMITY_CELL, scaled_key(x_m), scaled_key(y_m)
         )
-        cell = replace(scenario, seed=cell_seed)
+        cell = scenario._replace(seed=cell_seed)
         truth = layout.true_distances()
         streams = {
             spot: generate_stream(cell, spot, truth[spot]) for spot in layout.spots()
@@ -411,7 +401,7 @@ SCENARIO_KINDS = {
 }
 SPEC_KINDS = {"kind": str, "grid": list, "repetitions": int}  # ExperimentSpec
 # FilterConfig owns the defaults; each value must have its default's type.
-FILTER_KINDS = {f.name: type(f.default) for f in fields(FilterConfig)}
+FILTER_KINDS = {name: type(value) for name, value in FilterConfig()._asdict().items()}
 
 
 def scenario_from_dict(obj: dict) -> tuple[Scenario, ExperimentSpec, FilterConfig]:

@@ -44,6 +44,15 @@ def test_cli_import_leaves_module_unloaded(module):
     assert proc.stdout.strip() == "False"
 
 
+def test_experiment_import_leaves_dataclasses_unloaded():
+    """`calibrate`, `distance` and `proximity` import cli and simulate; no record is a dataclass."""
+    proc = run_python(
+        "import sys, beaconpark.cli, beaconpark.simulate; print('dataclasses' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]
@@ -217,6 +226,44 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert "line 3: values must be finite" in err
         assert not (tmp_path / "fit.json").exists()
+
+    def test_rssi_rising_with_distance_is_input_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "cal.csv"
+        csv_path.write_text("distance_m,rssi_dbm\n1,-80\n2,-70\n3,-60\n")
+        out_dir = tmp_path / "out"
+        code = main(
+            ["--out-dir", str(out_dir), "calibrate",
+             "--input", str(csv_path), "--out", str(out_dir / "fit.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ERR cannot fit --input {csv_path}: RSSI does not fall with distance: the fitted"
+            " slope is +40.9814 dB per decade, so the path-loss exponent -4.09814 is not positive\n"
+        )
+        assert not out_dir.exists()
+
+    def test_missing_out_directory_is_input_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "cal.csv"
+        make_calibration_csv(csv_path, INDOOR_MODEL)
+        missing = tmp_path / "nodir"
+        code = main(
+            ["--out-dir", str(tmp_path / "out"), "calibrate",
+             "--input", str(csv_path), "--out", str(missing / "fit.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"ERR output directory not found: {missing}\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not missing.exists()
+
+    def test_out_in_the_new_out_dir_is_written(self, tmp_path):
+        csv_path = tmp_path / "cal.csv"
+        make_calibration_csv(csv_path, INDOOR_MODEL)
+        out_dir = tmp_path / "new"
+        assert main(
+            ["--out-dir", str(out_dir), "calibrate",
+             "--input", str(csv_path), "--out", str(out_dir / "fit.json")]
+        ) == 0
+        assert {path.name for path in out_dir.iterdir()} == {"fit.json", "manifest.json"}
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(

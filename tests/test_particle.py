@@ -2,7 +2,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -962,7 +961,7 @@ class TestRowIndependence:
         config = FilterConfig(measurement_noise_m=0.05)
         bank = ParticleBank(config, seeds, sizes)
         lone_banks = [
-            ParticleBank(replace(config, particle_count=n), [seed]) for n, seed in zip(sizes, seeds)
+            ParticleBank(config._replace(particle_count=n), [seed]) for n, seed in zip(sizes, seeds)
         ]
         for row, plant in [(1, np.full(7, 1.7)), (3, np.linspace(3.9, 4.0, 1000))]:
             bank.set_state(row, particles=plant)

@@ -1,6 +1,7 @@
+import copy
 import json
 import math
-from dataclasses import replace
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ from beaconpark.particle import FilterConfig, ParticleBank
 from beaconpark.pathloss import (
     INDOOR_MODEL,
     OUTDOOR_MODEL,
+    CalibrationDataset,
     estimate_distance,
     fit_model,
     predict_rssi,
 )
-from beaconpark.proximity import STREAM_DTYPE, identify_cells
+from beaconpark.proximity import STREAM_DTYPE, PredictionTally, identify_cells
 from beaconpark.seeding import (
     TAG_DISTANCE_CELL,
     TAG_FILTER,
@@ -158,7 +160,7 @@ class TestDistanceExperiment:
         for d in self.DISTANCES:
             for rep in range(2):
                 cell_seed = derive_seed(scen.seed, TAG_DISTANCE_CELL, scaled_key(d), rep)
-                stream = sim.generate_stream(replace(scen, seed=cell_seed), B1, d)
+                stream = sim.generate_stream(scen._replace(seed=cell_seed), B1, d)
                 lengths.add(len(stream))
                 lone = ParticleBank(config, [derive_seed(cell_seed, TAG_FILTER)])
                 for rssi in stream["rssi_dbm"].tolist():
@@ -311,7 +313,7 @@ class TestProximityExperiment:
         for (x_m, y_m), cell in zip(pairs, results):
             layout = sim.three_beacon_layout(x_m, y_m)
             cell_seed = derive_seed(scen.seed, TAG_PROXIMITY_CELL, scaled_key(x_m), scaled_key(y_m))
-            lone = replace(scen, seed=cell_seed)
+            lone = scen._replace(seed=cell_seed)
             truth = layout.true_distances()
             streams = {spot: sim.generate_stream(lone, spot, truth[spot]) for spot in truth}
             cell_filter_seed = derive_seed(cell_seed, TAG_FILTER)
@@ -393,7 +395,7 @@ class TestRawAccuracy:
         for name in ("indoor_proximity.json", "outdoor_proximity.json"):
             s, exp, config = sim.load_scenario(SCENARIOS / name)
             # the raw tallies do not depend on the filter, so a small one keeps this quick
-            cells = sim.run_proximity_experiment(s, exp.grid, replace(config, particle_count=2))
+            cells = sim.run_proximity_experiment(s, exp.grid, config._replace(particle_count=2))
             for cell in cells:
                 n = cell.raw.total
                 assert n == s.duration_s * 1000 / s.tx_interval_ms
@@ -465,3 +467,59 @@ class TestScenarioFiles:
         assert s.model == OUTDOOR_MODEL
         assert exp.kind == "distance"
         assert exp.grid == (0.5, 1.0)
+
+
+class TestValueTypes:
+    """The records with checks keep the value semantics of frozen dataclasses."""
+
+    VALUES = [
+        (FilterConfig(),
+         "FilterConfig(particle_count=1000, beta=0.5, measurement_noise_m=1.2, state_min_m=0.0,"
+         " state_max_m=4.0)"),
+        (INDOOR_MODEL, "PathLossModel(exponent=2.424, ref_rssi_dbm=-65.24, ref_distance_m=1.0)"),
+        (CalibrationDataset([(1, [-60, -61]), (2, (-70,))]),
+         "CalibrationDataset(points=((1.0, (-60.0, -61.0)), (2.0, (-70.0,))))"),
+        (sim.three_beacon_layout(1, 0.5),
+         "BeaconLayout(beacons=((SpotId(lot='A', number=1), -1.0), (SpotId(lot='B', number=1),"
+         " 0.0), (SpotId(lot='C', number=1), 1.0)), listener_offset=(0.0, 0.5))"),
+        (PredictionTally({B1: 3, SpotId("C", 1): 1}, 4, 0.75),
+         "PredictionTally(counts={SpotId(lot='B', number=1): 3, SpotId(lot='C', number=1): 1},"
+         " total=4, accuracy=0.75)"),
+        (sim.Scenario(INDOOR_MODEL, 5.45),
+         "Scenario(model=PathLossModel(exponent=2.424, ref_rssi_dbm=-65.24, ref_distance_m=1.0),"
+         " noise_sigma_db=5.45, tx_interval_ms=1000, duration_s=300.0, drop_rate=0.0, seed=0)"),
+        (sim.ExperimentSpec("proximity", [[1, 0.5], (2, 1.5)]),
+         "ExperimentSpec(kind='proximity', grid=((1.0, 0.5), (2.0, 1.5)), repetitions=1)"),
+    ]
+    IDS = [type(value).__name__ for value, _ in VALUES]
+
+    @pytest.mark.parametrize("value, text", VALUES, ids=IDS)
+    def test_repr_equality_hash_and_copies(self, value, text):
+        assert repr(value) == text
+        twin = type(value)(*[getattr(value, name) for name in value._fields])
+        assert twin == value and twin is not value
+        if isinstance(value, PredictionTally):  # its counts are a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(twin) == hash(value)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is type(value) and repr(copied) == text
+
+    @pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=IDS)
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], value[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=IDS)
+    def test_keyword_construction(self, value):
+        assert type(value)(**value._asdict()) == value
+
+    def test_replace_runs_the_checks(self):
+        assert sim.Scenario(INDOOR_MODEL, 5.45)._replace(seed=3).seed == 3
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            sim.Scenario(INDOOR_MODEL, 5.45)._replace(seed=-1)
+        with pytest.raises(ValueError, match=r"^beta must be in \(0, 1\], got 0$"):
+            FilterConfig()._replace(beta=0)
